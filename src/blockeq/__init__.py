@@ -70,7 +70,6 @@ from .oracle import (
     proper_topological_sort,
 )
 from .orders import (
-    AnnLabel,
     PartialOrder,
     SaturationResult,
     after_set,
@@ -83,6 +82,7 @@ from .orders import (
 from .trace import (
     READ,
     WRITE,
+    AnnLabel,
     Event,
     Label,
     Run,
@@ -90,8 +90,7 @@ from .trace import (
     conflicting,
     interleave_threads,
     parse_run,
-    program_order,
-    reads_from,
+    parse_symbol,
     same_equiv_rf,
 )
 

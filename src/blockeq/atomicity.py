@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import BlockSet, blocks_from_annotation
-from .monitor import AnnLabel, SatState, Universe, sat_initial, sat_step, symbols_of
-from .orders import block_hb
-from .trace import Event, Run, conflicting
+from .monitor import SatState, Universe, sat_initial, sat_step, symbols_of
+from .orders import PartialOrder, bits, block_hb, mazurkiewicz_hb, topological_order
+from .trace import AnnLabel, Event, Run
 
 
 class BlockGraph:
@@ -35,52 +35,37 @@ class BlockGraph:
 
     ``nodes`` is a tuple of event tuples (each in run order, first event
     earliest); blocks and unblocked singletons together partition the
-    run's events.  ``edges`` holds index pairs (i, j) meaning some event
-    of node i is ordered before some event of node j.
+    run's events.  ``succ[i]`` is the mask of the nodes j such that some
+    event of node i is ordered before some event of node j.
     """
 
-    def __init__(self, nodes: tuple[tuple[Event, ...], ...], edges: frozenset[tuple[int, int]]):
+    def __init__(self, nodes: tuple[tuple[Event, ...], ...], succ: list[int]):
         self.nodes = nodes
-        self.edges = edges
+        self.succ = succ
         self._owner: dict[Event, int] = {}
         for i, members in enumerate(nodes):
             for e in members:
                 assert e not in self._owner, "nodes must partition the events"
                 self._owner[e] = i
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, m in enumerate(self.succ) for j in bits(m))
+
     def node_of(self, e: Event) -> int:
         return self._owner[e]
 
     def successors(self, i: int) -> list[int]:
-        return sorted(j for (p, j) in self.edges if p == i)
+        return list(bits(self.succ[i]))
 
     def is_acyclic(self) -> bool:
-        return _acyclic(len(self.nodes), self.edges)
+        return topological_order(self.succ) is not None
 
     def topological_order(self) -> list[int]:
         """Kahn order, lowest node index first among the ready ones.
         Raises ValueError if the graph has a cycle."""
-        n = len(self.nodes)
-        indeg = [0] * n
-        for _, j in self.edges:
-            indeg[j] += 1
-        out: list[list[int]] = [[] for _ in range(n)]
-        for i, j in self.edges:
-            out[i].append(j)
-        ready = sorted(i for i in range(n) if indeg[i] == 0)
-        order = []
-        while ready:
-            i = ready.pop(0)
-            order.append(i)
-            changed = False
-            for j in out[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-                    changed = True
-            if changed:
-                ready.sort()
-        if len(order) != n:
+        order = topological_order(self.succ)
+        if order is None:
             raise ValueError("block graph has a cycle; no topological order")
         return order
 
@@ -88,52 +73,39 @@ class BlockGraph:
         return len(self.nodes)
 
 
-def _acyclic(n: int, edges) -> bool:
-    out: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        out[i].append(j)
-    color = [0] * n  # 0 fresh, 1 on stack, 2 done
-    for root in range(n):
-        if color[root]:
-            continue
-        stack = [(root, iter(out[root]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for j in it:
-                if color[j] == 1:
-                    return False
-                if color[j] == 0:
-                    color[j] = 1
-                    stack.append((j, iter(out[j])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return True
-
-
-def _partition(run: Run, blocks: BlockSet) -> tuple[tuple[tuple[Event, ...], ...], dict[Event, int]]:
+def _quotient(run: Run, blocks: BlockSet, order: PartialOrder) -> BlockGraph:
+    """The order collapsed onto the nodes: the blocks plus one singleton
+    per unblocked event, numbered by their first event's run position."""
     nodes = [tuple(sorted(b.members(), key=run.position)) for b in blocks]
     nodes.extend((e,) for e in blocks.unblocked())
     nodes.sort(key=lambda members: run.position(members[0]))
-    owner = {e: i for i, members in enumerate(nodes) for e in members}
-    return tuple(nodes), owner
+    owner = [0] * len(run)
+    node_mask = []
+    for k, members in enumerate(nodes):
+        m = 0
+        for e in members:
+            owner[run.position(e)] = k
+            m |= 1 << run.position(e)
+        node_mask.append(m)
+    succ = []
+    for m in node_mask:
+        reach = 0
+        for i in bits(m):
+            reach |= order.succ[i]
+        reach &= ~m
+        out = 0
+        while reach:
+            k = owner[(reach & -reach).bit_length() - 1]
+            out |= 1 << k
+            reach &= ~node_mask[k]
+        succ.append(out)
+    return BlockGraph(tuple(nodes), succ)
 
 
 def block_graph(run: Run, blocks: BlockSet) -> BlockGraph:
     """Nodes are the blocks plus singleton unblocked events; edges follow
     the block happens-before order between distinct nodes."""
-    nodes, owner = _partition(run, blocks)
-    order = block_hb(run, blocks)
-    edges = set()
-    for e, f in order.pairs():
-        i, j = owner[e], owner[f]
-        if i != j:
-            edges.add((i, j))
-    return BlockGraph(nodes, frozenset(edges))
+    return _quotient(run, blocks, block_hb(run, blocks))
 
 
 def is_liberally_atomic(run: Run, blocks: BlockSet) -> bool:
@@ -142,16 +114,10 @@ def is_liberally_atomic(run: Run, blocks: BlockSet) -> bool:
 
 def is_conflict_serializable(run: Run, blocks: BlockSet) -> bool:
     """Classic conflict serializability with the blocks as transactions
-    and every unblocked event as a unit transaction: edges between
-    distinct nodes along *plain* dependence in run order, no exemption
-    for cross-thread block pairs."""
-    nodes, owner = _partition(run, blocks)
-    edges = set()
-    for i, e in enumerate(run.events):
-        for f in run.events[i + 1:]:
-            if conflicting(e.label, f.label) and owner[e] != owner[f]:
-                edges.add((owner[e], owner[f]))
-    return _acyclic(len(nodes), edges)
+    and every unblocked event as a unit transaction: the plain
+    commutation order collapsed onto the same nodes, with no exemption
+    for cross-thread block pairs, must be acyclic."""
+    return _quotient(run, blocks, mazurkiewicz_hb(run)).is_acyclic()
 
 
 def serial_witness(run: Run, blocks: BlockSet) -> Run:
@@ -162,15 +128,11 @@ def serial_witness(run: Run, blocks: BlockSet) -> Run:
     inside a node or by the topological order, so the result is always a
     proper linearization."""
     g = block_graph(run, blocks)
-    if not g.is_acyclic():
+    order = topological_order(g.succ)
+    if order is None:
         raise ValueError("blocks are not liberally atomic; no serial witness exists")
-    labels = []
-    annots = []
-    for i in g.topological_order():
-        for e in g.nodes[i]:
-            labels.append(e.label)
-            annots.append(run.annotation_at(run.position(e)))
-    return Run(labels, annots)
+    events = [e for i in order for e in g.nodes[i]]
+    return Run([e.label for e in events], [run.annotation_at(run.position(e)) for e in events])
 
 
 # ---- streaming check ------------------------------------------------------
@@ -204,10 +166,6 @@ class LibAtState:
 
     def accepting(self) -> bool:
         return not self.rejected
-
-    def edge_variables(self) -> frozenset[tuple[str, str]]:
-        names = self.sat.universe.variables
-        return frozenset((names[y], names[x]) for y, x in self.edges)
 
 
 def libat_initial(universe: Universe) -> LibAtState:
@@ -293,9 +251,11 @@ def libat_step(state: LibAtState, sym: AnnLabel) -> LibAtState:
         elif sat.aft[start[yi]] & abit or _witnessed(sat, reach[yi], abit):
             edges.add((yi, xi))
 
-    if not _acyclic(nx, edges):
-        return LibAtState(sat, frozenset(edges), tuple(start), tuple(members), tuple(reach), True)
-    return LibAtState(sat, frozenset(edges), tuple(start), tuple(members), tuple(reach), False)
+    succ = [0] * nx
+    for y, x in edges:
+        succ[y] |= 1 << x
+    rejected = topological_order(succ) is None
+    return LibAtState(sat, frozenset(edges), tuple(start), tuple(members), tuple(reach), rejected)
 
 
 def libat_run(aw: Run, universe: Universe | None = None) -> bool:

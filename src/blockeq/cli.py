@@ -54,7 +54,7 @@ from .oracle import (
     enum_rf_class,
 )
 from .orders import block_hb, mazurkiewicz_hb
-from .trace import READ, WRITE, Label, Run, TraceError, parse_run
+from .trace import Run, TraceError, parse_run, parse_symbol
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -226,20 +226,6 @@ def cmd_atomicity(args, cfg: Config) -> int:
 
 # ---- concurrent ------------------------------------------------------------
 
-def _parse_symbol(text: str) -> tuple[Label, bool]:
-    parts = text.split()
-    marked = False
-    if parts and parts[-1] == "@":
-        marked = True
-        parts = parts[:-1]
-    if len(parts) != 3:
-        raise TraceError("expected '<thread> <r|w> <variable> [@]', got %r" % text)
-    thread, op, var = parts
-    if op not in (READ, WRITE):
-        raise TraceError("unknown op %r (expected 'r' or 'w')" % op)
-    return Label(thread, op, var), marked
-
-
 def cmd_concurrent(args, cfg: Config) -> int:
     bad = _require_format(cfg, "concurrent", ("text",))
     if bad is not None:
@@ -260,8 +246,8 @@ def cmd_concurrent(args, cfg: Config) -> int:
     else:
         if args.c is None or args.d is None:
             return _fail("give both --c and --d (or --events)")
-        c, c_marked = _parse_symbol(args.c)
-        d, d_marked = _parse_symbol(args.d)
+        c, c_marked = parse_symbol(args.c)
+        d, d_marked = parse_symbol(args.d)
         if args.mode == MAZURKIEWICZ:
             if c_marked or d_marked:
                 _warn("marks on query symbols are ignored outside blocks mode")
@@ -287,6 +273,8 @@ def cmd_enumerate(args, cfg: Config) -> int:
     bad = _require_format(cfg, "enumerate", ("text",))
     if bad is not None:
         return bad
+    if args.limit < 0:
+        return _fail("--limit needs a non-negative count")
     run = _load(args.trace)
     if args.relation == "maz":
         cls = enum_maz_class(run, bound=cfg.swap_bound)
@@ -499,9 +487,7 @@ def main(argv=None) -> int:
     except BoundExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BOUND
-    except TraceError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (TraceError, OSError, UnicodeDecodeError) as exc:
         return _fail(str(exc))
 
 

@@ -46,8 +46,8 @@ from typing import Iterable, Union
 from .atomicity import LibAtState, is_liberally_atomic, libat_initial, libat_step
 from .blocks import all_block_sets, annotate, blocks_from_annotation
 from .monitor import Universe, symbols_of
-from .orders import AnnLabel, saturate
-from .trace import Event, Label, Run
+from .orders import saturate
+from .trace import AnnLabel, Event, Label, Run
 
 MAZURKIEWICZ = "maz"
 GIVEN_BLOCKS = "blocks"
@@ -88,22 +88,16 @@ def conc_decide(run: Run, query: ConcQuery) -> bool:
 class ConcState:
     """Block-monitor state extended with one tracked symbol pair.
 
-    ``after_c`` mirrors the monitor's after row of the c symbol: the
-    after set of its most recent occurrence, empty while none has
-    occurred.  ``found`` latches when a d-occurrence arrives outside
-    that set; it is monotone along the stream.  See the module docstring
-    for when the latch is exact.
+    ``found`` latches when a d-occurrence arrives outside the monitor's
+    after row of the c symbol (the after set of its most recent
+    occurrence, empty while none has occurred); it is monotone along the
+    stream.  See the module docstring for when the latch is exact.
     """
 
     libat: LibAtState
     c_hat: AnnLabel
     d_hat: AnnLabel
     found: bool = False
-
-    @property
-    def after_c(self) -> frozenset[AnnLabel]:
-        u = self.libat.sat.universe
-        return u.symbol_set(self.libat.sat.aft[u.sym_index[self.c_hat]])
 
     def accepting(self) -> bool:
         return self.libat.accepting() and self.found
@@ -176,7 +170,10 @@ def conc_symbols_maz(run: Run, c: Label, d: Label) -> bool:
     unordered by the plain commutation order.  Single pass of one pair
     automaton per orientation, state bounded by the alphabet: with
     nothing marked the order between two arrived events never changes
-    afterwards, so the arrival-time latch is exact."""
+    afterwards, so the arrival-time latch is exact.  A symbol that never
+    occurs has no occurrence pair."""
+    if c not in run.labels or d not in run.labels:
+        return False
     universe = Universe.from_run(run)
     qa = conc_initial(universe, (c, False), (d, False))
     qb = conc_initial(universe, (d, False), (c, False))
@@ -240,6 +237,8 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
     reject atomicity are dropped — rejection is absorbing.  Acceptance:
     some branch ends accepting with some combination's witness bit set.
     """
+    if c not in run.labels or d not in run.labels:
+        return False
     universe = Universe.from_run(run)
     pair_idx = [
         (universe.sym_index[ch], universe.sym_index[dh])
@@ -294,6 +293,8 @@ def conc_events(run: Run, e: Event, f: Event, mode: str = GIVEN_BLOCKS) -> bool:
         raise ValueError("need two distinct events")
     if j < i:
         i, j = j, i
+    if mode == GIVEN_BLOCKS:
+        blocks_from_annotation(run)  # report a bad marking in the caller's events
     tagged = _with_fresh_marks(run, [i, j])
     c_lab, d_lab = tagged.labels[i], tagged.labels[j]
     if mode == MAZURKIEWICZ:

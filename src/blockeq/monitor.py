@@ -33,21 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .orders import AnnLabel
-from .trace import Label, READ, WRITE, Run, conflicting
-
-
-def extended_dep(a: AnnLabel, b: AnnLabel) -> bool:
-    """Dependence on annotated labels: base labels conflict, except that a
-    cross-thread pair of two block members (both bits set) is independent
-    — the block machinery re-orders those pairs only when justified."""
-    la, ba = a
-    lb, bb = b
-    if not conflicting(la, lb):
-        return False
-    if la.thread != lb.thread and ba and bb:
-        return False
-    return True
+from .orders import bits
+from .trace import READ, WRITE, AnnLabel, Label, Run, extended_dep
 
 
 class Universe:
@@ -101,14 +88,7 @@ class Universe:
         return len(self.symbols) * len(self.threads) * len(self.variables)
 
     def symbol_set(self, mask: int) -> frozenset[AnnLabel]:
-        return frozenset(self.symbols[i] for i in _bits(mask))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        return frozenset(self.symbols[i] for i in bits(mask))
 
 
 @dataclass(frozen=True)
@@ -160,28 +140,6 @@ def sat_initial(universe: Universe) -> SatState:
     )
 
 
-def dep_set(state: SatState, c: AnnLabel) -> frozenset[AnnLabel]:
-    """Dependence row of a symbol against the current state: for a write,
-    its extended-dependence row; for a read, that row joined with the row
-    of the last write on its variable.
-
-    This is the coarse row the original transition sketch routes reads
-    through.  The transition itself uses a tighter variant (_dep_in) that
-    adds only the writer symbol, not the writer's whole row: routing the
-    whole row through the writer would also relate cross-thread sibling
-    reads of one write, which no reordering argument justifies.
-    """
-    u = state.universe
-    lab = c[0]
-    mask = u.dep_mask[u.sym_index[c]]
-    if lab.is_read():
-        wi = state.rf[u.var_index[lab.variable]]
-        if wi < 0:
-            raise ValueError("read %s %s with no preceding write" % (lab.thread, lab.variable))
-        mask |= u.dep_mask[wi]
-    return u.symbol_set(mask)
-
-
 def _dep_in(state: SatState, ai: int) -> int:
     """Mask of symbols whose last occurrence is directly ordered before an
     arriving occurrence of symbol ai: the extended-dependence row, plus
@@ -225,7 +183,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # per-variable writer thread of the running block
     btheta = [-1] * nX
     for v in range(nX):
-        for mi in _bits(blk[v]):
+        for mi in bits(blk[v]):
             ml = u.symbols[mi][0]
             if ml.is_write():
                 btheta[v] = u.thread_index[ml.thread]
@@ -260,7 +218,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # stored row is stale (it describes the previous occurrence), and
         # the current occurrence is last, so only its member bit counts.
         m = blk[v]
-        for mi in _bits(blk[v]):
+        for mi in bits(blk[v]):
             if mi != ai:
                 m |= A[mi]
         return m
@@ -328,7 +286,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             fr = F[r]
             if fr == 0:
                 continue
-            for s in _bits(fr):
+            for s in bits(fr):
                 if s != ai and A[s] | fr != fr:
                     fr |= A[s]
             if fr != F[r]:
@@ -396,7 +354,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 if c == ai or A[c] == 0:
                     continue
                 cbase = c * nT * nX
-                for rho in _bits(A[c]):
+                for rho in bits(A[c]):
                     if rho == ai:
                         continue
                     rbase = rho * nT * nX
@@ -414,7 +372,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                         continue
                     flip = state.fba[r] != 0
                     if not flip:
-                        for rho in _bits(A[c]):
+                        for rho in bits(A[c]):
                             if rho == ai:
                                 continue
                             rr = u.row(rho, ti, xi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from .blocks import Block, BlockSet
-from .orders import PartialOrder, block_hb, saturate
+from .orders import PartialOrder, bits, block_hb, saturate
 from .trace import Event, Label, Run, conflicting
 
 SWAP_BOUND = 12  # breadth-first closure under swaps
@@ -213,6 +213,24 @@ def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
 
 # ---- proper linearizations -------------------------------------------------
 
+def _block_masks(run: Run, blocks: BlockSet) -> list[tuple[str, int]]:
+    """(variable, member position mask) of every block."""
+    return [(b.variable, sum(1 << run.position(e) for e in b.members())) for b in blocks]
+
+
+def _open_variables(block_masks: list[tuple[str, int]], placed: int) -> set[str]:
+    """Variables of the blocks with some but not all members placed."""
+    return {var for var, m in block_masks if placed & m not in (0, m)}
+
+
+def _minimal(succ: tuple[int, ...], pending: int) -> int:
+    """Mask of the pending positions with no pending predecessor."""
+    blocked = 0
+    for i in bits(pending):
+        blocked |= succ[i]
+    return pending & ~blocked
+
+
 def _proper_search(
     run: Run,
     blocks: BlockSet,
@@ -223,77 +241,30 @@ def _proper_search(
     lets two same-variable blocks overlap.  ``forced`` pins the first
     placements (callers guarantee those respect the order); with
     ``first_only`` the search stops at the first completion."""
-    order = block_hb(run, blocks)
+    succ = block_hb(run, blocks).succ
     events = run.events
-    n = len(events)
-    idx = {e: i for i, e in enumerate(events)}
-    preds = [0] * n
-    for e, f in order.pairs():
-        preds[idx[f]] |= 1 << idx[e]
-
-    block_of = {e: b for b in blocks for e in b.members()}
-    size = {b: len(b.members()) for b in blocks}
-
+    block_masks = _block_masks(run, blocks)
     out: list[tuple[Event, ...]] = []
-    acc: list[Event] = []
-    open_count: dict[Block, int] = {}
-    open_vars: set[str] = set()
-    placed = 0
+    acc = [run.position(e) for e in forced or []]
+    full = (1 << len(events)) - 1
 
-    def place(e: Event) -> Optional[Block]:
-        nonlocal placed
-        acc.append(e)
-        placed |= 1 << idx[e]
-        b = block_of.get(e)
-        if b is not None:
-            open_count[b] = open_count.get(b, 0) + 1
-            if open_count[b] == size[b]:
-                open_vars.discard(b.variable)
-            else:
-                open_vars.add(b.variable)
-        return b
-
-    def unplace(e: Event, b: Optional[Block]) -> None:
-        nonlocal placed
-        acc.pop()
-        placed &= ~(1 << idx[e])
-        if b is not None:
-            if open_count[b] == size[b]:
-                open_vars.add(b.variable)
-            open_count[b] -= 1
-            if open_count[b] == 0:
-                del open_count[b]
-                open_vars.discard(b.variable)
-
-    def legal(e: Event) -> bool:
-        i = idx[e]
-        if placed >> i & 1:
-            return False
-        if preds[i] & ~placed:
-            return False
-        b = block_of.get(e)
-        if b is not None and b.variable in open_vars and open_count.get(b, 0) == 0:
-            return False  # starting this block would interleave an open one
-        return True
-
-    for e in forced or []:
-        place(e)
-
-    def dfs() -> bool:
-        if len(acc) == n:
-            out.append(tuple(acc))
+    def dfs(placed: int) -> bool:
+        if placed == full:
+            out.append(tuple(events[i] for i in acc))
             return first_only
-        for e in events:
-            if not legal(e):
-                continue
-            b = place(e)
-            done = dfs()
-            unplace(e, b)
+        busy = _open_variables(block_masks, placed)
+        fresh = [m for var, m in block_masks if var in busy and not placed & m]
+        for i in bits(_minimal(succ, full & ~placed)):
+            if any(m >> i & 1 for m in fresh):
+                continue  # starting this block would interleave an open one
+            acc.append(i)
+            done = dfs(placed | 1 << i)
+            acc.pop()
             if done:
                 return True
         return False
 
-    dfs()
+    dfs(sum(1 << i for i in acc))
     return out
 
 
@@ -321,41 +292,27 @@ def proper_topological_sort(
     output is a proper linearization whatever the tie-break; a stuck
     state is reported because it witnesses a non-atomic input (or a
     bug)."""
-    sat = saturate(run, blocks)
+    succ = saturate(run, blocks).order.succ
     key = tie_break if tie_break is not None else run.position
-    annot = _annotation_map(run)
-    block_of = {e: b for b in blocks for e in b.members()}
-    size = {b: len(b.members()) for b in blocks}
-
-    remaining = list(run.events)
-    open_count: dict[Block, int] = {}
-    open_vars: set[str] = set()
-    picked: list[Event] = []
-    while remaining:
-        ready = [
-            e for e in remaining
-            if not any(sat.ordered(f, e) for f in remaining if f is not e)
-        ]
+    events = run.events
+    block_masks = _block_masks(run, blocks)
+    pending = (1 << len(events)) - 1
+    picked: list[int] = []
+    while pending:
+        busy = _open_variables(block_masks, ~pending)
         eligible = [
-            e for e in ready
-            if e.label.is_read() or e.label.variable not in open_vars
+            events[i] for i in bits(_minimal(succ, pending))
+            if events[i].label.is_read() or events[i].label.variable not in busy
         ]
         if not eligible:
             raise ValueError(
                 "proper topological sort is stuck after %d events; "
                 "the blocks are not liberally atomic" % len(picked)
             )
-        e = min(eligible, key=key)
-        remaining.remove(e)
-        picked.append(e)
-        b = block_of.get(e)
-        if b is not None:
-            open_count[b] = open_count.get(b, 0) + 1
-            if open_count[b] == size[b]:
-                open_vars.discard(b.variable)
-            else:
-                open_vars.add(b.variable)
-    return Run([e.label for e in picked], [annot[e] for e in picked])
+        i = run.position(min(eligible, key=key))
+        pending &= ~(1 << i)
+        picked.append(i)
+    return Run([run.labels[i] for i in picked], [run.annotations[i] for i in picked])
 
 
 # ---- derived order queries --------------------------------------------------
@@ -363,49 +320,30 @@ def proper_topological_sort(
 def intersection_order(cls: EquivClass) -> PartialOrder:
     """The pairs ordered the same way in every member of the class."""
     events = tuple(cls.representative.events)
-    keep: Optional[set[tuple[Event, Event]]] = None
+    index = {e: i for i, e in enumerate(events)}
+    keep = [(1 << len(events)) - 1] * len(events)
     for labels in cls.members:
-        pos = {e: i for i, e in enumerate(_events_of(labels))}
-        pairs = {
-            (e, f)
-            for i, e in enumerate(events)
-            for f in events
-            if pos[e] < pos[f]
-        }
-        keep = pairs if keep is None else keep & pairs
-        if not keep:
-            break
-    return PartialOrder(events, keep or [])
+        later = 0
+        for e in reversed(_events_of(labels)):
+            keep[index[e]] &= later
+            later |= 1 << index[e]
+    return PartialOrder(events, keep)
 
 
 def count_linear_extensions(order: PartialOrder) -> int:
     """Number of linearizations, by dynamic programming over downward
     closed sets."""
-    events = order.universe
-    n = len(events)
-    preds = [0] * n
-    for i, e in enumerate(events):
-        for j, f in enumerate(events):
-            if i != j and order.ordered(f, e):
-                preds[i] |= 1 << j
+    succ = order.succ
     memo = {0: 1}
 
     def count(mask: int) -> int:
         got = memo.get(mask)
-        if got is not None:
-            return got
-        total = 0
-        for i in range(n):
-            bit = 1 << i
+        if got is None:
             # remove a maximal element of the downward closed set
-            if mask & bit and not any(
-                preds[j] >> i & 1 for j in range(n) if mask >> j & 1 and j != i
-            ):
-                total += count(mask ^ bit)
-        memo[mask] = total
-        return total
+            got = memo[mask] = sum(count(mask ^ 1 << i) for i in bits(mask) if not succ[i] & mask)
+        return got
 
-    return count((1 << n) - 1)
+    return count((1 << len(succ)) - 1)
 
 
 def check_scope(

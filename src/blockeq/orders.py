@@ -11,77 +11,134 @@ Three orders, coarsest to finest:
   ordering: a same-variable ordered pair between two blocks orders the
   blocks, and ordered blocks order all their members crosswise.
 
-Everything here is offline and dense (full reachability bitmasks); the
-constant-space streaming counterpart lives in monitor.py.
+Every order is one table indexed by run position: ``succ[i]`` is the
+bitmask of the positions ordered after position i.  An order is built
+from a table of direct edges, and ``transitive_closure`` closes it in one
+pass in reverse ``topological_order``; those two routines are the only
+closure and the only topological sort in the package.  The direct edges
+of the two base orders take O(n·|Σ|) to build: each event gets an edge
+from the last earlier occurrence of every annotated symbol it depends on
+(occurrences of one symbol share a thread, so earlier ones are reached
+through the last), plus one from the write it reads from.  Every edge of
+every order here points forward in run order, so the run itself always
+linearizes it; ``saturate`` checks this for the edges it adds.
+
+Everything here is offline and dense; the constant-space streaming
+counterpart lives in monitor.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Iterator, Optional, Sequence
 
-from .blocks import Block, BlockSet
-from .trace import Event, Label, Run, conflicting
+from .blocks import Block, BlockSet, blocks_in_run_order_disjoint
+from .trace import AnnLabel, Event, Run, extended_dep
 
-# An annotated label: the alphabet symbol plus its block-membership bit.
-AnnLabel = tuple[Label, bool]
+
+def bits(mask: int) -> Iterator[int]:
+    """Indexes of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def topological_order(edges: Sequence[int]) -> Optional[list[int]]:
+    """Kahn order of a direct-edge table (``edges[i]`` is the mask of the
+    direct successors of i), lowest ready index first; None on a cycle."""
+    indeg = [0] * len(edges)
+    for mask in edges:
+        for j in bits(mask):
+            indeg[j] += 1
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    order = []
+    while ready:
+        i = heappop(ready)
+        order.append(i)
+        for j in bits(edges[i]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heappush(ready, j)
+    return order if len(order) == len(edges) else None
+
+
+def transitive_closure(edges: Sequence[int]) -> Optional[list[int]]:
+    """Successor masks of the transitive closure of a direct-edge table,
+    in one pass in reverse topological order; None on a cycle.  A
+    successor already reached through an earlier one is skipped, since
+    its own row is closed and already merged."""
+    order = topological_order(edges)
+    if order is None:
+        return None
+    succ = list(edges)
+    for i in reversed(order):
+        acc = todo = succ[i]
+        while todo:
+            low = todo & -todo
+            row = succ[low.bit_length() - 1]
+            acc |= row
+            todo &= ~(row | low)
+        succ[i] = acc
+    return succ
 
 
 class PartialOrder:
-    """A strict partial order over the events of one run, stored as a full
-    reachability structure (bitmask of successors per event)."""
+    """A strict partial order over the events of one run.
 
-    def __init__(self, universe: Sequence[Event], pairs: Iterable[tuple[Event, Event]]):
+    ``succ[i]`` is the mask of the positions of ``universe`` ordered after
+    ``universe[i]``.  Built from a table of direct edges, which it closes;
+    raises ValueError when the edges form a cycle."""
+
+    def __init__(self, universe: Sequence[Event], edges: Sequence[int]):
         self.universe: tuple[Event, ...] = tuple(universe)
-        self._idx = {e: i for i, e in enumerate(self.universe)}
-        n = len(self.universe)
-        succ = [0] * n
-        for e, f in pairs:
-            succ[self._idx[e]] |= 1 << self._idx[f]
-        _close(succ)
-        for i in range(n):
-            if succ[i] >> i & 1:
-                raise ValueError("cycle through %s" % (self.universe[i],))
-        self._succ = succ
+        self._index = {e: i for i, e in enumerate(self.universe)}
+        succ = transitive_closure(edges)
+        if succ is None:
+            raise ValueError("the edges form a cycle")
+        self.succ: tuple[int, ...] = tuple(succ)
 
     def ordered(self, e: Event, f: Event) -> bool:
         """True iff e strictly before f."""
-        return self._succ[self._idx[e]] >> self._idx[f] & 1 == 1
+        return self.succ[self._index[e]] >> self._index[f] & 1 == 1
 
     def leq(self, e: Event, f: Event) -> bool:
         return e == f or self.ordered(e, f)
 
     def successors(self, e: Event) -> frozenset[Event]:
-        m = self._succ[self._idx[e]]
-        return frozenset(self.universe[j] for j in _bits(m))
+        return frozenset(self.universe[j] for j in bits(self.succ[self._index[e]]))
 
     def pairs(self) -> frozenset[tuple[Event, Event]]:
         return frozenset(
-            (self.universe[i], self.universe[j])
-            for i in range(len(self.universe))
-            for j in _bits(self._succ[i])
+            (e, self.universe[j]) for e, m in zip(self.universe, self.succ) for j in bits(m)
         )
 
     def covering_pairs(self) -> list[tuple[Event, Event]]:
-        """Transitive reduction, for edge-list display."""
+        """Transitive reduction, for edge-list display: a successor is
+        covering unless another successor's row holds it."""
         out = []
-        n = len(self.universe)
-        for i in range(n):
-            for j in _bits(self._succ[i]):
-                # (i,j) is covering unless some k sits strictly between
-                if not any(self._succ[k] >> j & 1 for k in _bits(self._succ[i]) if k != j):
-                    out.append((self.universe[i], self.universe[j]))
+        for e, m in zip(self.universe, self.succ):
+            below = 0
+            todo = m
+            while todo:
+                low = todo & -todo
+                row = self.succ[low.bit_length() - 1]
+                below |= row
+                todo &= ~(row | low)
+            out.extend((e, self.universe[j]) for j in bits(m & ~below))
         return out
 
     def is_linearized_by(self, seq: Sequence[Event]) -> bool:
-        pos = {e: i for i, e in enumerate(seq)}
-        if len(pos) != len(self.universe) or set(pos) != set(self.universe):
+        if len(seq) != len(self.universe) or set(seq) != set(self.universe):
             return False
-        return all(
-            pos[self.universe[i]] < pos[self.universe[j]]
-            for i in range(len(self.universe))
-            for j in _bits(self._succ[i])
-        )
+        later = 0
+        for e in reversed(seq):
+            i = self._index[e]
+            if self.succ[i] & ~later:
+                return False
+            later |= 1 << i
+        return True
 
     def __len__(self):
         return len(self.universe)
@@ -90,117 +147,67 @@ class PartialOrder:
         return (
             isinstance(other, PartialOrder)
             and self.universe == other.universe
-            and self._succ == other._succ
+            and self.succ == other.succ
         )
 
     def __hash__(self):
-        return hash((self.universe, tuple(self._succ)))
+        return hash((self.universe, self.succ))
 
 
-def _close(succ: list[int]) -> None:
-    """In-place transitive closure of a successor-bitmask table."""
-    n = len(succ)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = succ[i]
-            for j in _bits(succ[i]):
-                acc |= succ[j]
-            if acc != succ[i]:
-                succ[i] = acc
-                changed = True
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _dependent_pairs(run: Run) -> list[tuple[Event, Event]]:
-    out = []
-    for i, e in enumerate(run.events):
-        for f in run.events[i + 1:]:
-            if conflicting(e.label, f.label):
-                out.append((e, f))
-    return out
+def _direct_edges(run: Run, blocks: BlockSet) -> list[int]:
+    """Direct edges of the block order: from the last earlier occurrence
+    of each annotated symbol that the event extended-depends on, and from
+    the write it reads from (which covers the pairs inside one block)."""
+    edges = [0] * len(run)
+    last: dict[AnnLabel, int] = {}
+    for j, e in enumerate(run.events):
+        sym = (e.label, blocks.is_member(e))
+        bit = 1 << j
+        for other, i in last.items():
+            if extended_dep(other, sym):
+                edges[i] |= bit
+        if j in run.rf_pos:
+            edges[run.rf_pos[j]] |= bit
+        last[sym] = j
+    return edges
 
 
 def mazurkiewicz_hb(run: Run) -> PartialOrder:
     """Happens-before of the plain commutation equivalence: the transitive
     closure of all dependent pairs in run order."""
-    return PartialOrder(run.events, _dependent_pairs(run))
+    return PartialOrder(run.events, _direct_edges(run, BlockSet(run, ())))
 
 
 def block_hb(run: Run, blocks: BlockSet) -> PartialOrder:
     """Block happens-before: dependent pairs in run order, except that a
     cross-thread pair whose two events lie in two distinct blocks is
     dropped.  With no blocks this equals mazurkiewicz_hb."""
-    kept = []
-    for e, f in _dependent_pairs(run):
-        if e.label.thread != f.label.thread:
-            be, bf = blocks.block_of(e), blocks.block_of(f)
-            if be is not None and bf is not None and be is not bf:
-                continue
-        kept.append((e, f))
-    return PartialOrder(run.events, kept)
-
-
-class BlockOrderOverlay:
-    """Block-level pairs (B, B') asserted ordered during saturation."""
-
-    def __init__(self, pairs: Iterable[tuple[Block, Block]]):
-        self._pairs = frozenset(pairs)
-
-    def ordered(self, b1: Block, b2: Block) -> bool:
-        return (b1, b2) in self._pairs
-
-    def pairs(self) -> frozenset[tuple[Block, Block]]:
-        return self._pairs
-
-    def __iter__(self):
-        return iter(sorted(self._pairs, key=lambda p: (str(p[0]), str(p[1]))))
-
-    def __len__(self):
-        return len(self._pairs)
+    return PartialOrder(run.events, _direct_edges(run, blocks))
 
 
 @dataclass(frozen=True)
 class SaturationResult:
-    """Fixpoint of the saturation rules: event-level closure plus the
-    block-level overlay.  On valid block sets the event component always
-    embeds in run order (same-variable blocks never interleave), so
-    ``cyclic`` stays False; it is checked anyway and reported rather than
-    silently ignored."""
+    """Fixpoint of the saturation rules.
+
+    ``order`` is the saturated event order, one successor mask per run
+    position, and ``overlay`` the block pairs the fixpoint ordered.
+    Saturation only adds edges that point forward in run order, so the
+    run itself linearizes the result.  On valid block sets that always
+    holds, because same-variable blocks never interleave; it is checked
+    anyway.  A backward edge stops the fixpoint and sets ``cyclic``; then
+    ``order`` is the last stage before that edge, not the saturation."""
 
     run: Run
     blocks: BlockSet
-    event_pairs: frozenset[tuple[Event, Event]]
-    overlay: BlockOrderOverlay
+    order: PartialOrder
+    overlay: frozenset[tuple[Block, Block]]
     cyclic: bool
-    _order: list = field(default_factory=list, repr=False, compare=False)
 
     def ordered(self, e: Event, f: Event) -> bool:
-        return (e, f) in self.event_pairs
+        return self.order.ordered(e, f)
 
     def leq(self, e: Event, f: Event) -> bool:
-        return e == f or (e, f) in self.event_pairs
-
-    @property
-    def order(self) -> PartialOrder:
-        """The event-level closure as a PartialOrder (raises on a cycle)."""
-        if not self._order:
-            if self.cyclic:
-                raise ValueError("saturation produced a cyclic event order")
-            self._order.append(PartialOrder(self.run.events, self.event_pairs))
-        return self._order[0]
-
-    def __iter__(self):
-        # allow destructuring as (order, overlay)
-        yield self.order
-        yield self.overlay
+        return self.order.leq(e, f)
 
 
 def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
@@ -213,52 +220,37 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
        every member of the second;
 
     closed under transitivity.  Rule 2 is restricted to events that are
-    block members (events outside every block never order blocks)."""
-    events = run.events
-    n = len(events)
-    idx = {e: i for i, e in enumerate(events)}
-
-    succ = [0] * n
-    for e, f in block_hb(run, blocks).pairs():
-        succ[idx[e]] |= 1 << idx[f]
-
-    owner = [blocks.block_of(e) for e in events]
-    members = {b: [idx[e] for e in b.members()] for b in blocks}
-    member_mask = {b: sum(1 << i for i in members[b]) for b in blocks}
-
-    block_pairs: set[tuple[Block, Block]] = set()
-    changed = True
-    while changed:
-        changed = False
-        # rule 2: same-variable ordered pair across two distinct blocks
-        for i in range(n):
-            bi = owner[i]
-            if bi is None:
-                continue
-            for j in _bits(succ[i]):
-                bj = owner[j]
-                if bj is None or bj is bi:
-                    continue
-                if events[i].label.variable != events[j].label.variable:
-                    continue
-                if (bi, bj) not in block_pairs:
-                    block_pairs.add((bi, bj))
-                    changed = True
-        # rule 3: ordered blocks order all members crosswise
-        for b1, b2 in block_pairs:
-            m2 = member_mask[b2]
-            for i in members[b1]:
-                if succ[i] | m2 != succ[i]:
-                    succ[i] |= m2
-                    changed = True
-        if changed:
-            _close(succ)
-
-    cyclic = any(succ[i] >> i & 1 for i in range(n))
-    pairs = frozenset(
-        (events[i], events[j]) for i in range(n) for j in _bits(succ[i]) if i != j
-    )
-    return SaturationResult(run, blocks, pairs, BlockOrderOverlay(block_pairs), cyclic)
+    block members (events outside every block never order blocks).  All
+    members of a block access its variable, so rule 2 is one mask test
+    per pair of blocks on one variable, and rule 3 adds the second
+    block's member mask to the direct edges of the first block's
+    members (only the bits the order does not already hold)."""
+    edges = _direct_edges(run, blocks)
+    bl = blocks.blocks
+    pos = [[run.position(e) for e in b.members()] for b in bl]
+    mask = [sum(1 << i for i in p) for p in pos]
+    by_var: dict[str, list[int]] = {}
+    for a, b in enumerate(bl):
+        by_var.setdefault(b.variable, []).append(a)
+    same_var = [(a, b) for group in by_var.values() for a in group for b in group if a != b]
+    overlay: set[tuple[int, int]] = set()
+    cyclic = False
+    while not cyclic:
+        order = PartialOrder(run.events, edges)
+        reach = [0] * len(bl)
+        for a, p in enumerate(pos):
+            for i in p:
+                reach[a] |= order.succ[i]
+        new = [(a, b) for a, b in same_var if (a, b) not in overlay and reach[a] & mask[b]]
+        if not new:
+            break
+        overlay.update(new)
+        for a, b in new:
+            cyclic = cyclic or max(pos[a]) > min(pos[b])
+            for i in pos[a]:
+                edges[i] |= mask[b] & ~order.succ[i]
+    pairs = frozenset((bl[a], bl[b]) for a, b in overlay)
+    return SaturationResult(run, blocks, order, pairs, cyclic)
 
 
 def ann_label(blocks: BlockSet, e: Event) -> AnnLabel:
@@ -278,11 +270,8 @@ def after_set(
     makes the streaming monitor's state constant."""
     if sat is None:
         sat = saturate(run, blocks)
-    out = {ann_label(blocks, e)}
-    for f in run.events:
-        if sat.ordered(e, f):
-            out.add(ann_label(blocks, f))
-    return frozenset(out)
+    after = sat.order.succ[run.position(e)] | 1 << run.position(e)
+    return frozenset(ann_label(blocks, run.events[j]) for j in bits(after))
 
 
 def is_proper_linearization(
@@ -303,20 +292,6 @@ def is_proper_linearization(
         raise ValueError("candidate is not a permutation of the base run's events")
     if order is None:
         order = block_hb(base, blocks)
-    pos = {e: i for i, e in enumerate(candidate.events)}
-    for e, f in order.pairs():
-        if pos[e] >= pos[f]:
-            return False
-    spans = []
-    for b in blocks:
-        ps = [pos[e] for e in b.members()]
-        spans.append((b.variable, min(ps), max(ps)))
-    by_var: dict[str, list[tuple[int, int]]] = {}
-    for var, lo, hi in spans:
-        by_var.setdefault(var, []).append((lo, hi))
-    for windows in by_var.values():
-        windows.sort()
-        for (_, hi1), (lo2, _) in zip(windows, windows[1:]):
-            if lo2 <= hi1:
-                return False
-    return True
+    return order.is_linearized_by(candidate.events) and blocks_in_run_order_disjoint(
+        candidate, blocks
+    )

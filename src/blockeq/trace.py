@@ -16,7 +16,6 @@ from the trace, no declaration header is needed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -62,6 +61,21 @@ def conflicting(a: Label, b: Label) -> bool:
     if a.thread == b.thread:
         return True
     return a.variable == b.variable and (a.op == WRITE or b.op == WRITE)
+
+
+# An annotated label: the alphabet symbol plus its block-membership bit.
+AnnLabel = tuple[Label, bool]
+
+
+def extended_dep(a: AnnLabel, b: AnnLabel) -> bool:
+    """Dependence on annotated labels: base labels conflict, except that a
+    cross-thread pair of two block members (both bits set) is independent
+    — the block machinery re-orders those pairs only when justified."""
+    la, ba = a
+    lb, bb = b
+    if not conflicting(la, lb):
+        return False
+    return la.thread == lb.thread or not (ba and bb)
 
 
 @dataclass(frozen=True, order=True)
@@ -133,7 +147,8 @@ class Run:
                         % (lab.variable, lab.thread, i + 1)
                     )
                 rf[i] = last_write[lab.variable]
-        self._rf_pos = rf
+        # position of each read -> position of the write it observes
+        self.rf_pos: dict[int, int] = rf
 
     # -- basic indexing -------------------------------------------------
 
@@ -174,13 +189,13 @@ class Run:
 
     def reads_from(self) -> dict[Event, Event]:
         """Map from each read event to the write event it observes."""
-        return {self.events[r]: self.events[w] for r, w in self._rf_pos.items()}
+        return {self.events[r]: self.events[w] for r, w in self.rf_pos.items()}
 
     def writer_of(self, e: Event) -> Event:
         i = self._position[e]
-        if i not in self._rf_pos:
+        if i not in self.rf_pos:
             raise KeyError("%s is not a read event" % (e,))
-        return self.events[self._rf_pos[i]]
+        return self.events[self.rf_pos[i]]
 
     def with_annotations(self, annotations: Iterable[bool]) -> "Run":
         return Run(self.labels, annotations)
@@ -190,18 +205,31 @@ class Run:
         return Run(self.labels)
 
     def to_text(self, with_annotations: bool = True) -> str:
-        lines = []
+        out = []
         for lab, on in zip(self.labels, self.annotations):
-            line = "%s %s %s" % (lab.thread, lab.op, lab.variable)
-            if with_annotations and on:
-                line += " @"
-            lines.append(line)
-        return "\n".join(lines) + "\n"
+            mark = " @" if with_annotations and on else ""
+            out.append("%s %s %s%s\n" % (lab.thread, lab.op, lab.variable, mark))
+        return "".join(out)
 
     def __repr__(self):
         return "Run(%s)" % "; ".join(
             str(l) + ("@" if a else "") for l, a in zip(self.labels, self.annotations)
         )
+
+
+def parse_symbol(text: str, line: Optional[int] = None) -> AnnLabel:
+    """Parse one ``<thread> <r|w> <variable> [@]`` line, ``#`` comment
+    allowed, into its label and mark bit.  ``line`` numbers the error."""
+    parts = text.split("#", 1)[0].split()
+    marked = bool(parts) and parts[-1] == "@"
+    if marked:
+        parts = parts[:-1]
+    if len(parts) != 3:
+        raise TraceError("expected '<thread> <r|w> <variable> [@]', got %r" % text.strip(), line)
+    thread, op, var = parts
+    if op not in (READ, WRITE):
+        raise TraceError("unknown op %r (expected 'r' or 'w')" % op, line)
+    return Label(thread, op, var), marked
 
 
 def parse_run(text: str) -> Run:
@@ -210,37 +238,12 @@ def parse_run(text: str) -> Run:
     Raises TraceError with the offending line number on bad syntax,
     unknown ops, or reads that have no preceding write.
     """
-    labels = []
-    annots = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        marked = False
-        if parts and parts[-1] == "@":
-            marked = True
-            parts = parts[:-1]
-        if len(parts) != 3:
-            raise TraceError("expected '<thread> <r|w> <variable> [@]', got %r" % raw.strip(), lineno)
-        thread, op, var = parts
-        if op not in (READ, WRITE):
-            raise TraceError("unknown op %r (expected 'r' or 'w')" % op, lineno)
-        labels.append(Label(thread, op, var))
-        annots.append(marked)
-    try:
-        return Run(labels, annots)
-    except TraceError:
-        raise
-    # no other exception kinds escape Run() for parsed input
-
-
-def program_order(run: Run) -> frozenset[tuple[Event, Event]]:
-    return run.program_order()
-
-
-def reads_from(run: Run) -> dict[Event, Event]:
-    return run.reads_from()
+    symbols = [
+        parse_symbol(raw, lineno)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if raw.split("#", 1)[0].strip()
+    ]
+    return Run([lab for lab, _ in symbols], [marked for _, marked in symbols])
 
 
 def same_equiv_rf(run_a: Run, run_b: Run) -> bool:

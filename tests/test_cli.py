@@ -5,6 +5,7 @@ so these tests pin exact output where the format matters and exit codes
 everywhere.  ``main`` is called in-process with an argv list.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -365,3 +366,80 @@ def test_bad_block_selector(capsys):
         capsys, "bhb", trace("two_wr_pairs.trace"), "--blocks", "writes=2"
     )
     assert code == 2 and err.startswith("error:")
+
+
+def test_non_utf8_trace_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b"T1 w x\nT2 r \xff\n")
+    for command in ("validate", "hb", "atomicity"):
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_enumerate_rejects_negative_limit(capsys):
+    code, out, err = run_cli(
+        capsys, "enumerate", trace("conciseness_n2.trace"),
+        "--relation", "blocks", "--limit", "-1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_atomicity_witness_of_empty_trace(tmp_path, capsys):
+    empty = tmp_path / "empty.trace"
+    empty.write_text("# nothing happens\n")
+    code, out, _ = run_cli(capsys, "atomicity", str(empty), "--witness")
+    assert code == 0
+    assert out == "liberally-atomic: yes\nconflict-serializable: yes\nwitness:\n"
+
+
+def test_concurrent_events_bad_marking_names_user_events(tmp_path, capsys):
+    ill = tmp_path / "ill.trace"
+    ill.write_text("T1 w x @\nT2 r x\n")
+    code, _, err = run_cli(
+        capsys, "concurrent", str(ill), "--events", "1", "2", "--mode", "blocks"
+    )
+    assert code == 2
+    assert err == "error: write T1 w x #1 is marked but its reader T2 r x #1 is not\n"
+
+
+def test_random_bytes_never_escape_main(tmp_path, capsys):
+    # Most lines are well-formed trace lines, so that many inputs reach
+    # the analyses; the rest are drawn from syntax pieces and arbitrary
+    # bytes, for parse and decoding errors.
+    rng = random.Random(2024)
+    pieces = [b"T1", b"T2", b" w ", b" r ", b"x", b"y", b" @", b"#", b" ", b"\r"]
+
+    def line():
+        if rng.random() < 0.8:
+            thread = b"T%d" % rng.randint(1, 3)
+            op, var = rng.choice([b"r", b"w"]), rng.choice([b"x", b"y"])
+            return b" ".join([thread, op, var] + [b"@"] * rng.randint(0, 1))
+        return b"".join(
+            rng.choice(pieces) if rng.random() < 0.8 else bytes([rng.randrange(256)])
+            for _ in range(rng.randint(0, 6))
+        )
+
+    commands = (
+        ("validate",),
+        ("hb",),
+        ("bhb",),
+        ("atomicity", "--witness"),
+        ("concurrent", "--events", "1", "2", "--mode", "blocks"),
+        ("concurrent", "--c", "T1 w x", "--d", "T2 r x", "--mode", "general"),
+        ("enumerate", "--relation", "blocks"),
+        ("annotate",),
+        ("sat",),
+    )
+    path = tmp_path / "fuzz.trace"
+    for _ in range(200):
+        data = b"\n".join(line() for _ in range(rng.randint(0, 6)))
+        path.write_bytes(data)
+        for command in commands:
+            code = main([command[0], str(path), *command[1:]])
+            assert code in (0, 1, 2, 3), (data, command)
+        text = data.decode("latin-1")
+        code = main(["gen-hardness", "--a=" + text[:3], "--b=" + text[3:6]])
+        assert code in (0, 1, 2, 3), data
+    capsys.readouterr()

@@ -357,3 +357,15 @@ def test_pair_state_constant_on_periodic_input():
     a, b = state_after(3), state_after(30)
     assert a.found and b.found
     assert a == b
+
+
+def test_symbols_absent_from_the_trace_are_not_concurrent():
+    # a symbol that never occurs has no occurrence pair in any mode
+    run = corpus("two_wr_pairs.trace")
+    absent, present = Label("T9", "w", "q"), Label("T1", "w", "x")
+    assert not conc_symbols_maz(run, absent, present)
+    assert not conc_symbols_maz(run, present, absent)
+    assert not conc_symbols_blocks(run, absent, present)
+    for strategy in ("enumerate", "stream"):
+        assert not conc_symbols_general(run, absent, present, strategy=strategy)
+        assert not conc_symbols_general(run, present, absent, strategy=strategy)

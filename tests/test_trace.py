@@ -14,8 +14,6 @@ from blockeq.trace import (
     conflicting,
     interleave_threads,
     parse_run,
-    program_order,
-    reads_from,
     same_equiv_rf,
 )
 
@@ -26,6 +24,7 @@ def test_parse_round_trip():
     assert run.to_text() == "T1 w x @\nT2 r x\nT1 w x\n"
     assert parse_run(run.to_text()).labels == run.labels
     assert run.annotations == (True, False, False)
+    assert parse_run("# no events\n").to_text() == ""
     # occurrences count per label
     assert [e.occurrence for e in run.events] == [1, 1, 2]
 
@@ -81,7 +80,7 @@ def test_program_order_and_reads_from():
     rng = random.Random(5)
     for _ in range(100):
         run = gen.random_run(rng, rng.randint(1, 9))
-        po = program_order(run)
+        po = run.program_order()
         for e, f in po:
             assert e.label.thread == f.label.thread
             assert run.position(e) < run.position(f)
@@ -90,7 +89,7 @@ def test_program_order_and_reads_from():
         for e in run.events:
             per[e.label.thread] = per.get(e.label.thread, 0) + 1
         assert len(po) == sum(k * (k - 1) // 2 for k in per.values())
-        rf = reads_from(run)
+        rf = run.reads_from()
         for e in run.events:
             if e.label.op == "r":
                 w = rf[e]
