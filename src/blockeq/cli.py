@@ -231,8 +231,12 @@ def cmd_concurrent(args, cfg: Config) -> int:
     if bad is not None:
         return bad
     run = _load(args.trace)
-    if args.mode == GIVEN_BLOCKS and args.blocks is not None:
+    if args.blocks is not None and args.mode != GIVEN_BLOCKS:
+        _warn("--blocks is ignored outside blocks mode")
+    elif args.blocks is not None:
         run = annotate(run.core(), parse_block_selector(run.core(), args.blocks))
+    if args.strategy == "stream" and (args.mode != MOST_GENERAL or args.events is not None):
+        _warn("--strategy applies only to --c/--d queries in general mode; ignoring it")
 
     if args.events is not None:
         if args.c is not None or args.d is not None:
@@ -248,17 +252,15 @@ def cmd_concurrent(args, cfg: Config) -> int:
             return _fail("give both --c and --d (or --events)")
         c, c_marked = parse_symbol(args.c)
         d, d_marked = parse_symbol(args.d)
+        if (c_marked or d_marked) and args.mode != GIVEN_BLOCKS:
+            _warn("marks on query symbols are ignored outside blocks mode")
         if args.mode == MAZURKIEWICZ:
-            if c_marked or d_marked:
-                _warn("marks on query symbols are ignored outside blocks mode")
             concurrent = conc_symbols_maz(run, c, d)
         elif args.mode == GIVEN_BLOCKS:
             cq = (c, True) if c_marked else c
             dq = (d, True) if d_marked else d
             concurrent = conc_symbols_blocks(run, cq, dq)
         else:
-            if c_marked or d_marked:
-                _warn("marks on query symbols are ignored outside blocks mode")
             if args.strategy == "stream":
                 _warn("streaming search may report concurrent where exact enumeration would not")
             concurrent = conc_symbols_general(run, c, d, strategy=args.strategy)

@@ -1,52 +1,54 @@
 """Causal-concurrency decisions: can two accesses be reordered?
 
 Two occurrences are causally concurrent under an equivalence when some
-equivalent run executes them in the other order.  Three granularities of
-the question are answered here, for symbols (all occurrence pairs of two
-labels) and for individual events:
+equivalent run executes them in the other order.  The question is
+answered for symbols (all occurrence pairs of two labels) and for
+individual events, under three equivalences:
 
-* plain commutation order (``conc_symbols_maz``) — no blocks at all;
-* a fixed block set (``conc_symbols_blocks``) — concurrency under the
-  block equivalence of a given annotation, provided its blocks are
-  liberally atomic;
+* plain commutation (``conc_symbols_maz``) — no blocks at all;
+* a fixed block set (``conc_symbols_blocks``) — the block equivalence
+  of the run's annotation, provided its blocks are liberally atomic;
 * any block set (``conc_symbols_general``) — some liberally atomic
   annotation renders the pair concurrent.
 
-Reorderability is symmetric, so the label-level decisions examine
-occurrence pairs in both relative orders.  Within one orientation, only
-*inner* occurrence pairs matter: a c-occurrence paired with the first
-d-occurrence after it.  Occurrences of one symbol share a thread, so
-they chain in program order; if any (c, d)-occurrence pair is
+Trace equivalence is block equivalence with no blocks, and under either
+two events can be reordered exactly when the (saturated) order leaves
+them unordered.  So every run-level decision asks whether some order
+the mode ranges over leaves some pair unordered: ``mazurkiewicz_hb`` of
+the unannotated run, the saturation of the run's own blocks, or the
+saturation of every liberally atomic block set.  Every edge points
+forward in run order, so positions i < j are unordered exactly when bit
+j of ``succ[i]`` is clear.
+
+Symbol queries examine occurrence pairs in both relative orders, and
+within one orientation only *inner* pairs: a c-occurrence with the
+first d-occurrence after it.  Occurrences of one symbol share a thread,
+so they chain in program order; if any (c, d)-occurrence pair is
 unordered, the inner pair obtained by moving the c-occurrence forward to
 the last one before that d-occurrence — and the d-occurrence backward to
-the first one after it — is unordered too.  Checking inner pairs is
-therefore complete.
+the first one after it — is unordered too.
 
-The streaming automaton (``ConcState``/``conc_step``) carries the block
-monitor plus the after set of the most recent c-occurrence and a
-monotone witness bit, set when a d-occurrence arrives outside that after
-set.  On streams with no marked events the pair's order is settled the
-moment the d-occurrence arrives, so the bit is exact and
-``conc_symbols_maz`` runs entirely on this automaton.  With blocks the
-saturated order can still acquire the pair *after* its second element
-has arrived (a later read can order two whole blocks retroactively), so
-the arrival-time bit over-approximates concurrency.  The run-level
-block decision therefore evaluates inner pairs against the fully
-saturated order computed offline; the automaton remains available as
-the constant-space arrival-time approximation, and the gap between the
-two is pinned down by a regression test.
+The streaming automaton (``ConcState``/``conc_step``) serves callers
+that see the run one symbol at a time.  It carries the block monitor,
+the after set of the most recent c-occurrence and a monotone witness
+bit, set when a d-occurrence arrives outside that after set.  With no
+marked events the pair's order is settled when the d-occurrence
+arrives, so the bit is exact.  With blocks a later read can order two
+whole blocks retroactively, so the arrival-time bit over-approximates
+concurrency; a regression test pins the gap, and the ``stream``
+strategy of ``conc_symbols_general`` inherits it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from typing import Iterable, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Union
 
 from .atomicity import LibAtState, is_liberally_atomic, libat_initial, libat_step
 from .blocks import all_block_sets, annotate, blocks_from_annotation
 from .monitor import Universe, symbols_of
-from .orders import saturate
+from .orders import PartialOrder, mazurkiewicz_hb, saturate
 from .trace import AnnLabel, Event, Label, Run
 
 MAZURKIEWICZ = "maz"
@@ -69,8 +71,8 @@ class ConcQuery:
             raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), self.mode))
         if self.c == self.d:
             raise ValueError(
-                "need two distinct labels; relabel the two occurrences "
-                "with fresh marks to compare events of one label"
+                "need two distinct labels; use conc_events to compare "
+                "two events of one label"
             )
 
 
@@ -91,7 +93,8 @@ class ConcState:
     ``found`` latches when a d-occurrence arrives outside the monitor's
     after row of the c symbol (the after set of its most recent
     occurrence, empty while none has occurred); it is monotone along the
-    stream.  See the module docstring for when the latch is exact.
+    stream.  It is exact on streams with no marked events and
+    over-approximates concurrency otherwise (see the module docstring).
     """
 
     libat: LibAtState
@@ -165,22 +168,44 @@ def _query_combos(c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> list[
 
 # ---- run-level decisions ---------------------------------------------------
 
+def _orders(run: Run, mode: str) -> Iterator[tuple[Run, PartialOrder]]:
+    """The orders a mode ranges over, each with the annotated run whose
+    symbols it orders.  Raises TraceError in blocks mode when the marking
+    is not a valid block set."""
+    if mode == MAZURKIEWICZ:
+        base = run.core()
+        yield base, mazurkiewicz_hb(base)
+    elif mode == GIVEN_BLOCKS:
+        bs = blocks_from_annotation(run)
+        if is_liberally_atomic(run, bs):
+            yield run, saturate(run, bs).order
+    elif mode == MOST_GENERAL:
+        base = run.core()
+        for bs in all_block_sets(base):
+            if is_liberally_atomic(base, bs):
+                aw = annotate(base, bs)
+                yield aw, saturate(aw, bs).order
+    else:
+        raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), mode))
+
+
+def _symbols_unordered(run: Run, mode: str, c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> bool:
+    """True iff some order of the mode leaves some inner (c, d)-pair, in
+    either orientation, unordered."""
+    combos = _query_combos(c, d)
+    for aw, order in _orders(run, mode):
+        for c_hat, d_hat in combos:
+            for i, j in inner_pair_positions(aw, c_hat, d_hat):
+                if not order.succ[i] >> j & 1:
+                    return True
+    return False
+
+
 def conc_symbols_maz(run: Run, c: Label, d: Label) -> bool:
     """True iff some (c, d)-occurrence pair, in either order, is
-    unordered by the plain commutation order.  Single pass of one pair
-    automaton per orientation, state bounded by the alphabet: with
-    nothing marked the order between two arrived events never changes
-    afterwards, so the arrival-time latch is exact.  A symbol that never
-    occurs has no occurrence pair."""
-    if c not in run.labels or d not in run.labels:
-        return False
-    universe = Universe.from_run(run)
-    qa = conc_initial(universe, (c, False), (d, False))
-    qb = conc_initial(universe, (d, False), (c, False))
-    for lab in run.labels:
-        qa = conc_step(qa, (lab, False))
-        qb = conc_step(qb, (lab, False))
-    return qa.accepting() or qb.accepting()
+    unordered by the plain commutation order.  Annotations are ignored.
+    A symbol that never occurs has no occurrence pair."""
+    return _symbols_unordered(run, MAZURKIEWICZ, c, d)
 
 
 def conc_symbols_blocks(aw: Run, c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> bool:
@@ -190,15 +215,7 @@ def conc_symbols_blocks(aw: Run, c: Union[Label, AnnLabel], d: Union[Label, AnnL
     order.  Label-level queries disjoin over the four annotated-symbol
     combinations.  Raises TraceError when the marking is not a valid
     block set."""
-    bs = blocks_from_annotation(aw)
-    if not is_liberally_atomic(aw, bs):
-        return False
-    sat = saturate(aw, bs)
-    for c_hat, d_hat in _query_combos(c, d):
-        for i, j in inner_pair_positions(aw, c_hat, d_hat):
-            if not sat.ordered(aw.events[i], aw.events[j]):
-                return True
-    return False
+    return _symbols_unordered(aw, GIVEN_BLOCKS, c, d)
 
 
 def conc_symbols_general(run: Run, c: Label, d: Label, strategy: str = "enumerate") -> bool:
@@ -212,20 +229,10 @@ def conc_symbols_general(run: Run, c: Label, d: Label, strategy: str = "enumerat
     the arrival-time approximation, so it can answer true where
     enumeration answers false (never the reverse).
     """
-    base = run.core()
     if strategy == "enumerate":
-        for bs in all_block_sets(base):
-            if not is_liberally_atomic(base, bs):
-                continue
-            aw = annotate(base, bs)
-            sat = saturate(aw, bs)
-            for c_hat, d_hat in _query_combos(c, d):
-                for i, j in inner_pair_positions(aw, c_hat, d_hat):
-                    if not sat.ordered(aw.events[i], aw.events[j]):
-                        return True
-        return False
+        return _symbols_unordered(run, MOST_GENERAL, c, d)
     if strategy == "stream":
-        return _general_stream(base, c, d)
+        return _general_stream(run.core(), c, d)
     raise ValueError("strategy must be 'enumerate' or 'stream', got %r" % (strategy,))
 
 
@@ -269,22 +276,10 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
 
 # ---- event-level queries ----------------------------------------------------
 
-def _with_fresh_marks(run: Run, positions: list[int]) -> Run:
-    """Relabel the given occurrences with fresh marks, making each a
-    symbol of its own that conflicts exactly like the original."""
-    used = [l.mark for l in run.labels if l.mark is not None]
-    nxt = max(used) + 1 if used else 1
-    labels = list(run.labels)
-    for k, p in enumerate(positions):
-        labels[p] = replace(labels[p], mark=nxt + k)
-    return Run(labels, run.annotations)
-
-
 def conc_events(run: Run, e: Event, f: Event, mode: str = GIVEN_BLOCKS) -> bool:
     """Can these two specific events execute in the other order in some
-    equivalent run?  The pair is relabelled with fresh marks and the
-    question delegated to the symbol-level decision; each fresh symbol
-    occurs once, so its single inner pair is exactly (e, f)."""
+    equivalent run?  True iff some order of the mode leaves them
+    unordered."""
     try:
         i, j = run.position(e), run.position(f)
     except KeyError as exc:
@@ -293,16 +288,4 @@ def conc_events(run: Run, e: Event, f: Event, mode: str = GIVEN_BLOCKS) -> bool:
         raise ValueError("need two distinct events")
     if j < i:
         i, j = j, i
-    if mode == GIVEN_BLOCKS:
-        blocks_from_annotation(run)  # report a bad marking in the caller's events
-    tagged = _with_fresh_marks(run, [i, j])
-    c_lab, d_lab = tagged.labels[i], tagged.labels[j]
-    if mode == MAZURKIEWICZ:
-        return conc_symbols_maz(tagged, c_lab, d_lab)
-    if mode == GIVEN_BLOCKS:
-        return conc_symbols_blocks(
-            tagged, (c_lab, tagged.annotation_at(i)), (d_lab, tagged.annotation_at(j))
-        )
-    if mode == MOST_GENERAL:
-        return conc_symbols_general(tagged, c_lab, d_lab)
-    raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), mode))
+    return any(not order.succ[i] >> j & 1 for _, order in _orders(run, mode))

@@ -20,7 +20,7 @@ enumeration; nothing cleverer exists to delegate to.
 
 from dataclasses import dataclass
 
-from .oracle import enum_rf_class
+from .oracle import rf_class_words
 from .trace import Event, Label, Run
 
 
@@ -101,11 +101,10 @@ def ordered_in_class(run: Run, theta1: Event, theta2: Event) -> bool:
     """Does theta1 stay before theta2 in every reads-from-equivalent
     word?  Brute force over the class, stopping at the first inversion.
     Raises BoundExceeded on runs too long to enumerate."""
-    cls = enum_rf_class(run)
     c1, c2 = theta1.label, theta2.label
     if c1 == c2:
         raise ValueError("need two events with distinct labels")
-    for labs in cls.members:
+    for labs in rf_class_words(run):
         p1 = [i for i, l in enumerate(labs) if l == c1][theta1.occurrence - 1]
         p2 = [i for i, l in enumerate(labs) if l == c2][theta2.occurrence - 1]
         if p2 < p1:

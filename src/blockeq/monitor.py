@@ -4,8 +4,8 @@ The monitor consumes an annotated run one symbol at a time (a symbol is a
 label plus its block-membership bit) and maintains, per annotated label,
 the after set of that label's most recent occurrence — together with
 enough block-tracking bookkeeping to stay exact under block-level
-saturation.  Its state size depends only on the alphabet (threads,
-variables, marks), never on the length of the stream.
+saturation.  Its state size depends only on the alphabet (threads and
+variables), never on the length of the stream.
 
 State components (all keyed by the fixed alphabet):
 
@@ -38,23 +38,19 @@ from .trace import READ, WRITE, AnnLabel, Label, Run, extended_dep
 
 
 class Universe:
-    """Fixed alphabet for a family of runs: threads, variables, and any
-    marked labels, with index tables and dependence rows precomputed."""
+    """Fixed alphabet for a family of runs: every label over the given
+    threads and variables, with index tables and dependence rows
+    precomputed."""
 
-    def __init__(self, threads: Iterable[str], variables: Iterable[str],
-                 extra_labels: Iterable[Label] = ()):
+    def __init__(self, threads: Iterable[str], variables: Iterable[str]):
         self.threads: tuple[str, ...] = tuple(sorted(set(threads)))
         self.variables: tuple[str, ...] = tuple(sorted(set(variables)))
-        labels = [
+        self.labels: tuple[Label, ...] = tuple(
             Label(t, op, v)
             for t in self.threads
             for op in (READ, WRITE)
             for v in self.variables
-        ]
-        for lab in sorted(set(extra_labels)):
-            if lab not in labels:
-                labels.append(lab)
-        self.labels: tuple[Label, ...] = tuple(labels)
+        )
         self.symbols: tuple[AnnLabel, ...] = tuple(
             (lab, bit) for lab in self.labels for bit in (False, True)
         )
@@ -78,8 +74,7 @@ class Universe:
 
     @classmethod
     def from_run(cls, run: Run) -> "Universe":
-        extra = [lab for lab in set(run.labels) if lab.mark is not None]
-        return cls(run.threads, run.variables, extra)
+        return cls(run.threads, run.variables)
 
     def row(self, c: int, t: int, v: int) -> int:
         return (c * len(self.threads) + t) * len(self.variables) + v

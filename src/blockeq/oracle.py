@@ -9,7 +9,7 @@ algorithms on desk-scale instances, not performance.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .blocks import Block, BlockSet
 from .orders import PartialOrder, bits, block_hb, saturate
@@ -164,24 +164,24 @@ def enum_block_class(run: Run, blocks: BlockSet, bound: Optional[int] = None) ->
     return EquivClass("blocks", run, (tuple(e.label for e in w) for w in words), blocks)
 
 
-def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
-    """All interleavings that preserve each thread's order and give every
-    read the same writer it has in the original run.  Reads are checked
-    as they are placed, so every completed word is a member outright."""
+def rf_class_words(run: Run, bound: Optional[int] = None) -> Iterator[tuple[Label, ...]]:
+    """Label words of all interleavings that preserve each thread's order
+    and give every read the same writer it has in the original run,
+    generated one at a time, depth first.  Reads are checked as they are
+    placed, so every completed word is a member outright."""
     _check_bound(run, bound, RF_BOUND, "reads-from class")
     rf = run.reads_from()
     by_thread: dict[str, list[Event]] = {}
     for e in run.events:
         by_thread.setdefault(e.label.thread, []).append(e)
     seqs = [by_thread[t] for t in sorted(by_thread)]
-    members: list[tuple[Label, ...]] = []
     ptrs = [0] * len(seqs)
     acc: list[Event] = []
     last_write: dict[str, Event] = {}
 
     def rec():
         if len(acc) == len(run):
-            members.append(tuple(e.label for e in acc))
+            yield tuple(e.label for e in acc)
             return
         for k, seq in enumerate(seqs):
             if ptrs[k] == len(seq):
@@ -197,7 +197,7 @@ def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
                 last_write[var] = e
             ptrs[k] += 1
             acc.append(e)
-            rec()
+            yield from rec()
             acc.pop()
             ptrs[k] -= 1
             if undo is not None:
@@ -207,8 +207,12 @@ def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
                 else:
                     last_write[var] = prev
 
-    rec()
-    return EquivClass("rf", run, members)
+    return rec()
+
+
+def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
+    """The reads-from class: every word of ``rf_class_words``."""
+    return EquivClass("rf", run, rf_class_words(run, bound))
 
 
 # ---- proper linearizations -------------------------------------------------

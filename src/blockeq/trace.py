@@ -25,18 +25,12 @@ WRITE = "w"
 
 @dataclass(frozen=True, order=True)
 class Label:
-    """An alphabet symbol: one thread performing one access to one variable.
-
-    ``mark`` is normally None.  Relabelling machinery (used when asking
-    whether two specific *events* can be reordered) sets it to a small
-    integer to obtain a fresh symbol that conflicts exactly like the
-    original; all dependence computations ignore it.
-    """
+    """An alphabet symbol: one thread performing one access to one
+    variable."""
 
     thread: str
     op: str  # READ or WRITE
     variable: str
-    mark: Optional[int] = None
 
     def __post_init__(self):
         if self.op not in (READ, WRITE):
@@ -49,15 +43,12 @@ class Label:
         return self.op == WRITE
 
     def __str__(self):
-        base = "%s %s %s" % (self.thread, self.op, self.variable)
-        if self.mark is not None:
-            base += " *%d" % self.mark
-        return base
+        return "%s %s %s" % (self.thread, self.op, self.variable)
 
 
 def conflicting(a: Label, b: Label) -> bool:
     """Dependence between symbols: same thread, or same variable with at
-    least one write.  Marks are transparent."""
+    least one write."""
     if a.thread == b.thread:
         return True
     return a.variable == b.variable and (a.op == WRITE or b.op == WRITE)

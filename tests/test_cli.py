@@ -181,6 +181,25 @@ def test_concurrent_stream_strategy_warns(capsys):
     assert err.startswith("warning:")
 
 
+@pytest.mark.parametrize("ignored, query", [
+    (("--blocks", "all"), ("--mode", "maz", "--events", "1", "3")),
+    (("--blocks", "none"), ("--mode", "general", "--events", "1", "3")),
+    # event queries in general mode always enumerate exactly
+    (("--strategy", "stream"), ("--mode", "general", "--events", "1", "3")),
+    (("--strategy", "stream"), ("--mode", "maz", "--c", "T1 w x", "--d", "T2 w x")),
+    (("--strategy", "stream"), ("--mode", "blocks", "--events", "1", "3")),
+])
+def test_concurrent_warns_about_ignored_options(capsys, ignored, query):
+    # the answer is the one given without the option, and one warning
+    # line says the option was ignored
+    path = trace("two_wr_pairs.trace")
+    want_code, want_out, want_err = run_cli(capsys, "concurrent", path, *query)
+    assert want_err == ""
+    code, out, err = run_cli(capsys, "concurrent", path, *ignored, *query)
+    assert (code, out) == (want_code, want_out)
+    assert err.startswith("warning:") and err.count("\n") == 1
+
+
 def test_concurrent_usage_errors(capsys):
     code, _, err = run_cli(
         capsys,

