@@ -229,11 +229,13 @@ def conc_symbols_general(run: Run, c: Label, d: Label, strategy: str = "enumerat
     the arrival-time approximation, so it can answer true where
     enumeration answers false (never the reverse).
     """
+    if strategy not in ("enumerate", "stream"):
+        raise ValueError("strategy must be 'enumerate' or 'stream', got %r" % (strategy,))
+    if c not in run.labels or d not in run.labels:
+        return False  # no occurrence pair, whatever the block set
     if strategy == "enumerate":
         return _symbols_unordered(run, MOST_GENERAL, c, d)
-    if strategy == "stream":
-        return _general_stream(run.core(), c, d)
-    raise ValueError("strategy must be 'enumerate' or 'stream', got %r" % (strategy,))
+    return _general_stream(run.core(), c, d)
 
 
 def _general_stream(run: Run, c: Label, d: Label) -> bool:
@@ -244,8 +246,6 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
     reject atomicity are dropped — rejection is absorbing.  Acceptance:
     some branch ends accepting with some combination's witness bit set.
     """
-    if c not in run.labels or d not in run.labels:
-        return False
     universe = Universe.from_run(run)
     pair_idx = [
         (universe.sym_index[ch], universe.sym_index[dh])

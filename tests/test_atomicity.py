@@ -8,6 +8,8 @@ class in which every block is contiguous.
 
 import random
 
+from hypothesis import given, settings
+
 from blockeq.atomicity import (
     block_graph,
     canonical_text,
@@ -200,6 +202,14 @@ def test_random_agreement():
         aw = gen.random_annotated_run(rng, rng.randint(5, 10))
         bad = disagreement(aw)
         assert bad is None, "%s -> %s" % (describe(aw), bad)
+
+
+@settings(max_examples=150)
+@given(gen.annotated_runs())
+def test_streaming_matches_offline_longer_runs(drawn):
+    threads, variables, aw = drawn
+    streamed = libat_run(aw, Universe(threads, variables))
+    assert streamed == is_liberally_atomic(aw, blocks_from_annotation(aw)), describe(aw)
 
 
 def test_conflict_serializable_implies_atomic():

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import gen
+from blockeq import concurrency
 from blockeq.atomicity import is_liberally_atomic
 from blockeq.blocks import all_block_sets, annotate, blocks_from_annotation
 from blockeq.concurrency import (
@@ -387,3 +388,15 @@ def test_symbols_absent_from_the_trace_are_not_concurrent():
     for strategy in ("enumerate", "stream"):
         assert not conc_symbols_general(run, absent, present, strategy=strategy)
         assert not conc_symbols_general(run, present, absent, strategy=strategy)
+
+
+def test_general_absent_symbol_answers_without_enumerating(monkeypatch):
+    # the answer is "no" whatever the block set, so no block set is tried
+    def refuse(run):
+        raise AssertionError("enumerated block sets for an absent symbol")
+
+    monkeypatch.setattr(concurrency, "all_block_sets", refuse)
+    run = corpus("block_vs_rf_gap.trace")
+    absent, present = Label("T9", "w", "q"), run.labels[0]
+    assert not conc_symbols_general(run, absent, present)
+    assert not conc_symbols_general(run, present, absent)

@@ -6,26 +6,37 @@ block graphs, serial witnesses and monitor dumps against any change of
 how they are computed.  ``golden_concurrent.json`` does the same for
 ``concurrent`` in every mode: with ``--events I J`` for every event pair
 I < J, and with ``--c/--d`` for every ordered pair of distinct labels.
-Rewrite both, when an output change is intended, with::
+``golden_monitor.json`` pins the streaming monitor below the CLI: per
+stream, a sha256 over the ``canonical_text`` of the ``sat_step`` state
+after every symbol, and the final ``libat_step`` verdict, for every
+corpus trace and for seeded random streams at 2x2, 3x3 and 4x4.
+Rewrite all three, when an output change is intended, with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from blockeq.atomicity import libat_initial, libat_step
 from blockeq.cli import main
+from blockeq.monitor import Universe, canonical_text, symbols_of
 from blockeq.trace import parse_run
+
+import gen
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"
 GOLDEN = HERE / "golden_corpus.json"
 GOLDEN_CONCURRENT = HERE / "golden_concurrent.json"
+GOLDEN_MONITOR = HERE / "golden_monitor.json"
 
 COMMANDS = (
     ("hb",),
@@ -39,6 +50,10 @@ COMMANDS = (
 CONC_MODES = ("maz", "blocks", "general")
 CONC_KINDS = ("--events", "--c")
 TRACES = sorted(p.name for p in CORPUS.glob("*.trace"))
+# (threads, variables, seed, marking probability) of the random monitor
+# streams; densely marked long streams are almost never liberally atomic,
+# sparsely marked ones mostly are
+RANDOM_STREAMS = [(n, n, seed, p) for n in (2, 3, 4) for seed, p in enumerate((0.5, 0.5, 0.05, 0.05))]
 
 
 def _key(name, command):
@@ -72,6 +87,31 @@ def _all_concurrent():
     ]
 
 
+def _monitor_streams():
+    """Stream name -> (universe, annotated run)."""
+    out = {}
+    for name in TRACES:
+        run = parse_run((CORPUS / name).read_text(encoding="utf-8"))
+        out["corpus " + name] = (Universe.from_run(run), run)
+    for nt, nv, seed, p in RANDOM_STREAMS:
+        rng = random.Random(100 * nt + 10 * nv + seed)
+        run = gen.random_annotated_run(rng, rng.randint(150, 300), nt, nv, p)
+        threads = ["T%d" % (i + 1) for i in range(nt)]
+        variables = ["xyz"[i] if i < 3 else "v%d" % i for i in range(nv)]
+        out["random %dx%d seed %d" % (nt, nv, seed)] = (Universe(threads, variables), run)
+    return out
+
+
+def _fold_monitor(universe, run):
+    digest = hashlib.sha256()
+    q = libat_initial(universe)
+    syms = symbols_of(run)
+    for s in syms:
+        q = libat_step(q, s)
+        digest.update(canonical_text(q.sat).encode())
+    return {"steps": len(syms), "sha256": digest.hexdigest(), "atomic": q.accepting()}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -80,6 +120,14 @@ def golden():
 @pytest.fixture(scope="module")
 def golden_concurrent():
     return json.loads(GOLDEN_CONCURRENT.read_text(encoding="utf-8"))
+
+
+def test_monitor_matches_golden():
+    golden = json.loads(GOLDEN_MONITOR.read_text(encoding="utf-8"))
+    streams = _monitor_streams()
+    assert set(golden) == set(streams)
+    for name, (universe, run) in streams.items():
+        assert _fold_monitor(universe, run) == golden[name], name
 
 
 def test_golden_covers_the_corpus(golden, golden_concurrent):
@@ -108,3 +156,5 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     record = {_key(t, c): _observe(t, c) for t, c in _all_concurrent()}
     GOLDEN_CONCURRENT.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    record = {k: _fold_monitor(*v) for k, v in _monitor_streams().items()}
+    GOLDEN_MONITOR.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")

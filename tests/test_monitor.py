@@ -8,6 +8,8 @@ agree on the full component domain after every single step.
 
 import random
 
+from hypothesis import given, settings
+
 from blockeq.blocks import blocks_from_annotation
 from blockeq.monitor import (
     Universe,
@@ -86,9 +88,35 @@ def expected_components(run, universe):
     return blk, rf, aft, fba, fopen
 
 
-def compare_prefixes(aw, universe=None):
+def compare_state(q, prefix, universe):
+    """Mismatch descriptions between a monitor state and the offline
+    components of the prefix it has consumed (empty = agreement)."""
+    k = len(prefix)
+    blk, rf, aft, fba, fopen = expected_components(prefix, universe)
+    mismatches = []
+    for v in universe.variables:
+        if q.blk_set(v) != blk[v]:
+            mismatches.append((k, "blk", v, blk[v], q.blk_set(v)))
+        if q.rf_symbol(v) != rf[v]:
+            mismatches.append((k, "rf", v, rf[v], q.rf_symbol(v)))
+    for s in universe.symbols:
+        if q.aft_set(s) != aft[s]:
+            mismatches.append((k, "aft", s, aft[s], q.aft_set(s)))
+        for t in universe.threads:
+            for v in universe.variables:
+                if q.fba_set(s, t, v) != fba[s, t, v]:
+                    mismatches.append(
+                        (k, "fba", (s, t, v), fba[s, t, v], q.fba_set(s, t, v)))
+                if q.fba_open(s, t, v) != fopen[s, t, v]:
+                    mismatches.append(
+                        (k, "open", (s, t, v), fopen[s, t, v], q.fba_open(s, t, v)))
+    return mismatches
+
+
+def compare_prefixes(aw, universe=None, every=1):
     """Run the monitor over aw and diff every component after every
-    prefix; returns a list of mismatch descriptions (empty = agreement)."""
+    ``every``-th prefix and after the full run; returns a list of
+    mismatch descriptions (empty = agreement)."""
     if universe is None:
         universe = Universe.from_run(aw)
     labels = list(aw.labels)
@@ -96,25 +124,9 @@ def compare_prefixes(aw, universe=None):
     q = sat_initial(universe)
     mismatches = []
     for k in range(1, len(labels) + 1):
-        prefix = Run(labels[:k], bits[:k])
         q = sat_step(q, (labels[k - 1], bits[k - 1]))
-        blk, rf, aft, fba, fopen = expected_components(prefix, universe)
-        for v in universe.variables:
-            if q.blk_set(v) != blk[v]:
-                mismatches.append((k, "blk", v, blk[v], q.blk_set(v)))
-            if q.rf_symbol(v) != rf[v]:
-                mismatches.append((k, "rf", v, rf[v], q.rf_symbol(v)))
-        for s in universe.symbols:
-            if q.aft_set(s) != aft[s]:
-                mismatches.append((k, "aft", s, aft[s], q.aft_set(s)))
-            for t in universe.threads:
-                for v in universe.variables:
-                    if q.fba_set(s, t, v) != fba[s, t, v]:
-                        mismatches.append(
-                            (k, "fba", (s, t, v), fba[s, t, v], q.fba_set(s, t, v)))
-                    if q.fba_open(s, t, v) != fopen[s, t, v]:
-                        mismatches.append(
-                            (k, "open", (s, t, v), fopen[s, t, v], q.fba_open(s, t, v)))
+        if k % every == 0 or k == len(labels):
+            mismatches += compare_state(q, Run(labels[:k], bits[:k]), universe)
     return mismatches
 
 
@@ -144,6 +156,16 @@ def test_monitor_random_runs():
         aw = gen.random_annotated_run(rng, rng.randint(5, 12))
         mism = compare_prefixes(aw)
         assert not mism, "case %d: %s\nfirst mismatch: %r" % (i, describe(aw), mism[0])
+
+
+@settings(max_examples=150)
+@given(gen.annotated_runs())
+def test_monitor_longer_runs(drawn):
+    # runs of 15-40 events at alphabets up to 4x4, checked at every 10th
+    # prefix and the full run
+    threads, variables, aw = drawn
+    mism = compare_prefixes(aw, Universe(threads, variables), every=10)
+    assert not mism, "%s\nfirst mismatch: %r" % (describe(aw), mism[0])
 
 
 def test_monitor_matches_batch_fold():
