@@ -14,6 +14,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -48,6 +49,7 @@ from .monitor import Universe, canonical_text, sat_initial, sat_step, symbols_of
 from .oracle import (
     RF_BOUND,
     SWAP_BOUND,
+    WORD_LIMIT,
     BoundExceeded,
     enum_block_class,
     enum_maz_class,
@@ -69,7 +71,8 @@ class Config:
     """Shared command configuration.
 
     ``swap_bound`` caps the run length for swap-closure enumerations,
-    ``rf_bound`` for the reads-from interleaving search.  ``seed``
+    ``rf_bound`` for the reads-from interleaving search; neither lets
+    enumeration past ``oracle.WORD_LIMIT`` (255) events.  ``seed``
     breaks ties whenever a command samples among equally valid outputs
     (currently: which members ``enumerate --limit`` prints when the
     class is larger than the limit).  ``fmt`` selects the output format;
@@ -284,16 +287,17 @@ def cmd_enumerate(args, cfg: Config) -> int:
         cls = enum_block_class(run, _blocks_for(run, args.blocks), bound=cfg.swap_bound)
     else:
         cls = enum_rf_class(run, bound=cfg.rf_bound)
-    print("members: %d" % len(cls.members))
+    print("members: %d" % len(cls))
     if args.limit:
-        members = sorted(cls.members)
-        if len(members) > args.limit:
+        words = cls.sorted_words()
+        if len(words) > args.limit:
             if cfg.seed:
-                members = sorted(random.Random(cfg.seed).sample(members, args.limit))
+                picked = random.Random(cfg.seed).sample(range(len(words)), args.limit)
+                words = [words[i] for i in sorted(picked)]
             else:
-                members = members[: args.limit]
-        for labs in members:
-            print("member: " + "; ".join(str(l) for l in labs))
+                words = words[: args.limit]
+        for w in words:
+            print("member: " + "; ".join(str(run.labels[p]) for p in w))
     return EXIT_OK
 
 
@@ -376,12 +380,17 @@ def cmd_gen_hardness(args, cfg: Config) -> int:
 
 # ---- parser ----------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged, and each call returns a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--swap-bound", type=int, default=SWAP_BOUND, metavar="N",
-                        help="max events for swap-closure enumeration (default %d)" % SWAP_BOUND)
+                        help="max events for swap-closure enumeration (default %d; "
+                             "never more than %d)" % (SWAP_BOUND, WORD_LIMIT))
     common.add_argument("--rf-bound", type=int, default=RF_BOUND, metavar="N",
-                        help="max events for the reads-from search (default %d)" % RF_BOUND)
+                        help="max events for the reads-from search (default %d; "
+                             "never more than %d)" % (RF_BOUND, WORD_LIMIT))
     common.add_argument("--seed", type=int, default=0,
                         help="tie-break seed for sampled output (default 0: no sampling)")
     common.add_argument("--format", choices=FORMATS, default="text",

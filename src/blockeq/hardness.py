@@ -101,13 +101,11 @@ def ordered_in_class(run: Run, theta1: Event, theta2: Event) -> bool:
     """Does theta1 stay before theta2 in every reads-from-equivalent
     word?  Brute force over the class, stopping at the first inversion.
     Raises BoundExceeded on runs too long to enumerate."""
-    c1, c2 = theta1.label, theta2.label
-    if c1 == c2:
+    if theta1.label == theta2.label:
         raise ValueError("need two events with distinct labels")
-    for labs in rf_class_words(run):
-        p1 = [i for i, l in enumerate(labs) if l == c1][theta1.occurrence - 1]
-        p2 = [i for i, l in enumerate(labs) if l == c2][theta2.occurrence - 1]
-        if p2 < p1:
+    p1, p2 = run.position(theta1), run.position(theta2)
+    for w in rf_class_words(run):
+        if w.index(p2) < w.index(p1):
             return False
     return True
 

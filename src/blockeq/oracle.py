@@ -3,20 +3,30 @@
 Everything in this module enumerates explicitly: equivalence classes by
 breadth-first closure under the allowed swaps, reads-from classes by
 interleaving search, proper linearizations by topological DFS.  All of
-it is deliberately bounded — the point is certifying the incremental
-algorithms on desk-scale instances, not performance.
+it is deliberately bounded, and none of it is built on the offline
+orders: the point is certifying the incremental algorithms on
+desk-scale instances by an independent route.
+
+Class members are *position words*: ``bytes`` whose k-th byte is the
+run position of the k-th event.  The swap closure reads a commutation
+mask and a block id per position, both computed once per run, so a
+swap is a byte splice and a visited check hashes one ``bytes``.  Label
+tuples are built only when ``EquivClass.members`` is read.  One byte
+per position caps every enumeration at 255 events.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
-from .blocks import Block, BlockSet
+from .blocks import BlockSet
 from .orders import PartialOrder, bits, block_hb, saturate
 from .trace import Event, Label, Run, conflicting
 
 SWAP_BOUND = 12  # breadth-first closure under swaps
 RF_BOUND = 22    # reads-from interleaving search
+WORD_LIMIT = 255  # a position word spends one byte per event
 
 
 class BoundExceeded(ValueError):
@@ -24,126 +34,120 @@ class BoundExceeded(ValueError):
 
 
 def _check_bound(run: Run, bound: Optional[int], default: int, what: str) -> None:
-    limit = default if bound is None else bound
+    limit = min(default if bound is None else bound, WORD_LIMIT)
     if len(run) > limit:
         raise BoundExceeded(
             "%s enumeration is limited to %d events, got %d" % (what, limit, len(run))
         )
 
 
-def _events_of(labels: Iterable[Label]) -> list[Event]:
-    seen: dict[Label, int] = {}
-    out = []
-    for lab in labels:
-        n = seen.get(lab, 0) + 1
-        seen[lab] = n
-        out.append(Event(lab, n))
-    return out
-
-
-def _annotation_map(run: Run) -> dict[Event, bool]:
-    return {e: run.annotation_at(i) for i, e in enumerate(run.events)}
-
-
 class EquivClass:
     """An explicitly enumerated equivalence class.
 
-    Members are stored canonically as label sequences; same-label events
-    never reorder under any relation considered here (they share a
-    thread), so a label sequence determines the event permutation.
+    ``words`` holds the members as position words over the
+    representative.  Same-label events never reorder under any relation
+    considered here (they share a thread), so each member is equally
+    determined by its label sequence; ``members``, the set of those
+    label sequences, is built on first access.
     """
 
-    def __init__(
-        self,
-        relation: str,
-        representative: Run,
-        members: Iterable[tuple[Label, ...]],
-        blocks: Optional[BlockSet] = None,
-    ):
+    def __init__(self, relation: str, representative: Run, words: Iterable[bytes],
+                 blocks: Optional[BlockSet] = None):
         assert relation in ("maz", "blocks", "rf")
         self.relation = relation
         self.representative = representative
-        self.members: frozenset[tuple[Label, ...]] = frozenset(members)
+        self.words: frozenset[bytes] = frozenset(words)
         self.blocks = blocks
-        assert representative.labels in self.members, "representative must belong to its class"
+        assert bytes(range(len(representative))) in self.words, \
+            "representative must belong to its class"
+
+    @cached_property
+    def members(self) -> frozenset[tuple[Label, ...]]:
+        at = self.representative.labels.__getitem__
+        return frozenset(tuple(map(at, w)) for w in self.words)
 
     def __len__(self):
-        return len(self.members)
+        return len(self.words)
 
     def __contains__(self, item) -> bool:
         labels = item.labels if isinstance(item, Run) else tuple(item)
-        return labels in self.members
+        slots: dict[Label, list[int]] = {}  # label -> its positions, last first
+        for p in reversed(range(len(self.representative))):
+            slots.setdefault(self.representative.labels[p], []).append(p)
+        try:
+            return bytes(slots[lab].pop() for lab in labels) in self.words
+        except (KeyError, IndexError):
+            return False  # a label the representative lacks, or too many of one
+
+    def sorted_words(self) -> list[bytes]:
+        """The words in the order of their label sequences."""
+        labels = self.representative.labels
+        rank = {lab: k for k, lab in enumerate(sorted(set(labels)))}
+        table = bytes(rank[lab] for lab in labels).ljust(256, b"\0")
+        return sorted(self.words, key=lambda w: w.translate(table))
 
     def member_runs(self) -> list[Run]:
-        """Members as runs in a deterministic order, each event keeping
-        the annotation it carries in the representative."""
-        annot = _annotation_map(self.representative)
-        out = []
-        for labels in sorted(self.members):
-            events = _events_of(labels)
-            out.append(Run(labels, [annot[e] for e in events]))
-        return out
+        """Members as runs in label order, each event keeping the
+        annotation it carries in the representative."""
+        rep = self.representative
+        return [
+            Run([rep.labels[p] for p in w], [rep.annotations[p] for p in w])
+            for w in self.sorted_words()
+        ]
 
     def __repr__(self):
-        return "EquivClass(%s, %d members)" % (self.relation, len(self.members))
+        return "EquivClass(%s, %d members)" % (self.relation, len(self.words))
 
 
 # ---- swap-closure enumeration ---------------------------------------------
 
-def _contiguous_spans(word: tuple[Event, ...], blocks: BlockSet) -> list[tuple[int, int, Block]]:
-    """(first, last, block) for every block whose members sit contiguously
-    in the given permutation, sorted by first position."""
-    lo: dict[Block, int] = {}
-    hi: dict[Block, int] = {}
-    for i, e in enumerate(word):
-        b = blocks.block_of(e)
-        if b is None:
-            continue
-        if b not in lo:
-            lo[b] = i
-        hi[b] = i
-    spans = []
-    for b, first in lo.items():
-        last = hi[b]
-        if last - first + 1 == len(b.members()):
-            spans.append((first, last, b))
-    spans.sort(key=lambda s: s[0])
-    return spans
+def _swap_closure(run: Run, blocks: Optional[BlockSet]) -> set[bytes]:
+    """Breadth-first closure of the run under adjacent independent event
+    swaps and, with blocks, swaps of two adjacent, contiguous,
+    thread-disjoint blocks, re-derived from each word as it is reached."""
+    n = len(run)
+    labels = run.labels
+    # free[a] >> b & 1: positions a and b commute
+    free = [sum(1 << b for b in range(n) if not conflicting(la, labels[b])) for la in labels]
+    block = [-1] * n  # block id per position
+    size, threads = [], []  # member count and thread mask per block
+    for k, blk in enumerate(blocks or ()):
+        ps = [run.position(e) for e in blk.members()]
+        for p in ps:
+            block[p] = k
+        size.append(len(ps))
+        threads.append(sum({1 << run.threads.index(labels[p].thread) for p in ps}))
 
-
-def _block_threads(b: Block) -> frozenset[str]:
-    return frozenset(e.label.thread for e in b.members())
-
-
-def _neighbors(word: tuple[Event, ...], blocks: Optional[BlockSet]):
-    # adjacent independent event swaps
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if not conflicting(a.label, b.label):
-            yield word[:i] + (b, a) + word[i + 2:]
-    if blocks is None or len(blocks) == 0:
-        return
-    # adjacent contiguous thread-disjoint block swaps
-    spans = _contiguous_spans(word, blocks)
-    for (f1, l1, b1), (f2, l2, b2) in zip(spans, spans[1:]):
-        if l1 + 1 != f2:
-            continue
-        if _block_threads(b1) & _block_threads(b2):
-            continue
-        yield word[:f1] + word[f2:l2 + 1] + word[f1:l1 + 1] + word[l2 + 1:]
-
-
-def _swap_closure(run: Run, blocks: Optional[BlockSet]) -> set[tuple[Event, ...]]:
-    start = tuple(run.events)
+    start = bytes(range(n))
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for word in frontier:
-            for neighbor in _neighbors(word, blocks):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    nxt.append(neighbor)
+        for w in frontier:
+            found = []
+            for i in range(n - 1):
+                if free[w[i]] >> w[i + 1] & 1:
+                    found.append(w[:i] + w[i + 1:i + 2] + w[i:i + 1] + w[i + 2:])
+            if size:
+                # (start, end, thread mask) of each contiguous block, in word order
+                spans = []
+                i = 0
+                while i < n:
+                    k = block[w[i]]
+                    j = i + 1
+                    if k >= 0:
+                        while j < n and block[w[j]] == k:
+                            j += 1
+                        if j - i == size[k]:
+                            spans.append((i, j, threads[k]))
+                    i = j
+                for (f1, l1, t1), (f2, l2, t2) in zip(spans, spans[1:]):
+                    if l1 == f2 and not t1 & t2:
+                        found.append(w[:f1] + w[f2:l2] + w[f1:l1] + w[l2:])
+            for v in found:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
         frontier = nxt
     return seen
 
@@ -151,8 +155,7 @@ def _swap_closure(run: Run, blocks: Optional[BlockSet]) -> set[tuple[Event, ...]
 def enum_maz_class(run: Run, bound: Optional[int] = None) -> EquivClass:
     """Closure under adjacent swaps of independent events."""
     _check_bound(run, bound, SWAP_BOUND, "swap-class")
-    words = _swap_closure(run, None)
-    return EquivClass("maz", run, (tuple(e.label for e in w) for w in words))
+    return EquivClass("maz", run, _swap_closure(run, None))
 
 
 def enum_block_class(run: Run, blocks: BlockSet, bound: Optional[int] = None) -> EquivClass:
@@ -160,52 +163,45 @@ def enum_block_class(run: Run, blocks: BlockSet, bound: Optional[int] = None) ->
     adjacent, contiguous, thread-disjoint blocks.  Contiguity and
     adjacency are re-derived from each permutation as it is reached."""
     _check_bound(run, bound, SWAP_BOUND, "swap-class")
-    words = _swap_closure(run, blocks)
-    return EquivClass("blocks", run, (tuple(e.label for e in w) for w in words), blocks)
+    return EquivClass("blocks", run, _swap_closure(run, blocks), blocks)
 
 
-def rf_class_words(run: Run, bound: Optional[int] = None) -> Iterator[tuple[Label, ...]]:
-    """Label words of all interleavings that preserve each thread's order
-    and give every read the same writer it has in the original run,
-    generated one at a time, depth first.  Reads are checked as they are
-    placed, so every completed word is a member outright."""
+def rf_class_words(run: Run, bound: Optional[int] = None) -> Iterator[bytes]:
+    """Position words of all interleavings that preserve each thread's
+    order and give every read the same writer it has in the original
+    run, generated one at a time, depth first.  Reads are checked as
+    they are placed, so every completed word is a member outright."""
     _check_bound(run, bound, RF_BOUND, "reads-from class")
-    rf = run.reads_from()
-    by_thread: dict[str, list[Event]] = {}
-    for e in run.events:
-        by_thread.setdefault(e.label.thread, []).append(e)
-    seqs = [by_thread[t] for t in sorted(by_thread)]
+    n = len(run)
+    labels = run.labels
+    var = [run.variables.index(lab.variable) for lab in labels]
+    writer = [run.rf_pos.get(p, -1) for p in range(n)]  # -1: a write
+    seqs = [[p for p in range(n) if labels[p].thread == t] for t in run.threads]
     ptrs = [0] * len(seqs)
-    acc: list[Event] = []
-    last_write: dict[str, Event] = {}
+    acc = bytearray()
+    last_write = [-1] * len(run.variables)
 
     def rec():
-        if len(acc) == len(run):
-            yield tuple(e.label for e in acc)
+        if len(acc) == n:
+            yield bytes(acc)
             return
         for k, seq in enumerate(seqs):
-            if ptrs[k] == len(seq):
+            i = ptrs[k]
+            if i == len(seq):
                 continue
-            e = seq[ptrs[k]]
-            var = e.label.variable
-            if e.label.is_read():
-                if last_write.get(var) != rf[e]:
-                    continue
-                undo = None
-            else:
-                undo = (var, last_write.get(var))
-                last_write[var] = e
-            ptrs[k] += 1
-            acc.append(e)
+            p = seq[i]
+            x = var[p]
+            prev = last_write[x]
+            if writer[p] < 0:
+                last_write[x] = p
+            elif prev != writer[p]:
+                continue
+            ptrs[k] = i + 1
+            acc.append(p)
             yield from rec()
             acc.pop()
-            ptrs[k] -= 1
-            if undo is not None:
-                var, prev = undo
-                if prev is None:
-                    del last_write[var]
-                else:
-                    last_write[var] = prev
+            ptrs[k] = i
+            last_write[x] = prev
 
     return rec()
 
@@ -235,26 +231,22 @@ def _minimal(succ: tuple[int, ...], pending: int) -> int:
     return pending & ~blocked
 
 
-def _proper_search(
-    run: Run,
-    blocks: BlockSet,
-    forced: Optional[list[Event]] = None,
-    first_only: bool = False,
-) -> list[tuple[Event, ...]]:
+def _proper_search(run: Run, blocks: BlockSet, forced: Iterable[int] = (),
+                   first_only: bool = False) -> list[tuple[int, ...]]:
     """Topological DFS over the block happens-before order that never
-    lets two same-variable blocks overlap.  ``forced`` pins the first
-    placements (callers guarantee those respect the order); with
-    ``first_only`` the search stops at the first completion."""
+    lets two same-variable blocks overlap, as position sequences.
+    ``forced`` pins the first placements (callers guarantee those
+    respect the order); with ``first_only`` the search stops at the
+    first completion."""
     succ = block_hb(run, blocks).succ
-    events = run.events
     block_masks = _block_masks(run, blocks)
-    out: list[tuple[Event, ...]] = []
-    acc = [run.position(e) for e in forced or []]
-    full = (1 << len(events)) - 1
+    out: list[tuple[int, ...]] = []
+    acc = list(forced)
+    full = (1 << len(run)) - 1
 
     def dfs(placed: int) -> bool:
         if placed == full:
-            out.append(tuple(events[i] for i in acc))
+            out.append(tuple(acc))
             return first_only
         busy = _open_variables(block_masks, placed)
         fresh = [m for var, m in block_masks if var in busy and not placed & m]
@@ -277,11 +269,9 @@ def proper_linearizations(run: Run, blocks: BlockSet, bound: Optional[int] = Non
     happens-before order without interleaving two blocks on the same
     variable."""
     _check_bound(run, bound, SWAP_BOUND, "proper-linearization")
-    annot = _annotation_map(run)
-    words = _proper_search(run, blocks)
     return {
-        Run([e.label for e in w], [annot[e] for e in w])
-        for w in words
+        Run([run.labels[i] for i in w], [run.annotations[i] for i in w])
+        for w in _proper_search(run, blocks)
     }
 
 
@@ -323,15 +313,14 @@ def proper_topological_sort(
 
 def intersection_order(cls: EquivClass) -> PartialOrder:
     """The pairs ordered the same way in every member of the class."""
-    events = tuple(cls.representative.events)
-    index = {e: i for i, e in enumerate(events)}
-    keep = [(1 << len(events)) - 1] * len(events)
-    for labels in cls.members:
+    n = len(cls.representative)
+    keep = [(1 << n) - 1] * n
+    for w in cls.words:
         later = 0
-        for e in reversed(_events_of(labels)):
-            keep[index[e]] &= later
-            later |= 1 << index[e]
-    return PartialOrder(events, keep)
+        for p in reversed(w):
+            keep[p] &= later
+            later |= 1 << p
+    return PartialOrder(cls.representative.events, keep)
 
 
 def count_linear_extensions(order: PartialOrder) -> int:
@@ -381,4 +370,5 @@ def check_scope(
         if sat.ordered(f, e):
             raise ValueError("%s is ordered before the pivot %s" % (f, e))
 
-    return bool(_proper_search(run, blocks, forced=v + [e], first_only=True))
+    forced = list(range(prefix_len)) + [event_pos]
+    return bool(_proper_search(run, blocks, forced=forced, first_only=True))

@@ -12,6 +12,7 @@ import pytest
 
 from blockeq.blocks import blocks_from_annotation
 from blockeq.cli import main
+from blockeq.oracle import EquivClass
 from blockeq.trace import parse_run
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -268,6 +269,47 @@ def test_enumerate_bound_exceeded(tmp_path, capsys):
         capsys, "enumerate", str(long), "--relation", "maz", "--swap-bound", "13"
     )
     assert code == 0 and out == "members: 1\n"
+
+
+@pytest.mark.parametrize("relation", ("maz", "blocks", "rf"))
+def test_enumerate_stops_at_255_events_whatever_the_bound(tmp_path, capsys, relation):
+    # a position word spends one byte per event
+    one_thread = tmp_path / "one_thread.trace"
+    one_thread.write_text("T1 w x\n" * 255)
+    bounds = ("--swap-bound", "1000", "--rf-bound", "1000")
+    code, out, _ = run_cli(capsys, "enumerate", str(one_thread), "--relation", relation, *bounds)
+    assert code == 0 and out == "members: 1\n"
+    one_thread.write_text("T1 w x\n" * 256)
+    code, out, err = run_cli(capsys, "enumerate", str(one_thread), "--relation", relation, *bounds)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "255" in err
+
+
+def test_enumerate_reads_no_label_tuples(monkeypatch, capsys):
+    def refuse(cls):
+        raise AssertionError("label tuples built")
+
+    monkeypatch.setattr(EquivClass, "members", property(refuse))
+    for relation in ("maz", "blocks", "rf"):
+        for extra in ((), ("--limit", "2"), ("--limit", "2", "--seed", "1")):
+            code, out, _ = run_cli(capsys, "enumerate", trace("two_wr_pairs.trace"),
+                                   "--relation", relation, *extra)
+            assert code == 0 and out.startswith("members: ")
+
+
+def test_parser_reuse_keeps_calls_independent(capsys):
+    two = trace("two_wr_pairs.trace")
+    first = run_cli(capsys, "enumerate", two, "--relation", "blocks", "--limit", "1", "--seed", "3")
+    dot = run_cli(capsys, "hb", two, "--format", "dot")
+    plain = run_cli(capsys, "hb", two)
+    again = run_cli(capsys, "enumerate", two, "--relation", "blocks")
+    assert first[0] == 0 and first[1].count("member: ") == 1
+    assert dot[1].startswith("digraph hb {")
+    # no option of an earlier call leaks into a later one
+    assert plain == (0, "e1 -> e2\ne2 -> e3\ne3 -> e4\n", "")
+    assert again == (0, "members: 2\n", "")
+    assert run_cli(capsys, "enumerate", two, "--relation", "blocks", "--limit", "1", "--seed", "3") == first
 
 
 def test_annotate_defaults_to_all_writes(capsys):

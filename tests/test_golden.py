@@ -10,7 +10,10 @@ I < J, and with ``--c/--d`` for every ordered pair of distinct labels.
 stream, a sha256 over the ``canonical_text`` of the ``sat_step`` state
 after every symbol, and the final ``libat_step`` verdict, for every
 corpus trace and for seeded random streams at 2x2, 3x3 and 4x4.
-Rewrite all three, when an output change is intended, with::
+``golden_oracle.json`` pins the class oracles through the CLI: every
+``ENUM_COMMANDS`` entry on every corpus trace, and ``gen-hardness
+--check`` on every pair of bit strings of length 1 or 2.
+Rewrite all four, when an output change is intended, with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -37,6 +40,7 @@ CORPUS = HERE.parent / "corpus"
 GOLDEN = HERE / "golden_corpus.json"
 GOLDEN_CONCURRENT = HERE / "golden_concurrent.json"
 GOLDEN_MONITOR = HERE / "golden_monitor.json"
+GOLDEN_ORACLE = HERE / "golden_oracle.json"
 
 COMMANDS = (
     ("hb",),
@@ -46,6 +50,18 @@ COMMANDS = (
     ("atomicity", "--witness"),
     ("atomicity", "--format", "dot"),
     ("sat",),
+)
+ENUM_RELATIONS = ("maz", "blocks", "rf")
+ENUM_COMMANDS = tuple(
+    ("enumerate", "--relation", rel) + extra
+    for rel in ENUM_RELATIONS
+    for extra in ((), ("--limit", "3"), ("--seed", "5", "--limit", "3"))
+)
+HARDNESS_COMMANDS = tuple(
+    ("gen-hardness", "--a", a, "--b", b, "--check")
+    for n in (1, 2)
+    for a in (format(v, "0%db" % n) for v in range(2 ** n))
+    for b in (format(v, "0%db" % n) for v in range(2 ** n))
 )
 CONC_MODES = ("maz", "blocks", "general")
 CONC_KINDS = ("--events", "--c")
@@ -60,11 +76,22 @@ def _key(name, command):
     return "%s %s" % (" ".join(command), name)
 
 
-def _observe(name, command):
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command[0], str(CORPUS / name), *command[1:]])
+        code = main(list(argv))
     return {"exit": code, "stdout": out.getvalue()}
+
+
+def _observe(name, command):
+    return _run([command[0], str(CORPUS / name), *command[1:]])
+
+
+def _all_oracle():
+    """Golden key -> argv of every pinned oracle command."""
+    out = {_key(t, c): [c[0], str(CORPUS / t), *c[1:]] for t in TRACES for c in ENUM_COMMANDS}
+    out.update((" ".join(c), list(c)) for c in HARDNESS_COMMANDS)
+    return out
 
 
 def _concurrent_commands(name, mode, kind):
@@ -118,6 +145,11 @@ def golden():
 
 
 @pytest.fixture(scope="module")
+def golden_oracle():
+    return json.loads(GOLDEN_ORACLE.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
 def golden_concurrent():
     return json.loads(GOLDEN_CONCURRENT.read_text(encoding="utf-8"))
 
@@ -130,10 +162,11 @@ def test_monitor_matches_golden():
         assert _fold_monitor(universe, run) == golden[name], name
 
 
-def test_golden_covers_the_corpus(golden, golden_concurrent):
+def test_golden_covers_the_corpus(golden, golden_concurrent, golden_oracle):
     assert len(TRACES) == 16
     assert set(golden) == {_key(t, c) for t in TRACES for c in COMMANDS}
     assert set(golden_concurrent) == {_key(t, c) for t, c in _all_concurrent()}
+    assert set(golden_oracle) == set(_all_oracle())
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
@@ -151,6 +184,19 @@ def test_concurrent_output_matches_golden(golden_concurrent, name, mode, kind):
     assert got == {k: golden_concurrent[k] for k in got}
 
 
+@pytest.mark.parametrize("relation", ENUM_RELATIONS)
+@pytest.mark.parametrize("name", TRACES)
+def test_enumerate_output_matches_golden(golden_oracle, name, relation):
+    for command in ENUM_COMMANDS:
+        if command[2] == relation:
+            assert _observe(name, command) == golden_oracle[_key(name, command)], command
+
+
+def test_gen_hardness_check_matches_golden(golden_oracle):
+    for command in HARDNESS_COMMANDS:
+        assert _run(command) == golden_oracle[" ".join(command)], command
+
+
 if __name__ == "__main__":
     record = {_key(t, c): _observe(t, c) for t in TRACES for c in COMMANDS}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -158,3 +204,5 @@ if __name__ == "__main__":
     GOLDEN_CONCURRENT.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     record = {k: _fold_monitor(*v) for k, v in _monitor_streams().items()}
     GOLDEN_MONITOR.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    record = {k: _run(argv) for k, argv in _all_oracle().items()}
+    GOLDEN_ORACLE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -117,9 +117,9 @@ def test_proper_inclusion_corpus_witness():
     # commutation ⊊ block: group the x-write of T1 with its read, leave
     # T2's x-write its own block, swap the two thread-disjoint x-blocks
     bs = blocks_from_writes(run, [ev[0], ev[3]])
-    blk = label_sets(enum_block_class(run, bs))
-    maz = label_sets(enum_maz_class(run))
-    assert maz < blk
+    blk = enum_block_class(run, bs)
+    maz = enum_maz_class(run)
+    assert maz.words < blk.words  # one representative, so one word space
 
     # block ⊊ reads-from: swap the two halves of the p/q gadget
     # wholesale; po and rf survive, but the p-blocks can never become
@@ -130,14 +130,24 @@ def test_proper_inclusion_corpus_witness():
     witness = Run(word)
     assert same_equiv_rf(run, witness)
     target = tuple(witness.labels)
-    assert target in label_sets(enum_rf_class(run))
+    assert target in enum_rf_class(run)
     assert target not in blk
     # every other block choice misses the word too: most keep an inverted
     # dependent pair, which a cheap order check rules out; the handful
     # whose order the word does linearize get enumerated outright
     for choice in all_block_sets(run):
         if block_hb(run, choice).is_linearized_by(witness.events):
-            assert target not in label_sets(enum_block_class(run, choice))
+            assert target not in enum_block_class(run, choice)
+
+
+def test_label_tuples_are_built_on_demand():
+    run = corpus("block_hb_demo.trace")
+    cls = enum_rf_class(run)
+    assert len(cls) == 842 and run in cls and run.labels[::-1] not in cls
+    assert cls.member_runs()[0] in cls
+    assert "members" not in vars(cls)
+    assert len(cls.members) == len(cls) and run.labels in cls.members
+    assert [tuple(r.labels) for r in cls.member_runs()] == sorted(cls.members)
 
 
 def test_conciseness_corpus():
