@@ -7,6 +7,21 @@ sitting in distinct nodes.  Acyclicity means the run can be reordered,
 without leaving its block equivalence class, into a run where every
 block is contiguous.
 
+The decisions never close the order.  ``_quotient`` collapses the
+*direct* edges of the block order (or of the commutation order, for
+conflict serializability) onto the nodes.  That graph has fewer edges
+than the quotient of the closed order, but the same reachability:
+every edge of the closed quotient is a path of direct edges, which
+visits nodes in turn and so is a path of the direct quotient, and every
+direct quotient edge is a closed quotient edge.  Equal reachability
+gives equal acyclicity.  It also gives the same lowest-index-first Kahn
+order, because a node becomes ready exactly when all of its ancestors
+have been emitted, so ``serial_witness`` is unchanged.  Both the direct
+edges and their quotient have O(n·|Σ|) edges, where the closed quotient
+can be quadratic.  Only the public ``block_graph`` quotients the closed
+block order, because its edge set is what ``atomicity --format dot``
+prints.
+
 The streaming check keeps a *summarized* conflict graph instead: at most
 one node per variable (the block on that variable that began most
 recently), and edges that stand for whole paths of the offline graph
@@ -23,10 +38,12 @@ into every predecessor, so the paths it stood for survive the removal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 from .blocks import BlockSet, blocks_from_annotation
 from .monitor import SatState, Universe, sat_initial, sat_step, symbols_of
-from .orders import PartialOrder, bits, block_hb, mazurkiewicz_hb, topological_order
+from .orders import _direct_edges, bits, block_hb, topological_order
 from .trace import AnnLabel, Event, Run
 
 
@@ -42,11 +59,15 @@ class BlockGraph:
     def __init__(self, nodes: tuple[tuple[Event, ...], ...], succ: list[int]):
         self.nodes = nodes
         self.succ = succ
-        self._owner: dict[Event, int] = {}
-        for i, members in enumerate(nodes):
+
+    @cached_property
+    def _owner(self) -> dict[Event, int]:
+        owner: dict[Event, int] = {}
+        for i, members in enumerate(self.nodes):
             for e in members:
-                assert e not in self._owner, "nodes must partition the events"
-                self._owner[e] = i
+                assert e not in owner, "nodes must partition the events"
+                owner[e] = i
+        return owner
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -73,43 +94,43 @@ class BlockGraph:
         return len(self.nodes)
 
 
-def _quotient(run: Run, blocks: BlockSet, order: PartialOrder) -> BlockGraph:
-    """The order collapsed onto the nodes: the blocks plus one singleton
-    per unblocked event, numbered by their first event's run position."""
-    nodes = [tuple(sorted(b.members(), key=run.position)) for b in blocks]
-    nodes.extend((e,) for e in blocks.unblocked())
-    nodes.sort(key=lambda members: run.position(members[0]))
-    owner = [0] * len(run)
-    node_mask = []
-    for k, members in enumerate(nodes):
-        m = 0
-        for e in members:
-            owner[run.position(e)] = k
-            m |= 1 << run.position(e)
-        node_mask.append(m)
-    succ = []
+def _quotient(run: Run, blocks: BlockSet, succ: Sequence[int]) -> BlockGraph:
+    """The successor table ``succ`` collapsed onto the nodes: the blocks
+    plus one singleton per unblocked event, numbered by their first
+    event's run position."""
+    block_at = {(mask & -mask).bit_length() - 1: mask for mask in blocks.masks}
+    owner = [-1] * len(run)
+    node_mask: list[int] = []
+    for i in range(len(run)):
+        if owner[i] < 0:  # i starts a node; a block's write precedes its reads
+            m = block_at.get(i, 1 << i)
+            for j in bits(m):
+                owner[j] = len(node_mask)
+            node_mask.append(m)
+    node_succ = []
     for m in node_mask:
         reach = 0
         for i in bits(m):
-            reach |= order.succ[i]
+            reach |= succ[i]
         reach &= ~m
         out = 0
         while reach:
             k = owner[(reach & -reach).bit_length() - 1]
             out |= 1 << k
             reach &= ~node_mask[k]
-        succ.append(out)
-    return BlockGraph(tuple(nodes), succ)
+        node_succ.append(out)
+    events = run.events
+    return BlockGraph(tuple(tuple(events[i] for i in bits(m)) for m in node_mask), node_succ)
 
 
 def block_graph(run: Run, blocks: BlockSet) -> BlockGraph:
     """Nodes are the blocks plus singleton unblocked events; edges follow
-    the block happens-before order between distinct nodes."""
-    return _quotient(run, blocks, block_hb(run, blocks))
+    the closed block happens-before order between distinct nodes."""
+    return _quotient(run, blocks, block_hb(run, blocks).succ)
 
 
 def is_liberally_atomic(run: Run, blocks: BlockSet) -> bool:
-    return block_graph(run, blocks).is_acyclic()
+    return _quotient(run, blocks, _direct_edges(run, blocks)).is_acyclic()
 
 
 def is_conflict_serializable(run: Run, blocks: BlockSet) -> bool:
@@ -117,7 +138,7 @@ def is_conflict_serializable(run: Run, blocks: BlockSet) -> bool:
     and every unblocked event as a unit transaction: the plain
     commutation order collapsed onto the same nodes, with no exemption
     for cross-thread block pairs, must be acyclic."""
-    return _quotient(run, blocks, mazurkiewicz_hb(run)).is_acyclic()
+    return _quotient(run, blocks, _direct_edges(run, BlockSet(run, ()))).is_acyclic()
 
 
 def serial_witness(run: Run, blocks: BlockSet) -> Run:
@@ -127,7 +148,7 @@ def serial_witness(run: Run, blocks: BlockSet) -> Run:
     their original order; every happens-before pair is respected either
     inside a node or by the topological order, so the result is always a
     proper linearization."""
-    g = block_graph(run, blocks)
+    g = _quotient(run, blocks, _direct_edges(run, blocks))
     order = topological_order(g.succ)
     if order is None:
         raise ValueError("blocks are not liberally atomic; no serial witness exists")

@@ -18,6 +18,7 @@ Two structural facts this module relies on (both checked by the tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .trace import Event, Run, TraceError
@@ -64,6 +65,11 @@ class BlockSet:
 
     def __iter__(self):
         return iter(self.blocks)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Run-position mask of each block's members, in block order."""
+        return tuple(sum(1 << self.run.position(e) for e in b.members()) for b in self.blocks)
 
     def block_of(self, e: Event) -> Optional[Block]:
         return self._owner.get(e)

@@ -12,24 +12,42 @@ Three orders, coarsest to finest:
   blocks, and ordered blocks order all their members crosswise.
 
 Every order is one table indexed by run position: ``succ[i]`` is the
-bitmask of the positions ordered after position i.  An order is built
-from a table of direct edges, and ``transitive_closure`` closes it in one
-pass in reverse ``topological_order``; those two routines are the only
-closure and the only topological sort in the package.  The direct edges
-of the two base orders take O(n·|Σ|) to build: each event gets an edge
-from the last earlier occurrence of every annotated symbol it depends on
-(occurrences of one symbol share a thread, so earlier ones are reached
-through the last), plus one from the write it reads from.  Every edge of
-every order here points forward in run order, so the run itself always
-linearizes it; ``saturate`` checks this for the edges it adds.
+bitmask of the positions ordered after position i.  Every edge of every
+order here points forward in run order, so the run itself linearizes
+each of them and run order is a topological order of each.  That is why
+``transitive_closure`` needs no sort: one pass from the last position
+to the first finds every successor row already closed.  ``PartialOrder``
+refuses a table with a backward edge or a self loop, which also rules
+out every cycle; ``saturate`` checks the edges it adds and reports a
+backward one through ``cyclic`` instead.
 
-Everything here is offline and dense; the constant-space streaming
-counterpart lives in monitor.py.
+The direct edges of the two base orders take O(n·|Σ|) to build.  The
+annotated symbols of the run are numbered once, with one mask per
+symbol of the other-thread symbols it extended-depends on.  Each event
+gets an edge from the previous event of its thread (same-thread symbols
+always depend), from the last earlier occurrence of every other-thread
+symbol it depends on (occurrences of one symbol share a thread, so
+earlier ones are reached through the last), and from the write it reads
+from.  Block membership comes from the block set's position masks.
+Consumers that need only reachability, such as the atomicity checks,
+use the direct edges and never close them.
+
+``saturate`` keeps the closed table between rounds.  Rule 2 reads each
+block's reach off its write's row, since the write precedes every
+member, and maps the bits that fall in other same-variable blocks to
+blocks through an owner table, so a round costs one step per new block
+pair.  Rule 3 ORs each block's new targets into its members' rows, and
+the table is closed again.  The block pairs are kept as index pairs and
+turned into ``Block`` pairs only when ``overlay`` is first read.
+
+Everything here is offline; the constant-space streaming counterpart
+lives in monitor.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterator, Optional, Sequence
 
@@ -47,33 +65,39 @@ def bits(mask: int) -> Iterator[int]:
 
 def topological_order(edges: Sequence[int]) -> Optional[list[int]]:
     """Kahn order of a direct-edge table (``edges[i]`` is the mask of the
-    direct successors of i), lowest ready index first; None on a cycle."""
+    direct successors of i), lowest ready index first; None on a cycle.
+    For graphs whose edges may point backward, such as block graphs;
+    orders over a run are already sorted by run order."""
     indeg = [0] * len(edges)
     for mask in edges:
-        for j in bits(mask):
-            indeg[j] += 1
+        while mask:
+            low = mask & -mask
+            indeg[low.bit_length() - 1] += 1
+            mask ^= low
     ready = [i for i, d in enumerate(indeg) if d == 0]
     order = []
     while ready:
         i = heappop(ready)
         order.append(i)
-        for j in bits(edges[i]):
+        mask = edges[i]
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
             indeg[j] -= 1
             if indeg[j] == 0:
                 heappush(ready, j)
+            mask ^= low
     return order if len(order) == len(edges) else None
 
 
-def transitive_closure(edges: Sequence[int]) -> Optional[list[int]]:
-    """Successor masks of the transitive closure of a direct-edge table,
-    in one pass in reverse topological order; None on a cycle.  A
-    successor already reached through an earlier one is skipped, since
-    its own row is closed and already merged."""
-    order = topological_order(edges)
-    if order is None:
-        return None
+def transitive_closure(edges: Sequence[int]) -> list[int]:
+    """Successor masks of the transitive closure of a direct-edge table
+    whose edges all point forward (every bit j of ``edges[i]`` has
+    j > i), in one pass in reverse run order: each successor's row is
+    closed before it is merged.  A successor already reached through an
+    earlier one is skipped, since its own row is already merged."""
     succ = list(edges)
-    for i in reversed(order):
+    for i in range(len(succ) - 1, -1, -1):
         acc = todo = succ[i]
         while todo:
             low = todo & -todo
@@ -88,16 +112,20 @@ class PartialOrder:
     """A strict partial order over the events of one run.
 
     ``succ[i]`` is the mask of the positions of ``universe`` ordered after
-    ``universe[i]``.  Built from a table of direct edges, which it closes;
-    raises ValueError when the edges form a cycle."""
+    ``universe[i]``.  Built from a table of direct edges, which it closes.
+    Every edge must point forward in ``universe`` order; a backward edge
+    or a self loop raises ValueError, and so does any cycle."""
 
     def __init__(self, universe: Sequence[Event], edges: Sequence[int]):
         self.universe: tuple[Event, ...] = tuple(universe)
-        self._index = {e: i for i, e in enumerate(self.universe)}
-        succ = transitive_closure(edges)
-        if succ is None:
-            raise ValueError("the edges form a cycle")
-        self.succ: tuple[int, ...] = tuple(succ)
+        for i, mask in enumerate(edges):
+            if mask & ((2 << i) - 1):
+                raise ValueError("an edge from position %d does not point forward" % i)
+        self.succ: tuple[int, ...] = tuple(transitive_closure(edges))
+
+    @cached_property
+    def _index(self) -> dict[Event, int]:
+        return {e: i for i, e in enumerate(self.universe)}
 
     def ordered(self, e: Event, f: Event) -> bool:
         """True iff e strictly before f."""
@@ -155,20 +183,42 @@ class PartialOrder:
 
 
 def _direct_edges(run: Run, blocks: BlockSet) -> list[int]:
-    """Direct edges of the block order: from the last earlier occurrence
-    of each annotated symbol that the event extended-depends on, and from
-    the write it reads from (which covers the pairs inside one block)."""
+    """Direct edges of the block order: from the previous event of the
+    same thread, from the last earlier occurrence of each other-thread
+    symbol that the event extended-depends on, and from the write it
+    reads from (which covers the pairs inside one block).  Same-thread
+    symbols always depend, and every earlier event of the thread is
+    reached through the previous one.  Symbols are numbered in order of
+    first occurrence; ``cross[k]`` is the mask of the other-thread
+    symbols that symbol k extended-depends on."""
+    marked = bytearray(len(run))
+    for mask in blocks.masks:
+        for i in bits(mask):
+            marked[i] = 1
+    ids: dict[AnnLabel, int] = {}
+    code = [ids.setdefault((lab, m == 1), len(ids)) for lab, m in zip(run.labels, marked)]
+    cross = [
+        sum(1 << k for k, t in enumerate(ids) if s[0].thread != t[0].thread and extended_dep(s, t))
+        for s in ids
+    ]
+    last = [0] * len(ids)
+    seen = 0
+    prev: dict[str, int] = {}
     edges = [0] * len(run)
-    last: dict[AnnLabel, int] = {}
-    for j, e in enumerate(run.events):
-        sym = (e.label, blocks.is_member(e))
+    rf = run.rf_pos
+    for j, (k, lab) in enumerate(zip(code, run.labels)):
         bit = 1 << j
-        for other, i in last.items():
-            if extended_dep(other, sym):
-                edges[i] |= bit
-        if j in run.rf_pos:
-            edges[run.rf_pos[j]] |= bit
-        last[sym] = j
+        hit = cross[k] & seen
+        while hit:
+            low = hit & -hit
+            edges[last[low.bit_length() - 1]] |= bit
+            hit ^= low
+        if lab.thread in prev:
+            edges[prev[lab.thread]] |= bit
+        if j in rf:
+            edges[rf[j]] |= bit
+        prev[lab.thread] = last[k] = j
+        seen |= 1 << k
     return edges
 
 
@@ -190,18 +240,25 @@ class SaturationResult:
     """Fixpoint of the saturation rules.
 
     ``order`` is the saturated event order, one successor mask per run
-    position, and ``overlay`` the block pairs the fixpoint ordered.
-    Saturation only adds edges that point forward in run order, so the
-    run itself linearizes the result.  On valid block sets that always
-    holds, because same-variable blocks never interleave; it is checked
-    anyway.  A backward edge stops the fixpoint and sets ``cyclic``; then
+    position.  ``block_pairs`` holds the block pairs the fixpoint
+    ordered, as index pairs into ``blocks.blocks``; ``overlay`` is the
+    same set as ``Block`` pairs, built on first read.  Saturation only
+    adds edges that point forward in run order, so the run itself
+    linearizes the result.  On valid block sets that always holds,
+    because same-variable blocks never interleave; it is checked anyway.
+    A backward edge stops the fixpoint and sets ``cyclic``; then
     ``order`` is the last stage before that edge, not the saturation."""
 
     run: Run
     blocks: BlockSet
     order: PartialOrder
-    overlay: frozenset[tuple[Block, Block]]
+    block_pairs: frozenset[tuple[int, int]]
     cyclic: bool
+
+    @cached_property
+    def overlay(self) -> frozenset[tuple[Block, Block]]:
+        bl = self.blocks.blocks
+        return frozenset((bl[a], bl[b]) for a, b in self.block_pairs)
 
     def ordered(self, e: Event, f: Event) -> bool:
         return self.order.ordered(e, f)
@@ -221,36 +278,50 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
 
     closed under transitivity.  Rule 2 is restricted to events that are
     block members (events outside every block never order blocks).  All
-    members of a block access its variable, so rule 2 is one mask test
-    per pair of blocks on one variable, and rule 3 adds the second
-    block's member mask to the direct edges of the first block's
-    members (only the bits the order does not already hold)."""
-    edges = _direct_edges(run, blocks)
-    bl = blocks.blocks
-    pos = [[run.position(e) for e in b.members()] for b in bl]
-    mask = [sum(1 << i for i in p) for p in pos]
-    by_var: dict[str, list[int]] = {}
-    for a, b in enumerate(bl):
-        by_var.setdefault(b.variable, []).append(a)
-    same_var = [(a, b) for group in by_var.values() for a in group for b in group if a != b]
-    overlay: set[tuple[int, int]] = set()
+    members of a block access its variable, and the block's write
+    precedes its reads, so block a reaches block b exactly when the
+    write's row meets b's member mask.  ``rivals[a]`` holds the members
+    of the same-variable blocks that a is not yet ordered before; the
+    bits of the write's row inside it name the new pairs through
+    ``owner``.  Rule 3 ORs the new targets into the rows of a's members,
+    and the table is closed again for the next round."""
+    succ = transitive_closure(_direct_edges(run, blocks))
+    masks = blocks.masks
+    owner = [0] * len(run)
+    by_var: dict[str, int] = {}
+    for a, (b, mask) in enumerate(zip(blocks.blocks, masks)):
+        for i in bits(mask):
+            owner[i] = a
+        by_var[b.variable] = by_var.get(b.variable, 0) | mask
+    rivals = [by_var[b.variable] & ~mask for b, mask in zip(blocks.blocks, masks)]
+    write = [(mask & -mask).bit_length() - 1 for mask in masks]
+    clear = [~mask for mask in masks]
+    pairs: list[tuple[int, int]] = []
     cyclic = False
-    while not cyclic:
-        order = PartialOrder(run.events, edges)
-        reach = [0] * len(bl)
-        for a, p in enumerate(pos):
-            for i in p:
-                reach[a] |= order.succ[i]
-        new = [(a, b) for a, b in same_var if (a, b) not in overlay and reach[a] & mask[b]]
-        if not new:
+    while True:
+        grown = []
+        for a, mask in enumerate(masks):
+            rest = rivals[a]
+            fresh = succ[write[a]] & rest
+            if not fresh:
+                continue
+            while fresh:
+                b = owner[(fresh & -fresh).bit_length() - 1]
+                pairs.append((a, b))
+                rest &= clear[b]
+                fresh &= rest
+            targets = rivals[a] ^ rest
+            rivals[a] = rest
+            grown.append((mask, targets))
+            # the earliest new target must come after a's last member
+            cyclic = cyclic or (targets & -targets) < 1 << (mask.bit_length() - 1)
+        if not grown or cyclic:
             break
-        overlay.update(new)
-        for a, b in new:
-            cyclic = cyclic or max(pos[a]) > min(pos[b])
-            for i in pos[a]:
-                edges[i] |= mask[b] & ~order.succ[i]
-    pairs = frozenset((bl[a], bl[b]) for a, b in overlay)
-    return SaturationResult(run, blocks, order, pairs, cyclic)
+        for mask, targets in grown:
+            for i in bits(mask):
+                succ[i] |= targets
+        succ = transitive_closure(succ)
+    return SaturationResult(run, blocks, PartialOrder(run.events, succ), frozenset(pairs), cyclic)
 
 
 def ann_label(blocks: BlockSet, e: Event) -> AnnLabel:

@@ -7,10 +7,14 @@ class in which every block is contiguous.
 """
 
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
+from blockeq import orders
 from blockeq.atomicity import (
+    _quotient,
     block_graph,
     canonical_text,
     is_conflict_serializable,
@@ -23,11 +27,12 @@ from blockeq.atomicity import (
 from blockeq.blocks import blocks_from_annotation
 from blockeq.monitor import Universe, symbols_of
 from blockeq.oracle import enum_block_class, proper_linearizations, proper_topological_sort
-from blockeq.orders import is_proper_linearization
+from blockeq.orders import block_hb, is_proper_linearization, mazurkiewicz_hb, topological_order
 from blockeq.trace import Run, parse_run
 
 import gen
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # ---- oracle answer ---------------------------------------------------------
 
@@ -210,6 +215,68 @@ def test_streaming_matches_offline_longer_runs(drawn):
     threads, variables, aw = drawn
     streamed = libat_run(aw, Universe(threads, variables))
     assert streamed == is_liberally_atomic(aw, blocks_from_annotation(aw)), describe(aw)
+
+
+# ---- the decisions quotient direct edges; the closed order agrees ----------
+
+def closed_route(aw, blocks):
+    """Reference answers from the closed orders: the Kahn order of the
+    closed block order's quotient (None when cyclic), whether the closed
+    commutation order's quotient is acyclic, and the serial witness read
+    off the first."""
+    g = _quotient(aw, blocks, block_hb(aw, blocks).succ)
+    kahn = topological_order(g.succ)
+    serializable = topological_order(_quotient(aw, blocks, mazurkiewicz_hb(aw).succ).succ) is not None
+    if kahn is None:
+        return False, serializable, None
+    events = [e for k in kahn for e in g.nodes[k]]
+    witness = Run([e.label for e in events], [aw.annotation_at(aw.position(e)) for e in events])
+    return True, serializable, witness
+
+
+def check_sparse_route(aw):
+    blocks = blocks_from_annotation(aw)
+    atomic, serializable, witness = closed_route(aw, blocks)
+    assert is_liberally_atomic(aw, blocks) == atomic, describe(aw)
+    assert is_conflict_serializable(aw, blocks) == serializable, describe(aw)
+    if witness is None:
+        with pytest.raises(ValueError):
+            serial_witness(aw, blocks)
+    else:
+        assert serial_witness(aw, blocks) == witness, describe(aw)
+
+
+def test_sparse_route_matches_closed_route_small():
+    # the corpus holds a liberally atomic run that is not conflict
+    # serializable, which random runs of this size rarely are
+    for path in sorted(CORPUS.glob("*.trace")):
+        check_sparse_route(parse_run(path.read_text()))
+    rng = random.Random(6061)
+    for _ in range(300):
+        check_sparse_route(gen.random_annotated_run(rng, rng.randint(2, 9)))
+
+
+@settings(max_examples=150)
+@given(gen.annotated_runs())
+def test_sparse_route_matches_closed_route(drawn):
+    check_sparse_route(drawn[2])
+
+
+def test_decisions_close_no_order(monkeypatch):
+    def refuse(edges):
+        raise AssertionError("an atomicity decision closed an order")
+
+    monkeypatch.setattr(orders, "transitive_closure", refuse)
+    for name in ("five_thread_blocks.trace", "intertwined_blocks.trace",
+                 "atomic_not_serializable.trace", "dead_chain_cycle.trace"):
+        aw = parse_run((CORPUS / name).read_text())
+        blocks = blocks_from_annotation(aw)
+        is_conflict_serializable(aw, blocks)
+        if is_liberally_atomic(aw, blocks):
+            serial_witness(aw, blocks)
+    # the public block graph prints the closed order's edges, so it closes
+    with pytest.raises(AssertionError):
+        block_graph(aw, blocks)
 
 
 def test_conflict_serializable_implies_atomic():

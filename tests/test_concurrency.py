@@ -13,6 +13,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import gen
 from blockeq import concurrency
@@ -151,16 +152,34 @@ def test_corpus_three_thread_zx():
 # ---- fixed-block queries ------------------------------------------------------
 
 def class_inverts_pair(run, cls, c, d):
-    rep = {e: i for i, e in enumerate(run.events)}
-    ce = [e for e in run.events if e.label == c]
-    de = [e for e in run.events if e.label == d]
-    for member in cls.member_runs():
-        pos = {e: i for i, e in enumerate(member.events)}
-        for e in ce:
-            for f in de:
-                if (rep[e] < rep[f]) != (pos[e] < pos[f]):
-                    return True
+    """Whether some member of the class executes an occurrence pair of
+    c and d in the other order than the run does.  A member is a
+    position word: its k-th byte is the run position of its k-th event."""
+    ce = [i for i, lab in enumerate(run.labels) if lab == c]
+    de = [i for i, lab in enumerate(run.labels) if lab == d]
+    for w in cls.words:
+        at = [0] * len(w)
+        for k, p in enumerate(w):
+            at[p] = k
+        if any((i < j) != (at[i] < at[j]) for i in ce for j in de):
+            return True
     return False
+
+
+def check_blocks_against_class(aw):
+    """conc_symbols_blocks on every distinct label pair against class
+    inversion; returns the number of pairs checked against the class."""
+    bs = blocks_from_annotation(aw)
+    if not is_liberally_atomic(aw, bs):
+        for c, d in distinct_label_pairs(aw):
+            assert not conc_symbols_blocks(aw, c, d)
+        return 0
+    cls = enum_block_class(aw, bs)
+    checked = 0
+    for c, d in distinct_label_pairs(aw):
+        assert conc_symbols_blocks(aw, c, d) == class_inverts_pair(aw, cls, c, d), (aw, c, d)
+        checked += 1
+    return checked
 
 
 def test_blocks_matches_class_inversion():
@@ -169,18 +188,14 @@ def test_blocks_matches_class_inversion():
     rng = random.Random(77)
     checked = 0
     for _ in range(120):
-        aw = gen.random_annotated_run(rng, rng.randint(2, 8))
-        bs = blocks_from_annotation(aw)
-        if not is_liberally_atomic(aw, bs):
-            for c, d in distinct_label_pairs(aw):
-                assert not conc_symbols_blocks(aw, c, d)
-            continue
-        cls = enum_block_class(aw, bs)
-        for c, d in distinct_label_pairs(aw):
-            got = conc_symbols_blocks(aw, c, d)
-            assert got == class_inverts_pair(aw, cls, c, d)
-            checked += 1
+        checked += check_blocks_against_class(gen.random_annotated_run(rng, rng.randint(2, 8)))
     assert checked > 200
+
+
+@settings(max_examples=200)
+@given(gen.annotated_runs(max_threads=3, max_vars=3, min_events=2, max_events=10))
+def test_blocks_matches_class_inversion_drawn(drawn):
+    check_blocks_against_class(drawn[2])
 
 
 def test_blocks_rejects_invalid_annotation():

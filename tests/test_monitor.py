@@ -6,6 +6,7 @@ straight from the saturated block order of that prefix.  The monitor must
 agree on the full component domain after every single step.
 """
 
+import functools
 import random
 
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from blockeq.monitor import (
     sat_step,
     symbols_of,
 )
-from blockeq.orders import after_set, saturate
+from blockeq.orders import after_set, bits, saturate
 from blockeq.trace import Label, READ, WRITE, Run
 
 import gen
@@ -27,89 +28,87 @@ import gen
 
 # ---- offline reference ---------------------------------------------------
 
+@functools.cache
+def universe_of(threads, variables):
+    return Universe(threads, variables)
+
+
 def expected_components(run, universe):
     """Independently recomputed values of all monitor components for a complete
-    (prefix) run: blk and rf per variable, aft per symbol, first-block
-    after set and open flag per (symbol, thread, variable)."""
+    (prefix) run, as the monitor's own symbol masks: blk and rf per
+    variable, aft per symbol, first-block after set and open flag per
+    (symbol, thread, variable) row."""
     blocks = blocks_from_annotation(run)
-    sat = saturate(run, blocks)
-    events = list(run.events)
-    ann = {e: run.annotation_at(i) for i, e in enumerate(events)}
-    sym_of = {e: (e.label, ann[e]) for e in events}
+    succ = saturate(run, blocks).order.succ
+    sym = [universe.sym_index[s] for s in symbols_of(run)]
     last = {}
-    for e in events:  # run order: later occurrences overwrite
-        last[sym_of[e]] = e
+    for i, s in enumerate(sym):  # run order: later occurrences overwrite
+        last[s] = i
 
-    blk = {}
-    rf = {}
+    def symbols(positions):
+        m = 0
+        for j in bits(positions):
+            m |= 1 << sym[j]
+        return m
+
+    def after(i):  # symbols at-or-after position i in the saturated order
+        return symbols(succ[i] | 1 << i)
+
+    blk = []
+    rf = []
     for v in universe.variables:
-        writes = [e for e in events if e.label.is_write() and e.label.variable == v]
+        writes = [i for i, lab in enumerate(run.labels) if lab.is_write() and lab.variable == v]
         if not writes:
-            blk[v] = frozenset()
-            rf[v] = None
+            blk.append(0)
+            rf.append(-1)
             continue
         w = writes[-1]
-        rf[v] = sym_of[w]
-        if ann[w]:
-            blk[v] = frozenset(sym_of[f] for f in blocks.block_of(w).members())
-        else:
-            blk[v] = frozenset()
+        rf.append(sym[w])
+        blk.append(symbols(next((m for m in blocks.masks if m >> w & 1), 0)))
 
-    aft = {}
-    for s in universe.symbols:
-        e = last.get(s)
-        aft[s] = after_set(run, blocks, e, sat) if e is not None else frozenset()
+    aft = [after(last[s]) if s in last else 0 for s in range(len(universe.symbols))]
 
-    fba = {}
-    fopen = {}
-    for s in universe.symbols:
+    fba = []
+    fopen = []
+    for s in range(len(universe.symbols)):
         e = last.get(s)
         for t in universe.threads:
             for v in universe.variables:
                 if e is None:
-                    fba[s, t, v] = frozenset()
-                    fopen[s, t, v] = True
+                    fba.append(0)
+                    fopen.append(True)
                     continue
+                at_or_after = succ[e] | 1 << e
                 cands = [
-                    b for b in blocks.blocks
-                    if b.variable == v and b.write.label.thread == t
-                    and any(sat.leq(e, f) for f in b.members())
+                    mask for b, mask in zip(blocks.blocks, blocks.masks)
+                    if b.variable == v and b.write.label.thread == t and at_or_after & mask
                 ]
                 if not cands:
-                    fba[s, t, v] = frozenset()
-                    fopen[s, t, v] = True
+                    fba.append(0)
+                    fopen.append(True)
                 else:
                     first = cands[0]  # blocks are kept in write order
-                    out = frozenset()
-                    for f in first.members():
-                        out |= after_set(run, blocks, f, sat)
-                    fba[s, t, v] = out
-                    fopen[s, t, v] = len(cands) < 2
-    return blk, rf, aft, fba, fopen
+                    out = 0
+                    for f in bits(first):
+                        out |= after(f)
+                    fba.append(out)
+                    fopen.append(len(cands) < 2)
+    return tuple(blk), tuple(rf), tuple(aft), tuple(fba), tuple(fopen)
 
 
 def compare_state(q, prefix, universe):
     """Mismatch descriptions between a monitor state and the offline
-    components of the prefix it has consumed (empty = agreement)."""
+    components of the prefix it has consumed (empty = agreement).  The
+    masks are compared whole; a mismatch names the first differing
+    index of a component."""
     k = len(prefix)
-    blk, rf, aft, fba, fopen = expected_components(prefix, universe)
+    want = expected_components(prefix, universe)
+    got = (q.blk, q.rf, q.aft, q.fba, q.open_)
     mismatches = []
-    for v in universe.variables:
-        if q.blk_set(v) != blk[v]:
-            mismatches.append((k, "blk", v, blk[v], q.blk_set(v)))
-        if q.rf_symbol(v) != rf[v]:
-            mismatches.append((k, "rf", v, rf[v], q.rf_symbol(v)))
-    for s in universe.symbols:
-        if q.aft_set(s) != aft[s]:
-            mismatches.append((k, "aft", s, aft[s], q.aft_set(s)))
-        for t in universe.threads:
-            for v in universe.variables:
-                if q.fba_set(s, t, v) != fba[s, t, v]:
-                    mismatches.append(
-                        (k, "fba", (s, t, v), fba[s, t, v], q.fba_set(s, t, v)))
-                if q.fba_open(s, t, v) != fopen[s, t, v]:
-                    mismatches.append(
-                        (k, "open", (s, t, v), fopen[s, t, v], q.fba_open(s, t, v)))
+    for name, w, g in zip(("blk", "rf", "aft", "fba", "open"), want, got):
+        if w != g:
+            i = next(i for i, (x, y) in enumerate(zip(w, g)) if x != y)
+            mismatches.append((k, name, i, w[i], g[i]))
     return mismatches
 
 
@@ -118,15 +117,15 @@ def compare_prefixes(aw, universe=None, every=1):
     ``every``-th prefix and after the full run; returns a list of
     mismatch descriptions (empty = agreement)."""
     if universe is None:
-        universe = Universe.from_run(aw)
+        universe = universe_of(aw.threads, aw.variables)
     labels = list(aw.labels)
-    bits = list(aw.annotations)
+    marks = list(aw.annotations)
     q = sat_initial(universe)
     mismatches = []
     for k in range(1, len(labels) + 1):
-        q = sat_step(q, (labels[k - 1], bits[k - 1]))
+        q = sat_step(q, (labels[k - 1], marks[k - 1]))
         if k % every == 0 or k == len(labels):
-            mismatches += compare_state(q, Run(labels[:k], bits[:k]), universe)
+            mismatches += compare_state(q, Run(labels[:k], marks[:k]), universe)
     return mismatches
 
 
@@ -156,6 +155,32 @@ def test_monitor_random_runs():
         aw = gen.random_annotated_run(rng, rng.randint(5, 12))
         mism = compare_prefixes(aw)
         assert not mism, "case %d: %s\nfirst mismatch: %r" % (i, describe(aw), mism[0])
+
+
+def test_state_accessors_match_masks():
+    # compare_state reads the masks; the per-row accessors must read the
+    # same facts, and after_set must match the saturated order's rows
+    rng = random.Random(4102)
+    for _ in range(60):
+        aw = gen.random_annotated_run(rng, rng.randint(1, 12))
+        u = universe_of(aw.threads, aw.variables)
+        bs = blocks_from_annotation(aw)
+        sat = saturate(aw, bs)
+        q = sat_run(aw, u)
+        for v, vi in u.var_index.items():
+            assert q.blk_set(v) == u.symbol_set(q.blk[vi])
+            assert q.rf_symbol(v) == (u.symbols[q.rf[vi]] if q.rf[vi] >= 0 else None)
+        for s, si in u.sym_index.items():
+            assert q.aft_set(s) == u.symbol_set(q.aft[si])
+            for t in u.threads:
+                for v in u.variables:
+                    r = u.row(si, u.thread_index[t], u.var_index[v])
+                    assert q.fba_set(s, t, v) == u.symbol_set(q.fba[r])
+                    assert q.fba_open(s, t, v) == q.open_[r]
+        aft = expected_components(aw, u)[2]
+        last = {s: i for i, s in enumerate(symbols_of(aw))}
+        for s, i in last.items():
+            assert after_set(aw, bs, aw.events[i], sat) == u.symbol_set(aft[u.sym_index[s]])
 
 
 @settings(max_examples=150)
@@ -218,7 +243,7 @@ def minimize(aw):
     """Greedy shrink of a disagreeing annotated run: drop events, then
     clear annotation bits, as long as the disagreement survives."""
     labels = list(aw.labels)
-    bits = list(aw.annotations)
+    marks = list(aw.annotations)
 
     def still_fails(ls, bs):
         try:
@@ -236,17 +261,17 @@ def minimize(aw):
         changed = False
         for i in range(len(labels) - 1, -1, -1):
             ls = labels[:i] + labels[i + 1:]
-            bs = bits[:i] + bits[i + 1:]
+            bs = marks[:i] + marks[i + 1:]
             if ls and still_fails(ls, bs):
-                labels, bits = ls, bs
+                labels, marks = ls, bs
                 changed = True
         for i in range(len(labels)):
-            if bits[i]:
-                bs = bits[:i] + [False] + bits[i + 1:]
+            if marks[i]:
+                bs = marks[:i] + [False] + marks[i + 1:]
                 if still_fails(labels, bs):
-                    bits = bs
+                    marks = bs
                     changed = True
-    return Run(labels, bits)
+    return Run(labels, marks)
 
 
 if __name__ == "__main__":

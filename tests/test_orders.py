@@ -2,9 +2,10 @@
 
 The commutation order is cross-checked against a from-scratch
 transitive closure; the block order against the pair-dropping rule it
-is defined by; saturation against hand-worked corpus instances and the
-enumeration lemma that its proper linearizations match the plain block
-order's.
+is defined by; saturation against a naive fixpoint that re-tests every
+same-variable block pair each round, hand-worked corpus instances and
+the enumeration lemma that its proper linearizations match the plain
+block order's.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import gen
 from blockeq.blocks import all_block_sets, annotate, blocks_from_annotation
@@ -110,6 +112,11 @@ def test_partial_order_basics():
     assert not po.is_linearized_by([e1, e0, e2])
     with pytest.raises(ValueError):
         PartialOrder(run.events, [0b010, 0b001, 0b000])  # e0 -> e1 -> e0
+    # every edge must point forward in run order, even when acyclic
+    with pytest.raises(ValueError):
+        PartialOrder(run.events, [0, 0b001, 0])  # e1 -> e0
+    with pytest.raises(ValueError):
+        PartialOrder(run.events, [0b001, 0, 0])  # e0 -> e0
 
 
 def test_saturation_contains_block_order_and_stays_forward():
@@ -124,6 +131,59 @@ def test_saturation_contains_block_order_and_stays_forward():
         assert bhb <= satp
         pos = {e: i for i, e in enumerate(aw.events)}
         assert all(pos[e] < pos[f] for e, f in satp)
+
+
+def saturate_by_hand(run, blocks):
+    """Naive fixpoint: every same-variable block pair is tested against
+    the whole closed relation, and the relation is re-closed after each
+    round.  Returns the event pairs and the block index pairs."""
+    members = [b.members() for b in blocks]
+    rel = set(block_hb(run, blocks).pairs())
+    overlay = set()
+    while True:
+        new = {
+            (a, b)
+            for a, ba in enumerate(blocks)
+            for b, bb in enumerate(blocks)
+            if a != b and ba.variable == bb.variable and (a, b) not in overlay
+            and any((e, f) in rel for e in members[a] for f in members[b])
+        }
+        if not new:
+            return rel, overlay
+        overlay |= new
+        rel |= {(e, f) for a, b in new for e in members[a] for f in members[b]}
+        rel = closure_by_hand(run, {(run.position(e), run.position(f)) for e, f in rel})
+
+
+def check_saturation(aw):
+    bs = blocks_from_annotation(aw)
+    sat = saturate(aw, bs)
+    rel, overlay = saturate_by_hand(aw, bs)
+    assert not sat.cyclic
+    assert set(sat.order.pairs()) == rel
+    assert sat.block_pairs == overlay
+    assert sat.overlay == {(bs.blocks[a], bs.blocks[b]) for a, b in overlay}
+
+
+def test_saturation_matches_naive_fixpoint_small():
+    rng = random.Random(27)
+    for _ in range(150):
+        check_saturation(gen.random_annotated_run(rng, rng.randint(1, 12)))
+
+
+@settings(max_examples=100)
+@given(gen.annotated_runs())
+def test_saturation_matches_naive_fixpoint(drawn):
+    check_saturation(drawn[2])
+
+
+def test_block_pairs_are_built_on_demand():
+    run = corpus("saturation_chain.trace")
+    bs = blocks_from_annotation(run)
+    sat = saturate(run, bs)
+    assert sat.block_pairs and "overlay" not in vars(sat)
+    assert len(sat.overlay) == len(sat.block_pairs)
+    assert "overlay" in vars(sat)
 
 
 def test_saturation_chain_corpus():
