@@ -7,7 +7,7 @@ sitting in distinct nodes.  Acyclicity means the run can be reordered,
 without leaving its block equivalence class, into a run where every
 block is contiguous.
 
-The decisions never close the order.  ``_quotient`` collapses the
+The decisions never close the order.  ``_condense`` collapses the
 *direct* edges of the block order (or of the commutation order, for
 conflict serializability) onto the nodes.  That graph has fewer edges
 than the quotient of the closed order, but the same reachability:
@@ -37,8 +37,8 @@ into every predecessor, so the paths it stood for survive the removal.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .blocks import BlockSet, blocks_from_annotation
@@ -60,53 +60,22 @@ class BlockGraph:
         self.nodes = nodes
         self.succ = succ
 
-    @cached_property
-    def _owner(self) -> dict[Event, int]:
-        owner: dict[Event, int] = {}
-        for i, members in enumerate(self.nodes):
-            for e in members:
-                assert e not in owner, "nodes must partition the events"
-                owner[e] = i
-        return owner
-
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, m in enumerate(self.succ) for j in bits(m))
-
-    def node_of(self, e: Event) -> int:
-        return self._owner[e]
-
-    def successors(self, i: int) -> list[int]:
-        return list(bits(self.succ[i]))
-
-    def is_acyclic(self) -> bool:
-        return topological_order(self.succ) is not None
-
-    def topological_order(self) -> list[int]:
-        """Kahn order, lowest node index first among the ready ones.
-        Raises ValueError if the graph has a cycle."""
-        order = topological_order(self.succ)
-        if order is None:
-            raise ValueError("block graph has a cycle; no topological order")
-        return order
 
     def __len__(self):
         return len(self.nodes)
 
 
-def _quotient(run: Run, blocks: BlockSet, succ: Sequence[int]) -> BlockGraph:
-    """The successor table ``succ`` collapsed onto the nodes: the blocks
-    plus one singleton per unblocked event, numbered by their first
-    event's run position."""
-    block_at = {(mask & -mask).bit_length() - 1: mask for mask in blocks.masks}
-    owner = [-1] * len(run)
-    node_mask: list[int] = []
-    for i in range(len(run)):
-        if owner[i] < 0:  # i starts a node; a block's write precedes its reads
-            m = block_at.get(i, 1 << i)
-            for j in bits(m):
-                owner[j] = len(node_mask)
-            node_mask.append(m)
+def _condense(blocks: BlockSet, succ: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Each node's position mask, and its successor mask over nodes, of
+    ``succ`` collapsed onto the blocks plus one singleton per unblocked
+    event.  Nodes are numbered by their first position (a block's write
+    precedes its reads), which a bisection finds."""
+    owner, masks, writes = blocks.owner, blocks.masks, blocks.writes
+    starts = [i for i, b in enumerate(owner) if b < 0 or writes[b] == i]
+    node_mask = [1 << i if owner[i] < 0 else masks[owner[i]] for i in starts]
     node_succ = []
     for m in node_mask:
         reach = 0
@@ -115,12 +84,19 @@ def _quotient(run: Run, blocks: BlockSet, succ: Sequence[int]) -> BlockGraph:
         reach &= ~m
         out = 0
         while reach:
-            k = owner[(reach & -reach).bit_length() - 1]
+            j = (reach & -reach).bit_length() - 1
+            b = owner[j]
+            k = bisect_left(starts, j if b < 0 else writes[b])
             out |= 1 << k
             reach &= ~node_mask[k]
         node_succ.append(out)
-    events = run.events
-    return BlockGraph(tuple(tuple(events[i] for i in bits(m)) for m in node_mask), node_succ)
+    return node_mask, node_succ
+
+
+def _quotient(run: Run, blocks: BlockSet, succ: Sequence[int]) -> BlockGraph:
+    """``_condense`` with each node listed as its events."""
+    node_mask, node_succ = _condense(blocks, succ)
+    return BlockGraph(tuple(tuple(run.events[i] for i in bits(m)) for m in node_mask), node_succ)
 
 
 def block_graph(run: Run, blocks: BlockSet) -> BlockGraph:
@@ -130,7 +106,7 @@ def block_graph(run: Run, blocks: BlockSet) -> BlockGraph:
 
 
 def is_liberally_atomic(run: Run, blocks: BlockSet) -> bool:
-    return _quotient(run, blocks, _direct_edges(run, blocks)).is_acyclic()
+    return topological_order(_condense(blocks, _direct_edges(run, blocks))[1]) is not None
 
 
 def is_conflict_serializable(run: Run, blocks: BlockSet) -> bool:
@@ -138,7 +114,8 @@ def is_conflict_serializable(run: Run, blocks: BlockSet) -> bool:
     and every unblocked event as a unit transaction: the plain
     commutation order collapsed onto the same nodes, with no exemption
     for cross-thread block pairs, must be acyclic."""
-    return _quotient(run, blocks, _direct_edges(run, BlockSet(run, ()))).is_acyclic()
+    plain = _direct_edges(run, BlockSet(run, ()))
+    return topological_order(_condense(blocks, plain)[1]) is not None
 
 
 def serial_witness(run: Run, blocks: BlockSet) -> Run:
@@ -148,12 +125,12 @@ def serial_witness(run: Run, blocks: BlockSet) -> Run:
     their original order; every happens-before pair is respected either
     inside a node or by the topological order, so the result is always a
     proper linearization."""
-    g = _quotient(run, blocks, _direct_edges(run, blocks))
-    order = topological_order(g.succ)
+    node_mask, node_succ = _condense(blocks, _direct_edges(run, blocks))
+    order = topological_order(node_succ)
     if order is None:
         raise ValueError("blocks are not liberally atomic; no serial witness exists")
-    events = [e for i in order for e in g.nodes[i]]
-    return Run([e.label for e in events], [run.annotation_at(run.position(e)) for e in events])
+    picked = [i for k in order for i in bits(node_mask[k])]
+    return Run([run.labels[i] for i in picked], [run.annotations[i] for i in picked])
 
 
 # ---- streaming check ------------------------------------------------------

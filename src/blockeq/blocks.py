@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .trace import Event, Run, TraceError
 
@@ -46,55 +46,84 @@ class Block:
 
 
 class BlockSet:
-    """A pairwise-disjoint set of blocks over one run."""
+    """A pairwise-disjoint set of blocks over one run, held by its
+    writes: ``writes`` are their positions, ascending, ``masks`` their
+    member masks, ``owner`` the block index of each position (-1 when
+    unblocked) and ``by_variable`` the members on each variable of the
+    run.  ``Block`` objects are built when ``blocks`` is read.  Every
+    block must be a candidate block (see below)."""
 
     def __init__(self, run: Run, blocks: Iterable[Block]):
+        blocks = sorted(blocks, key=lambda b: _position_of(run, b.write))
+        self._fill(run, [run.position(b.write) for b in blocks])
+        is_write = run.is_write
+        if blocks and (tuple(blocks) != self.blocks or not all(is_write[w] for w in self.writes)):
+            raise ValueError("a block must hold a write and all its readers")
+
+    @classmethod
+    def _of_writes(cls, run: Run, writes: Iterable[int]) -> "BlockSet":
+        self = cls.__new__(cls)
+        self._fill(run, writes)
+        return self
+
+    def _fill(self, run: Run, writes: Iterable[int]) -> None:
         self.run = run
-        self.blocks: tuple[Block, ...] = tuple(
-            sorted(blocks, key=lambda b: run.position(b.write))
-        )
-        self._owner: dict[Event, Block] = {}
-        for b in self.blocks:
-            for e in b.members():
-                if e in self._owner:
-                    raise ValueError("event %s belongs to two blocks" % (e,))
-                self._owner[e] = b
+        self.writes: tuple[int, ...] = tuple(sorted(writes))
+        owner = [-1] * len(run)
+        masks, by_variable = [], [0] * len(run.variables)
+        for b, w in enumerate(self.writes):
+            if owner[w] >= 0:
+                raise ValueError("event %s belongs to two blocks" % (run.event_at(w),))
+            members = (w,) + run.readers[w]
+            for i in members:
+                owner[i] = b
+            masks.append(sum(1 << i for i in members))
+            by_variable[run.vid[w]] |= masks[-1]
+        self.owner: tuple[int, ...] = tuple(owner)
+        self.masks: tuple[int, ...] = tuple(masks)
+        self.by_variable: tuple[int, ...] = tuple(by_variable)
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        ev = self.run.events
+        return tuple(Block(ev[w], tuple(ev[r] for r in self.run.readers[w])) for w in self.writes)
 
     def __len__(self):
-        return len(self.blocks)
+        return len(self.writes)
 
     def __iter__(self):
         return iter(self.blocks)
 
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Run-position mask of each block's members, in block order."""
-        return tuple(sum(1 << self.run.position(e) for e in b.members()) for b in self.blocks)
-
     def block_of(self, e: Event) -> Optional[Block]:
-        return self._owner.get(e)
+        return self.blocks[self.owner[self.run.position(e)]] if self.is_member(e) else None
 
     def is_member(self, e: Event) -> bool:
-        return e in self._owner
+        try:
+            return self.owner[self.run.position(e)] >= 0
+        except KeyError:
+            return False
 
     def members(self) -> frozenset[Event]:
-        return frozenset(self._owner)
+        return frozenset(e for e, b in zip(self.run.events, self.owner) if b >= 0)
 
     def unblocked(self) -> list[Event]:
-        return [e for e in self.run.events if e not in self._owner]
+        return [e for e, b in zip(self.run.events, self.owner) if b < 0]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BlockSet)
-            and self.run == other.run
-            and set(self.blocks) == set(other.blocks)
-        )
+        return isinstance(other, BlockSet) and self.run == other.run and self.writes == other.writes
 
     def __hash__(self):
-        return hash((self.run, frozenset(self.blocks)))
+        return hash((self.run, self.writes))
 
     def __str__(self):
         return "[" + "; ".join(str(b) for b in self.blocks) + "]"
+
+
+def _position_of(run: Run, e: Event) -> int:
+    try:
+        return run.position(e)
+    except KeyError:
+        raise ValueError("%s is not an event of the run" % (e,)) from None
 
 
 def candidate_blocks(run: Run) -> list[Block]:
@@ -104,32 +133,31 @@ def candidate_blocks(run: Run) -> list[Block]:
     write and *all* reads observing it), so the valid block sets are exactly
     the subsets of this list — they are automatically disjoint.
     """
-    rf = run.reads_from()
-    readers: dict[Event, list[Event]] = {}
-    for r in sorted(rf, key=run.position):
-        readers.setdefault(rf[r], []).append(r)
-    out = []
-    for e in run.events:
-        if e.label.is_write():
-            out.append(Block(e, tuple(readers.get(e, ()))))
-    return out
+    return list(BlockSet._of_writes(run, _write_positions(run)).blocks)
+
+
+def _write_positions(run: Run) -> list[int]:
+    return [i for i, w in enumerate(run.is_write) if w]
 
 
 def blocks_from_writes(run: Run, writes: Iterable[Event]) -> BlockSet:
     """The block set whose blocks are the candidate blocks of the given
     write events."""
-    chosen = set(writes)
-    for e in chosen:
-        if not e.label.is_write():
+    chosen = set()
+    for e in writes:
+        i = _position_of(run, e)
+        if not run.is_write[i]:
             raise ValueError("%s is not a write event" % (e,))
-    cands = {b.write: b for b in candidate_blocks(run)}
-    return BlockSet(run, [cands[w] for w in chosen])
+        chosen.add(i)
+    return BlockSet._of_writes(run, chosen)
 
 
 def annotate(run: Run, block_set: BlockSet) -> Run:
-    """Mark exactly the members of the block set on a copy of the run."""
-    member = block_set.members()
-    return run.with_annotations(e in member for e in run.events)
+    """Mark exactly the members of the block set on a copy of the run,
+    which may list the block set's events in another order."""
+    if run.labels == block_set.run.labels:
+        return run.with_annotations(b >= 0 for b in block_set.owner)
+    return run.with_annotations(block_set.is_member(e) for e in run.events)
 
 
 def is_well_annotated(run: Run) -> bool:
@@ -149,52 +177,52 @@ def blocks_from_annotation(run: Run) -> BlockSet:
     read whose writer is unmarked, or a marked write with an unmarked
     reader.
     """
-    rf = run.reads_from()
-    marked = {e for i, e in enumerate(run.events) if run.annotation_at(i)}
-    writes = []
-    for e in marked:
-        if e.label.is_write():
-            writes.append(e)
-        else:
-            w = rf[e]
-            if w not in marked:
-                raise TraceError(
-                    "marked read %s observes unmarked write %s" % (e, w)
-                )
-    # every reader of a marked write must itself be marked
-    for r, w in rf.items():
-        if w in marked and r not in marked:
+    marked = run.annotations
+    for r, w in run.rf_pos.items():
+        if marked[r] and not marked[w]:
             raise TraceError(
-                "write %s is marked but its reader %s is not" % (w, r)
+                "marked read %s observes unmarked write %s" % (run.event_at(r), run.event_at(w))
             )
-    return blocks_from_writes(run, writes)
+    # every reader of a marked write must itself be marked
+    for r, w in run.rf_pos.items():
+        if marked[w] and not marked[r]:
+            raise TraceError(
+                "write %s is marked but its reader %s is not" % (run.event_at(w), run.event_at(r))
+            )
+    return BlockSet._of_writes(run, [i for i, on in enumerate(marked) if on and run.is_write[i]])
 
 
 def all_block_sets(run: Run) -> Iterable[BlockSet]:
     """Every valid block set of the run (2^#writes of them), smallest
     first.  Deterministic order; intended for small runs."""
-    cands = candidate_blocks(run)
-    n = len(cands)
+    writes = _write_positions(run)
+    n = len(writes)
     for mask in range(1 << n):
-        yield BlockSet(run, [cands[i] for i in range(n) if mask >> i & 1])
+        yield BlockSet._of_writes(run, [writes[i] for i in range(n) if mask >> i & 1])
 
 
 def blocks_in_run_order_disjoint(run: Run, block_set: BlockSet) -> bool:
     """Check that same-variable blocks occupy disjoint position windows.
 
     Always true for valid block sets (a read between two writes of x
-    observes the later write); exposed for the property tests.
+    observes the later write); exposed for the property tests.  ``run``
+    may be any permutation of the block set's run.
     """
-    spans: dict[str, list[tuple[int, int]]] = {}
-    for b in block_set:
-        ps = [run.position(e) for e in b.members()]
-        spans.setdefault(b.variable, []).append((min(ps), max(ps)))
-    for var_spans in spans.values():
-        var_spans.sort()
-        for (lo1, hi1), (lo2, hi2) in zip(var_spans, var_spans[1:]):
-            if lo2 <= hi1:
-                return False
-    return True
+    return _windows_disjoint(block_set, [_position_of(block_set.run, e) for e in run.events])
+
+
+def _windows_disjoint(block_set: BlockSet, order: Iterable[int]) -> bool:
+    """True iff listing the block set's run positions in ``order`` never
+    interleaves two blocks on one variable, that is, iff each block
+    starts exactly one streak among its variable's members."""
+    last: dict[int, int] = {}  # variable -> block of its latest member
+    streaks = 0
+    for p in order:
+        b, x = block_set.owner[p], block_set.run.vid[p]
+        if b >= 0 and last.get(x) != b:
+            last[x] = b
+            streaks += 1
+    return streaks == len(block_set)
 
 
 def parse_block_selector(run: Run, spec: str) -> BlockSet:
@@ -205,9 +233,9 @@ def parse_block_selector(run: Run, spec: str) -> BlockSet:
     ``writes=i,j``-> blocks of the writes at 1-based run positions i, j
     """
     if spec == "all":
-        return BlockSet(run, candidate_blocks(run))
+        return BlockSet._of_writes(run, _write_positions(run))
     if spec == "none":
-        return BlockSet(run, [])
+        return BlockSet._of_writes(run, ())
     if spec.startswith("writes="):
         body = spec[len("writes="):]
         positions = []
@@ -215,16 +243,13 @@ def parse_block_selector(run: Run, spec: str) -> BlockSet:
             tok = tok.strip()
             if not tok:
                 continue
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise TraceError("bad write position %r in block selector" % tok)
             positions.append(int(tok))
-        writes = []
         for p in positions:
             if not 1 <= p <= len(run):
                 raise TraceError("write position %d out of range 1..%d" % (p, len(run)))
-            e = run.event_at(p - 1)
-            if not e.label.is_write():
-                raise TraceError("position %d is %s, not a write" % (p, e.label))
-            writes.append(e)
-        return blocks_from_writes(run, writes)
+            if not run.is_write[p - 1]:
+                raise TraceError("position %d is %s, not a write" % (p, run.labels[p - 1]))
+        return BlockSet._of_writes(run, {p - 1 for p in positions})
     raise TraceError("bad block selector %r (expected all, none or writes=...)" % spec)

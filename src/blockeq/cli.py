@@ -106,12 +106,10 @@ def _load(path: str) -> Run:
 
 def _blocks_for(run: Run, selector: str | None) -> BlockSet:
     """Blocks from an explicit selector, else from the trace's own
-    marks, else the empty block set."""
+    marks (none on an unmarked trace)."""
     if selector is not None:
         return parse_block_selector(run, selector)
-    if any(run.annotations):
-        return blocks_from_annotation(run)
-    return BlockSet(run, ())
+    return blocks_from_annotation(run)
 
 
 def _require_format(cfg: Config, command: str, supported: tuple[str, ...]) -> int | None:
@@ -156,19 +154,19 @@ def _dot_order(name: str, run: Run, pairs) -> str:
     lines = ["digraph %s {" % name]
     for i in range(len(run)):
         lines.append('  e%d [label="%s"];' % (i + 1, _label_text(run, i)))
-    for e, f in pairs:
-        lines.append("  e%d -> e%d;" % (run.position(e) + 1, run.position(f) + 1))
+    for i, j in pairs:
+        lines.append("  e%d -> e%d;" % (i + 1, j + 1))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _emit_order(name: str, run: Run, order, cfg: Config) -> int:
-    pairs = order.covering_pairs()
+    pairs = order.covering_positions()
     if cfg.fmt == "dot":
         sys.stdout.write(_dot_order(name, run, pairs))
     else:
-        for e, f in pairs:
-            print("e%d -> e%d" % (run.position(e) + 1, run.position(f) + 1))
+        for i, j in pairs:
+            print("e%d -> e%d" % (i + 1, j + 1))
     return EXIT_OK
 
 
@@ -237,7 +235,7 @@ def cmd_concurrent(args, cfg: Config) -> int:
     if args.blocks is not None and args.mode != GIVEN_BLOCKS:
         _warn("--blocks is ignored outside blocks mode")
     elif args.blocks is not None:
-        run = annotate(run.core(), parse_block_selector(run.core(), args.blocks))
+        run = annotate(run, parse_block_selector(run, args.blocks))
     if args.strategy == "stream" and (args.mode != MOST_GENERAL or args.events is not None):
         _warn("--strategy applies only to --c/--d queries in general mode; ignoring it")
 
@@ -308,15 +306,9 @@ def cmd_annotate(args, cfg: Config) -> int:
     if bad is not None:
         return bad
     run = _load(args.trace)
-    if args.blocks is not None:
-        selector = args.blocks
-    elif any(run.annotations):
-        selector = None  # keep the trace's own blocks
-    else:
-        selector = "all"
-    core = run.core()
-    blocks = blocks_from_annotation(run) if selector is None else parse_block_selector(core, selector)
-    sys.stdout.write(annotate(core, blocks).to_text())
+    # annotate overwrites every mark; unmarked traces default to all blocks
+    selector = "all" if args.blocks is None and not any(run.annotations) else args.blocks
+    sys.stdout.write(annotate(run, _blocks_for(run, selector)).to_text())
     return EXIT_OK
 
 
@@ -338,7 +330,7 @@ def cmd_sat(args, cfg: Config) -> int:
     if args.dump_state_every is not None and args.dump_state_every <= 0:
         return _fail("--dump-state-every needs a positive count")
     run = _load(args.trace)
-    aw = annotate(run.core(), _blocks_for(run, args.blocks))
+    aw = annotate(run, _blocks_for(run, args.blocks))
     universe = Universe.from_run(aw)
     state = sat_initial(universe)
     every = args.dump_state_every

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .atomicity import LibAtState, is_liberally_atomic, libat_initial, libat_step
-from .blocks import all_block_sets, annotate, blocks_from_annotation
-from .monitor import Universe, symbols_of
+from .blocks import _position_of, all_block_sets, annotate, blocks_from_annotation
+from .monitor import Universe
 from .orders import PartialOrder, mazurkiewicz_hb, saturate
 from .trace import AnnLabel, Event, Label, Run
 
@@ -143,14 +143,12 @@ def conc_step(state: ConcState, sym: AnnLabel) -> ConcState:
 def inner_pair_positions(run: Run, c_hat: AnnLabel, d_hat: AnnLabel) -> list[tuple[int, int]]:
     """Positions (i, j) pairing each c-occurrence with the first
     d-occurrence after it; occurrences with no later d drop out."""
-    syms = symbols_of(run)
-    d_pos = [j for j, s in enumerate(syms) if s == d_hat]
+    (c, c_on), (d, d_on) = c_hat, d_hat
+    d_pos = [j for j in run.by_code[run.code_of(d)] if run.annotations[j] == d_on]
     out = []
-    for i, s in enumerate(syms):
-        if s != c_hat:
-            continue
+    for i in run.by_code[run.code_of(c)]:
         k = bisect_right(d_pos, i)
-        if k < len(d_pos):
+        if run.annotations[i] == c_on and k < len(d_pos):
             out.append((i, d_pos[k]))
     return out
 
@@ -180,11 +178,9 @@ def _orders(run: Run, mode: str) -> Iterator[tuple[Run, PartialOrder]]:
         if is_liberally_atomic(run, bs):
             yield run, saturate(run, bs).order
     elif mode == MOST_GENERAL:
-        base = run.core()
-        for bs in all_block_sets(base):
-            if is_liberally_atomic(base, bs):
-                aw = annotate(base, bs)
-                yield aw, saturate(aw, bs).order
+        for bs in all_block_sets(run):
+            if is_liberally_atomic(run, bs):
+                yield annotate(run, bs), saturate(run, bs).order
     else:
         raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), mode))
 
@@ -280,10 +276,7 @@ def conc_events(run: Run, e: Event, f: Event, mode: str = GIVEN_BLOCKS) -> bool:
     """Can these two specific events execute in the other order in some
     equivalent run?  True iff some order of the mode leaves them
     unordered."""
-    try:
-        i, j = run.position(e), run.position(f)
-    except KeyError as exc:
-        raise ValueError("%s is not an event of the run" % (exc.args[0],)) from None
+    i, j = _position_of(run, e), _position_of(run, f)
     if i == j:
         raise ValueError("need two distinct events")
     if j < i:

@@ -508,4 +508,4 @@ def canonical_text(state: SatState) -> str:
 
 def symbols_of(run: Run) -> list[AnnLabel]:
     """The annotated symbol stream of a run."""
-    return [(e.label, run.annotation_at(i)) for i, e in enumerate(run.events)]
+    return list(zip(run.labels, run.annotations))

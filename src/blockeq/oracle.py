@@ -1,11 +1,14 @@
 """Brute-force ground truth for the streaming components.
 
-Everything in this module enumerates explicitly: equivalence classes by
-breadth-first closure under the allowed swaps, reads-from classes by
-interleaving search, proper linearizations by topological DFS.  All of
-it is deliberately bounded, and none of it is built on the offline
-orders: the point is certifying the incremental algorithms on
-desk-scale instances by an independent route.
+The class enumerations are order-free and bounded: equivalence classes
+by breadth-first closure under the allowed swaps and reads-from classes
+by interleaving search never consult the offline orders, and their
+length caps keep them at desk scale, so they certify the incremental
+algorithms by an independent route.  The linearization helpers are not
+order-free: ``proper_linearizations`` and ``check_scope`` search
+topologically over ``block_hb`` (bounded), ``check_scope`` tests its
+premise on ``saturate``, and ``proper_topological_sort`` emits along
+``saturate`` with no bound.
 
 Class members are *position words*: ``bytes`` whose k-th byte is the
 run position of the k-th event.  The swap closure reads a commutation
@@ -21,7 +24,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .blocks import BlockSet
-from .orders import PartialOrder, bits, block_hb, saturate
+from .orders import PartialOrder, bits, block_hb, rows_union, saturate
 from .trace import Event, Label, Run, conflicting
 
 SWAP_BOUND = 12  # breadth-first closure under swaps
@@ -70,20 +73,19 @@ class EquivClass:
         return len(self.words)
 
     def __contains__(self, item) -> bool:
-        labels = item.labels if isinstance(item, Run) else tuple(item)
-        slots: dict[Label, list[int]] = {}  # label -> its positions, last first
-        for p in reversed(range(len(self.representative))):
-            slots.setdefault(self.representative.labels[p], []).append(p)
+        labels = item.labels if isinstance(item, Run) else item
+        rep = self.representative
+        slots = [list(reversed(s)) for s in rep.by_code]  # each code's positions, last first
         try:
-            return bytes(slots[lab].pop() for lab in labels) in self.words
-        except (KeyError, IndexError):
+            return bytes(slots[rep.code_of(lab)].pop() for lab in labels) in self.words
+        except IndexError:
             return False  # a label the representative lacks, or too many of one
 
     def sorted_words(self) -> list[bytes]:
         """The words in the order of their label sequences."""
-        labels = self.representative.labels
-        rank = {lab: k for k, lab in enumerate(sorted(set(labels)))}
-        table = bytes(rank[lab] for lab in labels).ljust(256, b"\0")
+        codes = self.representative.code
+        rank = {k: r for r, k in enumerate(sorted(set(codes)))}
+        table = bytes(rank[k] for k in codes).ljust(256, b"\0")
         return sorted(self.words, key=lambda w: w.translate(table))
 
     def member_runs(self) -> list[Run]:
@@ -106,17 +108,15 @@ def _swap_closure(run: Run, blocks: Optional[BlockSet]) -> set[bytes]:
     swaps and, with blocks, swaps of two adjacent, contiguous,
     thread-disjoint blocks, re-derived from each word as it is reached."""
     n = len(run)
-    labels = run.labels
-    # free[a] >> b & 1: positions a and b commute
-    free = [sum(1 << b for b in range(n) if not conflicting(la, labels[b])) for la in labels]
-    block = [-1] * n  # block id per position
-    size, threads = [], []  # member count and thread mask per block
-    for k, blk in enumerate(blocks or ()):
-        ps = [run.position(e) for e in blk.members()]
-        for p in ps:
-            block[p] = k
-        size.append(len(ps))
-        threads.append(sum({1 << run.threads.index(labels[p].thread) for p in ps}))
+    code, tid = run.code, run.tid
+    # indep[k] >> k2 & 1: label codes k and k2 commute
+    reps = dict(zip(code, run.labels))
+    indep = {}
+    for k, lab in reps.items():
+        indep[k] = sum(1 << k2 for k2, l2 in reps.items() if not conflicting(lab, l2))
+    masks = blocks.masks if blocks is not None else ()
+    block = blocks.owner if masks else None  # block index per position
+    threads = [sum({1 << tid[p] for p in bits(m)}) for m in masks]  # thread mask per block
 
     start = bytes(range(n))
     seen = {start}
@@ -126,9 +126,9 @@ def _swap_closure(run: Run, blocks: Optional[BlockSet]) -> set[bytes]:
         for w in frontier:
             found = []
             for i in range(n - 1):
-                if free[w[i]] >> w[i + 1] & 1:
+                if indep[code[w[i]]] >> code[w[i + 1]] & 1:
                     found.append(w[:i] + w[i + 1:i + 2] + w[i:i + 1] + w[i + 2:])
-            if size:
+            if masks:
                 # (start, end, thread mask) of each contiguous block, in word order
                 spans = []
                 i = 0
@@ -138,7 +138,7 @@ def _swap_closure(run: Run, blocks: Optional[BlockSet]) -> set[bytes]:
                     if k >= 0:
                         while j < n and block[w[j]] == k:
                             j += 1
-                        if j - i == size[k]:
+                        if j - i == masks[k].bit_count():
                             spans.append((i, j, threads[k]))
                     i = j
                 for (f1, l1, t1), (f2, l2, t2) in zip(spans, spans[1:]):
@@ -173,10 +173,9 @@ def rf_class_words(run: Run, bound: Optional[int] = None) -> Iterator[bytes]:
     they are placed, so every completed word is a member outright."""
     _check_bound(run, bound, RF_BOUND, "reads-from class")
     n = len(run)
-    labels = run.labels
-    var = [run.variables.index(lab.variable) for lab in labels]
+    var = run.vid
     writer = [run.rf_pos.get(p, -1) for p in range(n)]  # -1: a write
-    seqs = [[p for p in range(n) if labels[p].thread == t] for t in run.threads]
+    seqs = run.by_thread
     ptrs = [0] * len(seqs)
     acc = bytearray()
     last_write = [-1] * len(run.variables)
@@ -213,22 +212,11 @@ def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
 
 # ---- proper linearizations -------------------------------------------------
 
-def _block_masks(run: Run, blocks: BlockSet) -> list[tuple[str, int]]:
-    """(variable, member position mask) of every block."""
-    return [(b.variable, sum(1 << run.position(e) for e in b.members())) for b in blocks]
-
-
-def _open_variables(block_masks: list[tuple[str, int]], placed: int) -> set[str]:
-    """Variables of the blocks with some but not all members placed."""
-    return {var for var, m in block_masks if placed & m not in (0, m)}
-
-
-def _minimal(succ: tuple[int, ...], pending: int) -> int:
-    """Mask of the pending positions with no pending predecessor."""
-    blocked = 0
-    for i in bits(pending):
-        blocked |= succ[i]
-    return pending & ~blocked
+def _busy(blocks: BlockSet, placed: int) -> int:
+    """Variable mask of the blocks with some but not all members placed."""
+    vid = blocks.run.vid
+    open_writes = [w for w, m in zip(blocks.writes, blocks.masks) if placed & m not in (0, m)]
+    return sum({1 << vid[w] for w in open_writes})
 
 
 def _proper_search(run: Run, blocks: BlockSet, forced: Iterable[int] = (),
@@ -239,7 +227,7 @@ def _proper_search(run: Run, blocks: BlockSet, forced: Iterable[int] = (),
     respect the order); with ``first_only`` the search stops at the
     first completion."""
     succ = block_hb(run, blocks).succ
-    block_masks = _block_masks(run, blocks)
+    vid = run.vid
     out: list[tuple[int, ...]] = []
     acc = list(forced)
     full = (1 << len(run)) - 1
@@ -248,10 +236,11 @@ def _proper_search(run: Run, blocks: BlockSet, forced: Iterable[int] = (),
         if placed == full:
             out.append(tuple(acc))
             return first_only
-        busy = _open_variables(block_masks, placed)
-        fresh = [m for var, m in block_masks if var in busy and not placed & m]
-        for i in bits(_minimal(succ, full & ~placed)):
-            if any(m >> i & 1 for m in fresh):
+        busy = _busy(blocks, placed)
+        pending = full & ~placed
+        for i in bits(pending & ~rows_union(succ, pending)):
+            b = blocks.owner[i]
+            if b >= 0 and not placed & blocks.masks[b] and busy >> vid[i] & 1:
                 continue  # starting this block would interleave an open one
             acc.append(i)
             done = dfs(placed | 1 << i)
@@ -287,23 +276,21 @@ def proper_topological_sort(
     state is reported because it witnesses a non-atomic input (or a
     bug)."""
     succ = saturate(run, blocks).order.succ
-    key = tie_break if tie_break is not None else run.position
-    events = run.events
-    block_masks = _block_masks(run, blocks)
-    pending = (1 << len(events)) - 1
+    key = None if tie_break is None else (lambda i: tie_break(run.event_at(i)))
+    pending = (1 << len(run)) - 1
     picked: list[int] = []
     while pending:
-        busy = _open_variables(block_masks, ~pending)
+        busy = _busy(blocks, ~pending)
         eligible = [
-            events[i] for i in bits(_minimal(succ, pending))
-            if events[i].label.is_read() or events[i].label.variable not in busy
+            i for i in bits(pending & ~rows_union(succ, pending))
+            if not run.is_write[i] or not busy >> run.vid[i] & 1
         ]
         if not eligible:
             raise ValueError(
                 "proper topological sort is stuck after %d events; "
                 "the blocks are not liberally atomic" % len(picked)
             )
-        i = run.position(min(eligible, key=key))
+        i = min(eligible, key=key)
         pending &= ~(1 << i)
         picked.append(i)
     return Run([run.labels[i] for i in picked], [run.annotations[i] for i in picked])
@@ -320,7 +307,7 @@ def intersection_order(cls: EquivClass) -> PartialOrder:
         for p in reversed(w):
             keep[p] &= later
             later |= 1 << p
-    return PartialOrder(cls.representative.events, keep)
+    return PartialOrder(cls.representative, keep)
 
 
 def count_linear_extensions(order: PartialOrder) -> int:
@@ -355,20 +342,16 @@ def check_scope(
     _check_bound(run, bound, SWAP_BOUND, "scope-completion")
     if not (0 <= prefix_len <= event_pos < len(run)):
         raise ValueError("need 0 <= prefix_len <= event_pos < run length")
-    events = run.events
-    v = list(events[:prefix_len])
-    e = events[event_pos]
-    w = events[prefix_len:event_pos]
-
-    vset = set(v)
-    for b in blocks:
-        ms = set(b.members())
-        if ms & vset and not ms <= vset:
-            raise ValueError("the prefix splits the block %s" % (b,))
-    sat = saturate(run, blocks)
-    for f in w:
-        if sat.ordered(f, e):
-            raise ValueError("%s is ordered before the pivot %s" % (f, e))
+    prefix = (1 << prefix_len) - 1
+    for b, m in enumerate(blocks.masks):
+        if m & prefix and m & ~prefix:
+            raise ValueError("the prefix splits the block %s" % (blocks.blocks[b],))
+    succ = saturate(run, blocks).order.succ
+    for p in range(prefix_len, event_pos):
+        if succ[p] >> event_pos & 1:
+            raise ValueError(
+                "%s is ordered before the pivot %s" % (run.event_at(p), run.event_at(event_pos))
+            )
 
     forced = list(range(prefix_len)) + [event_pos]
     return bool(_proper_search(run, blocks, forced=forced, first_only=True))

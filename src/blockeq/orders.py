@@ -28,17 +28,18 @@ gets an edge from the previous event of its thread (same-thread symbols
 always depend), from the last earlier occurrence of every other-thread
 symbol it depends on (occurrences of one symbol share a thread, so
 earlier ones are reached through the last), and from the write it reads
-from.  Block membership comes from the block set's position masks.
+from.  Block membership comes from the block set's owner table.
 Consumers that need only reachability, such as the atomicity checks,
 use the direct edges and never close them.
 
 ``saturate`` keeps the closed table between rounds.  Rule 2 reads each
 block's reach off its write's row, since the write precedes every
 member, and maps the bits that fall in other same-variable blocks to
-blocks through an owner table, so a round costs one step per new block
-pair.  Rule 3 ORs each block's new targets into its members' rows, and
-the table is closed again.  The block pairs are kept as index pairs and
-turned into ``Block`` pairs only when ``overlay`` is first read.
+blocks through the block set's owner table, so a round costs one step
+per new block pair.  Rule 3 ORs each block's new targets into its
+members' rows, and the table is closed again.  The block pairs are kept
+as index pairs and turned into ``Block`` pairs only when ``overlay`` is
+first read.
 
 Everything here is offline; the constant-space streaming counterpart
 lives in monitor.py.
@@ -51,7 +52,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterator, Optional, Sequence
 
-from .blocks import Block, BlockSet, blocks_in_run_order_disjoint
+from .blocks import Block, BlockSet, _position_of, _windows_disjoint
 from .trace import AnnLabel, Event, Run, extended_dep
 
 
@@ -70,116 +71,123 @@ def topological_order(edges: Sequence[int]) -> Optional[list[int]]:
     orders over a run are already sorted by run order."""
     indeg = [0] * len(edges)
     for mask in edges:
-        while mask:
-            low = mask & -mask
-            indeg[low.bit_length() - 1] += 1
-            mask ^= low
+        for j in bits(mask):
+            indeg[j] += 1
     ready = [i for i, d in enumerate(indeg) if d == 0]
     order = []
     while ready:
         i = heappop(ready)
         order.append(i)
-        mask = edges[i]
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
+        for j in bits(edges[i]):
             indeg[j] -= 1
             if indeg[j] == 0:
                 heappush(ready, j)
-            mask ^= low
     return order if len(order) == len(edges) else None
+
+
+def rows_union(succ: Sequence[int], mask: int) -> int:
+    """Union of the rows of the positions in ``mask``, where those rows
+    are closed: a position inside a row already merged is skipped, since
+    its own row lies inside that row too."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        row = succ[low.bit_length() - 1]
+        acc |= row
+        mask &= ~(row | low)
+    return acc
 
 
 def transitive_closure(edges: Sequence[int]) -> list[int]:
     """Successor masks of the transitive closure of a direct-edge table
     whose edges all point forward (every bit j of ``edges[i]`` has
     j > i), in one pass in reverse run order: each successor's row is
-    closed before it is merged.  A successor already reached through an
-    earlier one is skipped, since its own row is already merged."""
+    closed before it is merged."""
     succ = list(edges)
     for i in range(len(succ) - 1, -1, -1):
-        acc = todo = succ[i]
-        while todo:
-            low = todo & -todo
-            row = succ[low.bit_length() - 1]
-            acc |= row
-            todo &= ~(row | low)
-        succ[i] = acc
+        succ[i] |= rows_union(succ, succ[i])
     return succ
 
 
 class PartialOrder:
     """A strict partial order over the events of one run.
 
-    ``succ[i]`` is the mask of the positions of ``universe`` ordered after
-    ``universe[i]``.  Built from a table of direct edges, which it closes.
-    Every edge must point forward in ``universe`` order; a backward edge
-    or a self loop raises ValueError, and so does any cycle."""
+    ``succ[i]`` is the mask of the positions ordered after position i of
+    ``run``.  Built from a table of direct edges, which it closes.  Every
+    edge must point forward in run order; a backward edge or a self loop
+    raises ValueError, and so does any cycle.  The universe is a ``Run``
+    or its events in run order; events are built only when ``universe``
+    is read."""
 
     def __init__(self, universe: Sequence[Event], edges: Sequence[int]):
-        self.universe: tuple[Event, ...] = tuple(universe)
         for i, mask in enumerate(edges):
             if mask & ((2 << i) - 1):
                 raise ValueError("an edge from position %d does not point forward" % i)
+        if not isinstance(universe, Run):
+            events = tuple(universe)
+            universe = Run(e.label for e in events)
+            if universe.events != events:
+                raise ValueError("the universe must list the events of a run in run order")
+        self.run = universe
         self.succ: tuple[int, ...] = tuple(transitive_closure(edges))
 
-    @cached_property
-    def _index(self) -> dict[Event, int]:
-        return {e: i for i, e in enumerate(self.universe)}
+    @property
+    def universe(self) -> tuple[Event, ...]:
+        return self.run.events
 
     def ordered(self, e: Event, f: Event) -> bool:
         """True iff e strictly before f."""
-        return self.succ[self._index[e]] >> self._index[f] & 1 == 1
+        return self.succ[self.run.position(e)] >> self.run.position(f) & 1 == 1
 
     def leq(self, e: Event, f: Event) -> bool:
         return e == f or self.ordered(e, f)
 
     def successors(self, e: Event) -> frozenset[Event]:
-        return frozenset(self.universe[j] for j in bits(self.succ[self._index[e]]))
+        return frozenset(self.universe[j] for j in bits(self.succ[self.run.position(e)]))
 
     def pairs(self) -> frozenset[tuple[Event, Event]]:
         return frozenset(
             (e, self.universe[j]) for e, m in zip(self.universe, self.succ) for j in bits(m)
         )
 
+    def covering_positions(self) -> list[tuple[int, int]]:
+        """Transitive reduction as position pairs, in row order: a
+        successor is covering unless another successor's row holds it."""
+        succ = self.succ
+        return [(i, j) for i, m in enumerate(succ) for j in bits(m & ~rows_union(succ, m))]
+
     def covering_pairs(self) -> list[tuple[Event, Event]]:
-        """Transitive reduction, for edge-list display: a successor is
-        covering unless another successor's row holds it."""
-        out = []
-        for e, m in zip(self.universe, self.succ):
-            below = 0
-            todo = m
-            while todo:
-                low = todo & -todo
-                row = self.succ[low.bit_length() - 1]
-                below |= row
-                todo &= ~(row | low)
-            out.extend((e, self.universe[j]) for j in bits(m & ~below))
-        return out
+        """Transitive reduction, for edge-list display."""
+        return [(self.universe[i], self.universe[j]) for i, j in self.covering_positions()]
 
     def is_linearized_by(self, seq: Sequence[Event]) -> bool:
-        if len(seq) != len(self.universe) or set(seq) != set(self.universe):
+        try:
+            order = [self.run.position(e) for e in seq]
+        except KeyError:
             return False
+        return sorted(order) == list(range(len(self.succ))) and self._linearized_by(order)
+
+    def _linearized_by(self, order: Sequence[int]) -> bool:
+        """True iff listing the positions in ``order`` respects every edge."""
         later = 0
-        for e in reversed(seq):
-            i = self._index[e]
+        for i in reversed(order):
             if self.succ[i] & ~later:
                 return False
             later |= 1 << i
         return True
 
     def __len__(self):
-        return len(self.universe)
+        return len(self.succ)
 
     def __eq__(self, other):
         return (
             isinstance(other, PartialOrder)
-            and self.universe == other.universe
             and self.succ == other.succ
+            and self.run.labels == other.run.labels
         )
 
     def __hash__(self):
-        return hash((self.universe, self.succ))
+        return hash((self.run.labels, self.succ))
 
 
 def _direct_edges(run: Run, blocks: BlockSet) -> list[int]:
@@ -188,36 +196,37 @@ def _direct_edges(run: Run, blocks: BlockSet) -> list[int]:
     symbol that the event extended-depends on, and from the write it
     reads from (which covers the pairs inside one block).  Same-thread
     symbols always depend, and every earlier event of the thread is
-    reached through the previous one.  Symbols are numbered in order of
-    first occurrence; ``cross[k]`` is the mask of the other-thread
-    symbols that symbol k extended-depends on."""
-    marked = bytearray(len(run))
-    for mask in blocks.masks:
-        for i in bits(mask):
-            marked[i] = 1
-    ids: dict[AnnLabel, int] = {}
-    code = [ids.setdefault((lab, m == 1), len(ids)) for lab, m in zip(run.labels, marked)]
-    cross = [
-        sum(1 << k for k, t in enumerate(ids) if s[0].thread != t[0].thread and extended_dep(s, t))
-        for s in ids
-    ]
-    last = [0] * len(ids)
+    reached through the previous one.  The annotated symbol of a
+    position is ``2 * code + membership bit``; ``cross[k]`` is the mask
+    of the other-thread symbols that symbol k extended-depends on."""
+    sym = [2 * k + (b >= 0) for k, b in zip(run.code, blocks.owner)]
+    first: dict[int, int] = {}  # symbol -> its first position
+    for i, k in enumerate(sym):
+        first.setdefault(k, i)
+    ann = {k: (run.labels[i], k & 1 == 1) for k, i in first.items()}
+    tid = run.tid
+    cross = dict.fromkeys(first, 0)
+    for k, i in first.items():
+        for k2, i2 in first.items():
+            if tid[i] != tid[i2] and extended_dep(ann[k], ann[k2]):
+                cross[k] |= 1 << k2
+    last: dict[int, int] = {}  # symbol -> its latest position so far
     seen = 0
-    prev: dict[str, int] = {}
+    prev = [-1] * len(run.threads)
     edges = [0] * len(run)
     rf = run.rf_pos
-    for j, (k, lab) in enumerate(zip(code, run.labels)):
+    for j, (k, t) in enumerate(zip(sym, tid)):
         bit = 1 << j
         hit = cross[k] & seen
         while hit:
             low = hit & -hit
             edges[last[low.bit_length() - 1]] |= bit
             hit ^= low
-        if lab.thread in prev:
-            edges[prev[lab.thread]] |= bit
+        if prev[t] >= 0:
+            edges[prev[t]] |= bit
         if j in rf:
             edges[rf[j]] |= bit
-        prev[lab.thread] = last[k] = j
+        prev[t] = last[k] = j
         seen |= 1 << k
     return edges
 
@@ -225,14 +234,14 @@ def _direct_edges(run: Run, blocks: BlockSet) -> list[int]:
 def mazurkiewicz_hb(run: Run) -> PartialOrder:
     """Happens-before of the plain commutation equivalence: the transitive
     closure of all dependent pairs in run order."""
-    return PartialOrder(run.events, _direct_edges(run, BlockSet(run, ())))
+    return PartialOrder(run, _direct_edges(run, BlockSet(run, ())))
 
 
 def block_hb(run: Run, blocks: BlockSet) -> PartialOrder:
     """Block happens-before: dependent pairs in run order, except that a
     cross-thread pair whose two events lie in two distinct blocks is
     dropped.  With no blocks this equals mazurkiewicz_hb."""
-    return PartialOrder(run.events, _direct_edges(run, blocks))
+    return PartialOrder(run, _direct_edges(run, blocks))
 
 
 @dataclass(frozen=True)
@@ -286,15 +295,8 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
     ``owner``.  Rule 3 ORs the new targets into the rows of a's members,
     and the table is closed again for the next round."""
     succ = transitive_closure(_direct_edges(run, blocks))
-    masks = blocks.masks
-    owner = [0] * len(run)
-    by_var: dict[str, int] = {}
-    for a, (b, mask) in enumerate(zip(blocks.blocks, masks)):
-        for i in bits(mask):
-            owner[i] = a
-        by_var[b.variable] = by_var.get(b.variable, 0) | mask
-    rivals = [by_var[b.variable] & ~mask for b, mask in zip(blocks.blocks, masks)]
-    write = [(mask & -mask).bit_length() - 1 for mask in masks]
+    masks, owner, vid = blocks.masks, blocks.owner, run.vid
+    rivals = [blocks.by_variable[vid[w]] & ~mask for w, mask in zip(blocks.writes, masks)]
     clear = [~mask for mask in masks]
     pairs: list[tuple[int, int]] = []
     cyclic = False
@@ -302,7 +304,7 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
         grown = []
         for a, mask in enumerate(masks):
             rest = rivals[a]
-            fresh = succ[write[a]] & rest
+            fresh = succ[blocks.writes[a]] & rest
             if not fresh:
                 continue
             while fresh:
@@ -321,7 +323,7 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
             for i in bits(mask):
                 succ[i] |= targets
         succ = transitive_closure(succ)
-    return SaturationResult(run, blocks, PartialOrder(run.events, succ), frozenset(pairs), cyclic)
+    return SaturationResult(run, blocks, PartialOrder(run, succ), frozenset(pairs), cyclic)
 
 
 def ann_label(blocks: BlockSet, e: Event) -> AnnLabel:
@@ -341,8 +343,9 @@ def after_set(
     makes the streaming monitor's state constant."""
     if sat is None:
         sat = saturate(run, blocks)
-    after = sat.order.succ[run.position(e)] | 1 << run.position(e)
-    return frozenset(ann_label(blocks, run.events[j]) for j in bits(after))
+    i = run.position(e)
+    after = sat.order.succ[i] | 1 << i
+    return frozenset((run.labels[j], blocks.owner[j] >= 0) for j in bits(after))
 
 
 def is_proper_linearization(
@@ -359,10 +362,9 @@ def is_proper_linearization(
     one); the accepted set is provably the same either way, which the
     tests check by enumeration.
     """
-    if set(candidate.events) != set(base.events) or len(candidate) != len(base):
+    if len(candidate) != len(base):
         raise ValueError("candidate is not a permutation of the base run's events")
+    order_in_base = [_position_of(base, e) for e in candidate.events]
     if order is None:
         order = block_hb(base, blocks)
-    return order.is_linearized_by(candidate.events) and blocks_in_run_order_disjoint(
-        candidate, blocks
-    )
+    return order._linearized_by(order_in_base) and _windows_disjoint(blocks, order_in_base)

@@ -1,8 +1,8 @@
 """Concurrent run parsing, validation and indexing.
 
 A run is a finite sequence of labels ``<thread, r|w, variable>``.  Runs are
-immutable after construction; derived data (program order, the reads-from
-map, per-label occurrence counts) is computed once and cached on the object.
+immutable after construction; they are held as integer tables over their
+positions, and ``Event`` objects are built only when asked for.
 
 The trace file format is line based::
 
@@ -17,7 +17,9 @@ from the trace, no declaration header is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from itertools import combinations
+from typing import Iterable, Optional, Sequence
 
 READ = "r"
 WRITE = "w"
@@ -97,12 +99,13 @@ class TraceError(ValueError):
 
 
 class Run:
-    """A validated concurrent run.
-
-    Positions are 0-based internally.  Every read is checked to have an
-    earlier write on the same variable; a read with no writer is a hard
-    validation error rather than an implicit initial write.
-    """
+    """A validated concurrent run, held as integer tables over its
+    0-based positions: ``tid``/``vid`` index ``threads``/``variables``,
+    ``is_write``/``annotations`` are the write and mark bits, ``code``
+    is ``(tid * 2 + is_write) * len(variables) + vid`` (codes sort like
+    labels), ``rf_pos`` maps each read to the write it observes (a read
+    needs one) and ``readers`` lists each write's readers.  ``Event``
+    objects are built only when ``events`` is read."""
 
     def __init__(self, labels: Iterable[Label], annotations: Optional[Iterable[bool]] = None):
         self.labels: tuple[Label, ...] = tuple(labels)
@@ -113,33 +116,53 @@ class Run:
             if len(self.annotations) != len(self.labels):
                 raise ValueError("annotation list length does not match run length")
 
-        events = []
-        seen: dict[Label, int] = {}
-        for lab in self.labels:
-            n = seen.get(lab, 0) + 1
-            seen[lab] = n
-            events.append(Event(lab, n))
-        self.events: tuple[Event, ...] = tuple(events)
-        self._position: dict[Event, int] = {e: i for i, e in enumerate(events)}
-
         self.threads: tuple[str, ...] = tuple(sorted({l.thread for l in self.labels}))
         self.variables: tuple[str, ...] = tuple(sorted({l.variable for l in self.labels}))
+        self._tix = {t: i for i, t in enumerate(self.threads)}
+        self._vix = {v: i for i, v in enumerate(self.variables)}
+        self.tid: tuple[int, ...] = tuple([self._tix[l.thread] for l in self.labels])
+        self.vid: tuple[int, ...] = tuple([self._vix[l.variable] for l in self.labels])
+        self.is_write: tuple[bool, ...] = tuple([l.op == WRITE for l in self.labels])
+        nv = len(self.variables)
+        codes = zip(self.tid, self.is_write, self.vid)
+        self.code: tuple[int, ...] = tuple([(t * 2 + w) * nv + v for t, w, v in codes])
 
-        # reads-from: each read observes the nearest preceding same-variable write
-        rf: dict[int, int] = {}
-        last_write: dict[str, int] = {}
-        for i, lab in enumerate(self.labels):
-            if lab.is_write():
-                last_write[lab.variable] = i
+        self.rf_pos: dict[int, int] = {}
+        readers: list[list[int]] = [[] for _ in self.labels]
+        last_write = [-1] * nv
+        for i, (w, x) in enumerate(zip(self.is_write, self.vid)):
+            if w:
+                last_write[x] = i
+            elif last_write[x] < 0:
+                raise TraceError(
+                    "read of %r by %s at position %d has no preceding write"
+                    % (self.variables[x], self.threads[self.tid[i]], i + 1)
+                )
             else:
-                if lab.variable not in last_write:
-                    raise TraceError(
-                        "read of %r by %s at position %d has no preceding write"
-                        % (lab.variable, lab.thread, i + 1)
-                    )
-                rf[i] = last_write[lab.variable]
-        # position of each read -> position of the write it observes
-        self.rf_pos: dict[int, int] = rf
+                self.rf_pos[i] = last_write[x]
+                readers[last_write[x]].append(i)
+        self.readers: tuple[tuple[int, ...], ...] = tuple(map(tuple, readers))
+
+    @cached_property
+    def by_code(self) -> tuple[tuple[int, ...], ...]:
+        """The positions of each label code, in run order: the k-th
+        holds occurrence k + 1.  The last entry, for code -1, is empty."""
+        return _positions(self.code, 2 * len(self.threads) * len(self.variables) + 1)
+
+    @cached_property
+    def by_thread(self) -> tuple[tuple[int, ...], ...]:
+        """The positions of each thread, in run order."""
+        return _positions(self.tid, len(self.threads))
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        placed = sorted((i, n) for slots in self.by_code for n, i in enumerate(slots, start=1))
+        return tuple(Event(self.labels[i], n) for i, n in placed)
+
+    def code_of(self, lab: Label) -> int:
+        """The code of a label; -1 when its thread or variable is not the run's."""
+        t, v = self._tix.get(lab.thread, -1), self._vix.get(lab.variable, -1)
+        return -1 if t < 0 or v < 0 else (t * 2 + (lab.op == WRITE)) * len(self.variables) + v
 
     # -- basic indexing -------------------------------------------------
 
@@ -156,10 +179,14 @@ class Run:
         return hash((self.labels, self.annotations))
 
     def position(self, e: Event) -> int:
-        return self._position[e]
+        """The position of an event; KeyError when the run has none."""
+        slots = self.by_code[self.code_of(e.label)]
+        if not 0 < e.occurrence <= len(slots):
+            raise KeyError(e)
+        return slots[e.occurrence - 1]
 
     def event_at(self, i: int) -> Event:
-        return self.events[i]
+        return Event(self.labels[i], self.by_code[self.code[i]].index(i) + 1)
 
     def annotation_at(self, i: int) -> bool:
         return self.annotations[i]
@@ -168,25 +195,19 @@ class Run:
 
     def program_order(self) -> frozenset[tuple[Event, Event]]:
         """All pairs (e, f) with e before f in the same thread."""
-        by_thread: dict[str, list[Event]] = {}
-        for e in self.events:
-            by_thread.setdefault(e.label.thread, []).append(e)
-        po = set()
-        for chain in by_thread.values():
-            for i, e in enumerate(chain):
-                for f in chain[i + 1:]:
-                    po.add((e, f))
-        return frozenset(po)
+        ev = self.events
+        pairs = (pq for chain in self.by_thread for pq in combinations(chain, 2))
+        return frozenset((ev[p], ev[q]) for p, q in pairs)
 
     def reads_from(self) -> dict[Event, Event]:
         """Map from each read event to the write event it observes."""
         return {self.events[r]: self.events[w] for r, w in self.rf_pos.items()}
 
     def writer_of(self, e: Event) -> Event:
-        i = self._position[e]
+        i = self.position(e)
         if i not in self.rf_pos:
             raise KeyError("%s is not a read event" % (e,))
-        return self.events[self.rf_pos[i]]
+        return self.event_at(self.rf_pos[i])
 
     def with_annotations(self, annotations: Iterable[bool]) -> "Run":
         return Run(self.labels, annotations)
@@ -206,6 +227,14 @@ class Run:
         return "Run(%s)" % "; ".join(
             str(l) + ("@" if a else "") for l, a in zip(self.labels, self.annotations)
         )
+
+
+def _positions(keys: Sequence[int], size: int) -> tuple[tuple[int, ...], ...]:
+    """The positions holding each key 0..size-1, in order."""
+    out: list[list[int]] = [[] for _ in range(size)]
+    for i, k in enumerate(keys):
+        out[k].append(i)
+    return tuple(map(tuple, out))
 
 
 def parse_symbol(text: str, line: Optional[int] = None) -> AnnLabel:

@@ -44,6 +44,38 @@ def random_annotated_run(rng, n_events, n_threads=3, n_vars=3, p=0.5):
     return annotate(run, random_block_set(rng, run, p))
 
 
+def atomic_not_serializable_run(rng, n_filler, n_threads=3, n_vars=3):
+    """A run whose blocks are liberally atomic but not conflict
+    serializable, by construction: the six marked events of
+    corpus/atomic_not_serializable.trace on two drawn threads a, b and
+    variables z, x, padded with unmarked filler on the other variables.
+    Filler before and after the shape may use any thread; filler inside
+    it uses only the other threads, so no filler event depends on a
+    shape event placed after it and every block keeps its readers."""
+    threads = ["T%d" % (i + 1) for i in range(n_threads)]
+    variables = ["xyz"[i] if i < 3 else "v%d" % i for i in range(n_vars)]
+    a, b = rng.sample(threads, 2)
+    z, x = rng.sample(variables, 2)
+    shape = [(a, WRITE, z), (a, WRITE, x), (a, READ, x), (b, WRITE, x), (b, READ, x), (b, READ, z)]
+    inner = [t for t in threads if t not in (a, b)]
+    spare = [v for v in variables if v not in (x, z)]
+    gaps = [0] * (len(shape) + 1)  # filler count before each shape event, and after the last
+    for _ in range(n_filler if spare else 0):
+        gaps[rng.randrange(len(gaps)) if inner else rng.choice((0, len(shape)))] += 1
+    labels, marks, written = [], [], set()
+    for k, count in enumerate(gaps):
+        for _ in range(count):
+            t = rng.choice(inner if 0 < k < len(shape) else threads)
+            v = rng.choice(spare)
+            labels.append(Label(t, rng.choice((READ, WRITE)) if v in written else WRITE, v))
+            marks.append(False)
+            written.add(v)
+        if k < len(shape):
+            labels.append(Label(*shape[k]))
+            marks.append(True)
+    return Run(labels, marks)
+
+
 @st.composite
 def annotated_runs(draw, max_threads=4, max_vars=4, min_events=15, max_events=40):
     """(threads, variables, annotated run): a valid run over a drawn

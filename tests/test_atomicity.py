@@ -254,6 +254,11 @@ def test_sparse_route_matches_closed_route_small():
     rng = random.Random(6061)
     for _ in range(300):
         check_sparse_route(gen.random_annotated_run(rng, rng.randint(2, 9)))
+    # the shape random draws miss, built on purpose: atomic, not serializable
+    for _ in range(100):
+        aw = gen.atomic_not_serializable_run(rng, rng.randint(0, 6), rng.randint(2, 4), rng.randint(2, 4))
+        assert closed_route(aw, blocks_from_annotation(aw))[:2] == (True, False), describe(aw)
+        check_sparse_route(aw)
 
 
 @settings(max_examples=150)

@@ -6,11 +6,14 @@ of such a choice.
 """
 
 import random
+import re
 
 import pytest
 
 import gen
 from blockeq.blocks import (
+    Block,
+    BlockSet,
     all_block_sets,
     annotate,
     blocks_from_annotation,
@@ -20,7 +23,7 @@ from blockeq.blocks import (
     is_well_annotated,
     parse_block_selector,
 )
-from blockeq.trace import TraceError, parse_run
+from blockeq.trace import Event, Label, TraceError, parse_run
 
 
 def test_candidate_blocks_cover_reads():
@@ -84,6 +87,33 @@ def test_blocks_from_writes_picks_readers():
     assert bs.is_member(run.events[1]) and not bs.is_member(run.events[3])
     assert bs.block_of(run.events[1]) is blk
     assert bs.block_of(run.events[2]) is None
+
+
+def test_blocks_from_writes_names_bad_events():
+    run = parse_run("T1 w x\nT2 r x\nT1 w x\nT1 r x")
+    foreign = (Event(Label("T9", "w", "q"), 1), Event(Label("T1", "w", "x"), 3))
+    for e in foreign + (run.events[1],):
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            blocks_from_writes(run, [e])
+
+
+def test_block_set_takes_candidate_blocks_only():
+    run = parse_run("T1 w x\nT2 r x\nT1 w x\nT1 r x")
+    assert BlockSet(run, reversed(candidate_blocks(run))) == parse_block_selector(run, "all")
+    with pytest.raises(ValueError):
+        BlockSet(run, [Block(run.events[0], ())])  # its reader is missing
+    with pytest.raises(ValueError):
+        BlockSet(run, [Block(run.events[1], ())])  # a read
+    with pytest.raises(ValueError):
+        BlockSet(run, candidate_blocks(run)[:1] * 2)
+
+
+def test_annotate_marks_events_of_a_permuted_run():
+    run = parse_run("T1 w x\nT2 r x\nT2 w y\nT1 r y")
+    bs = blocks_from_writes(run, [run.events[0]])
+    perm = parse_run("T2 w y\nT1 w x\nT1 r y\nT2 r x")
+    assert annotate(perm, bs).annotations == (False, True, False, True)
+    assert annotate(run, bs).annotations == (True, True, False, False)
 
 
 def test_selector_grammar():

@@ -12,6 +12,7 @@ import pytest
 
 from blockeq.blocks import blocks_from_annotation
 from blockeq.cli import main
+from blockeq.concurrency import MODES
 from blockeq.oracle import EquivClass
 from blockeq.trace import parse_run
 
@@ -429,6 +430,24 @@ def test_bad_block_selector(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", (
+    ("bhb",),
+    ("atomicity",),
+    ("concurrent", "--mode", "blocks", "--events", "1", "2"),
+    ("enumerate", "--relation", "blocks"),
+    ("annotate",),
+    ("sat",),
+))
+def test_block_selector_takes_ascii_digits_only(capsys, command):
+    # '²' and '٣' are digits to str.isdigit, and int() reads the second
+    for token in ("\u00b2", "\u0663"):
+        code, out, err = run_cli(
+            capsys, command[0], trace("two_wr_pairs.trace"), "--blocks", "writes=" + token, *command[1:]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: bad write position %r in block selector\n" % token
+
+
 def test_non_utf8_trace_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_bytes(b"T1 w x\nT2 r \xff\n")
@@ -468,9 +487,13 @@ def test_concurrent_events_bad_marking_names_user_events(tmp_path, capsys):
 def test_random_bytes_never_escape_main(tmp_path, capsys):
     # Most lines are well-formed trace lines, so that many inputs reach
     # the analyses; the rest are drawn from syntax pieces and arbitrary
-    # bytes, for parse and decoding errors.
+    # bytes, for parse and decoding errors.  Block selectors and query
+    # symbols are drawn the same way, with non-ASCII digits, signs,
+    # empty fields and stray commas among their pieces.
     rng = random.Random(2024)
     pieces = [b"T1", b"T2", b" w ", b" r ", b"x", b"y", b" @", b"#", b" ", b"\r"]
+    positions = ["1", "2", "3", "12", "0", "+1", "-2", " 3", "", "\u00b2", "\u0663", "1_0", "x"]
+    words = ["T1", "T2", "r", "w", "x", "y", "@", "", "\u00b2", "#"]
 
     def line():
         if rng.random() < 0.8:
@@ -481,6 +504,17 @@ def test_random_bytes_never_escape_main(tmp_path, capsys):
             rng.choice(pieces) if rng.random() < 0.8 else bytes([rng.randrange(256)])
             for _ in range(rng.randint(0, 6))
         )
+
+    def selector():
+        if rng.random() < 0.2:
+            return rng.choice(["all", "none", "writes", "writes=", "", ","])
+        return "writes=" + ",".join(rng.choice(positions) for _ in range(rng.randint(0, 3)))
+
+    def symbol():
+        if rng.random() < 0.7:
+            parts = ["T%d" % rng.randint(1, 3), rng.choice("rw"), rng.choice("xy")]
+            return " ".join(parts + ["@"] * rng.randint(0, 1))
+        return " ".join(rng.choice(words) for _ in range(rng.randint(0, 5)))
 
     commands = (
         ("validate",),
@@ -493,11 +527,20 @@ def test_random_bytes_never_escape_main(tmp_path, capsys):
         ("annotate",),
         ("sat",),
     )
+    takes_blocks = commands[2:5] + commands[6:]
+
+    def drawn():
+        # each command that takes --blocks once more with a drawn selector,
+        # and a symbol query with drawn symbols and mode
+        return [(*c, "--blocks", selector()) for c in takes_blocks] + [
+            ("concurrent", "--c", symbol(), "--d", symbol(), "--mode", rng.choice(MODES))
+        ]
+
     path = tmp_path / "fuzz.trace"
     for _ in range(200):
         data = b"\n".join(line() for _ in range(rng.randint(0, 6)))
         path.write_bytes(data)
-        for command in commands:
+        for command in commands + tuple(drawn()):
             code = main([command[0], str(path), *command[1:]])
             assert code in (0, 1, 2, 3), (data, command)
         text = data.decode("latin-1")

@@ -27,7 +27,7 @@ from blockeq.orders import (
     mazurkiewicz_hb,
     saturate,
 )
-from blockeq.trace import Run, conflicting, parse_run
+from blockeq.trace import Event, Label, Run, conflicting, parse_run
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -117,6 +117,18 @@ def test_partial_order_basics():
         PartialOrder(run.events, [0, 0b001, 0])  # e1 -> e0
     with pytest.raises(ValueError):
         PartialOrder(run.events, [0b001, 0, 0])  # e0 -> e0
+
+
+def test_partial_order_universe_is_a_run():
+    # a run's events, listed in its order, stand for the run
+    run = parse_run("T1 w x\nT1 r x\nT2 w y")
+    e0, e1, e2 = run.events
+    assert PartialOrder(run.events, [0b010, 0, 0]) == PartialOrder(run, [0b010, 0, 0])
+    assert PartialOrder([e2, e0, e1], [0, 0b100, 0]).ordered(e0, e1)
+    with pytest.raises(ValueError):
+        PartialOrder([e1, e0, e2], [0, 0, 0])  # a read before its write
+    with pytest.raises(ValueError):
+        PartialOrder([Event(Label("T1", "w", "x"), 2)], [0])  # no first occurrence
 
 
 def test_saturation_contains_block_order_and_stays_forward():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from blockeq.trace import (
     parse_run,
     same_equiv_rf,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_parse_round_trip():
@@ -126,3 +129,61 @@ def test_interleave_threads_counts():
     for word in words:
         assert [l for l in word if l.thread == "T1"] == t1
         assert [l for l in word if l.thread == "T2"] == t2
+
+
+# ---- the analyses run on position tables ----------------------------------
+
+def analyses(text):
+    """Answers of the library's core paths on one trace, as plain data."""
+    from itertools import islice
+
+    from blockeq.atomicity import is_conflict_serializable, is_liberally_atomic, serial_witness
+    from blockeq.blocks import all_block_sets, annotate, blocks_from_annotation
+    from blockeq.concurrency import conc_symbols_blocks, conc_symbols_general, conc_symbols_maz
+    from blockeq.oracle import BoundExceeded, enum_block_class, enum_maz_class, rf_class_words
+    from blockeq.orders import block_hb, mazurkiewicz_hb, saturate
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except (TraceError, BoundExceeded, ValueError) as exc:
+            return type(exc).__name__
+
+    run = parse_run(text)
+    bs = blocks_from_annotation(run)
+    sat = saturate(run, bs)
+    witness = attempt(serial_witness, run, bs)
+    ordered = sorted(run.labels)  # distinct labels, without hashing one
+    labels = [lab for i, lab in enumerate(ordered) if i == 0 or ordered[i - 1] != lab]
+    pairs = [(c, d) for c in labels for d in labels if c < d]
+    return [
+        run.labels, run.annotations, bs.masks,
+        annotate(run.core(), bs).annotations,
+        [b.masks for b in all_block_sets(run)],
+        mazurkiewicz_hb(run).succ, block_hb(run, bs).succ,
+        sat.order.succ, sorted(sat.block_pairs), sat.cyclic,
+        is_liberally_atomic(run, bs), is_conflict_serializable(run, bs),
+        witness if isinstance(witness, str) else (witness.labels, witness.annotations),
+        [(conc_symbols_maz(run, c, d), conc_symbols_blocks(run, c, d)) for c, d in pairs],
+        [conc_symbols_general(run, c, d) for c, d in pairs[:3]],
+        sorted(enum_maz_class(run).words), sorted(enum_block_class(run, bs).words),
+        list(islice(rf_class_words(run), 500)),
+    ]
+
+
+def test_analyses_hash_no_event_or_label(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an analysis hashed a %s" % type(self).__name__)
+
+    def no_events(run):
+        raise AssertionError("an analysis built the events of %r" % (run,))
+
+    texts = [path.read_text() for path in sorted(CORPUS.glob("*.trace"))]
+    assert texts
+    expected = [analyses(text) for text in texts]
+    monkeypatch.setattr(Event, "__hash__", refuse)
+    monkeypatch.setattr(Label, "__hash__", refuse)
+    monkeypatch.setattr(Run, "events", property(no_events))
+    got = [analyses(text) for text in texts]
+    monkeypatch.undo()
+    assert got == expected
