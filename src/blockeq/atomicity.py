@@ -37,7 +37,6 @@ into every predecessor, so the paths it stood for survive the removal.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,10 +71,17 @@ def _condense(blocks: BlockSet, succ: Sequence[int]) -> tuple[list[int], list[in
     """Each node's position mask, and its successor mask over nodes, of
     ``succ`` collapsed onto the blocks plus one singleton per unblocked
     event.  Nodes are numbered by their first position (a block's write
-    precedes its reads), which a bisection finds."""
+    precedes its reads), so one pass in run order numbers every
+    position's node."""
     owner, masks, writes = blocks.owner, blocks.masks, blocks.writes
-    starts = [i for i, b in enumerate(owner) if b < 0 or writes[b] == i]
-    node_mask = [1 << i if owner[i] < 0 else masks[owner[i]] for i in starts]
+    node_of: list[int] = []
+    node_mask: list[int] = []
+    for i, b in enumerate(owner):
+        if b < 0 or writes[b] == i:
+            node_of.append(len(node_mask))
+            node_mask.append(1 << i if b < 0 else masks[b])
+        else:
+            node_of.append(node_of[writes[b]])
     node_succ = []
     for m in node_mask:
         reach = 0
@@ -84,9 +90,7 @@ def _condense(blocks: BlockSet, succ: Sequence[int]) -> tuple[list[int], list[in
         reach &= ~m
         out = 0
         while reach:
-            j = (reach & -reach).bit_length() - 1
-            b = owner[j]
-            k = bisect_left(starts, j if b < 0 else writes[b])
+            k = node_of[(reach & -reach).bit_length() - 1]
             out |= 1 << k
             reach &= ~node_mask[k]
         node_succ.append(out)

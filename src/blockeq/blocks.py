@@ -106,9 +106,6 @@ class BlockSet:
     def members(self) -> frozenset[Event]:
         return frozenset(e for e, b in zip(self.run.events, self.owner) if b >= 0)
 
-    def unblocked(self) -> list[Event]:
-        return [e for e, b in zip(self.run.events, self.owner) if b < 0]
-
     def __eq__(self, other):
         return isinstance(other, BlockSet) and self.run == other.run and self.writes == other.writes
 

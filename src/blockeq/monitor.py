@@ -24,21 +24,59 @@ State components (all keyed by the fixed alphabet):
   above determine the monitor's answers.
 
 The transition is a least-fixpoint computation per input symbol: passes
-of the rules, in a fixed order, until one changes nothing.  The first
-pass of a step sweeps every rule instance.  Later passes re-examine, in
-the same order, only the instances whose inputs changed since their rule
-last ran, so every pass leaves the state a full sweep would.  Sets are
-bitmasks over the symbol universe, so each step costs time polynomial in
-the alphabet size and constant in the stream length.
+of the rules, in a fixed order, until one changes nothing.  Each pass
+re-examines, in the same order, only the rule instances whose inputs
+changed since their rule last ran, and only instances that cannot fire
+are skipped, so every pass leaves the state a sweep of every instance
+would (``tests/monitor_reference.py`` keeps such a step and the tests
+compare the two from every state they reach).  Sets are bitmasks over
+the symbol universe, so each step costs time polynomial in the alphabet
+size and constant in the stream length; two arguments let the first
+pass, too, do work in proportion to what the step changes.
+
+*Rule 1 stays out of the change log.*  Rule 1 joins the arriving symbol
+a into every row that meets its dependence set D.  D is new every step,
+so the first pass sweeps every row for it once; later passes check the
+rows that grew.  Rules 4b, 5 and 6 and the flags read none of its joins:
+they mask a out of the rows they read, and when rule 1 adds a to a row R
+that some row S has to contain, S contains R's other bits, so S met D as
+well and took a in the same sweep.  After each rule-1 sweep every row
+that meets D holds a, so this also holds in later passes.  (Rule 6 reads
+a's bit in the rows of a's own pair when a is a block write, and
+re-examines those rows on every run.)  Only rules 2-4, whose running
+block on a's variable may hold a, read rule 1's joins: the first pass
+sweeps that variable, and later joins are logged for them alone.  A
+join of a made by any other rule is logged like any change, as that row
+need not meet D; only rules 5 and the flags, which read A rows with a
+masked out, skip an A row whose one gain was a.
+
+*The previous fixpoint carries over.*  A step starts from a state that
+was closed under every rule, with the previous arrival p masked out,
+before the overrides at the end of that step rewrote p's rows: A[p] =
+{p}, p's flags up, p's first-block rows empty but one, r0.  Masking out
+a instead of p drops the constraints on a and adds those on p, so only
+what involves p can fail to hold:
+
+* rules 2-4 and 4b may fire on r0 and on p's tir bits, so the log they
+  read opens with the non-empty rows of every symbol whose after row is
+  just its own bit (p is one of them; the state does not name p), and
+  rules 2-4 sweep a's variable, whose running block changed;
+* rule 5 needs nothing: for each c with p in A[c], row (c, r0's pair)
+  already held r0.  Rule 2 made such a row track p's running block if it
+  was empty, and a non-empty row holds the bit of its pair's block write,
+  a member of that block; either way rule 3 or 4 put the block's after
+  set, which contains r0, into it;
+* rule 6 and the flags need nothing: p's rows are all open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 from .orders import bits
-from .trace import READ, WRITE, AnnLabel, Label, Run, extended_dep
+from .trace import READ, WRITE, AnnLabel, Label, Run, cross_dep_rows
 
 
 class Universe:
@@ -61,20 +99,23 @@ class Universe:
         self.sym_index: dict[AnnLabel, int] = {s: i for i, s in enumerate(self.symbols)}
         self.thread_index = {t: i for i, t in enumerate(self.threads)}
         self.var_index = {v: i for i, v in enumerate(self.variables)}
-        n = len(self.symbols)
-        self.dep_mask: list[int] = [0] * n
-        for i, si in enumerate(self.symbols):
-            m = 0
-            for j, sj in enumerate(self.symbols):
-                if extended_dep(si, sj):
-                    m |= 1 << j
-            self.dep_mask[i] = m
+        # extended-dependence rows: the cross-thread row of the symbol's
+        # place in its thread's block, plus that whole block (same-thread
+        # symbols always depend)
+        cross = cross_dep_rows(self.threads, self.variables)
+        span = len(cross)  # symbols per thread
+        self.dep_mask: list[int] = [
+            cross[i % span] | ((1 << span) - 1) << i // span * span
+            for i in range(len(self.symbols))
+        ]
         # row (c, t, v) is c * stride + t * |variables| + v: a symbol's rows
         # are one slice, and the offset t * |variables| + v names a pair
         self.stride = len(self.threads) * len(self.variables)
         # per offset, the symbol of that pair's annotated write
         self.block_write = tuple(self.sym_index[(Label(t, WRITE, v), True)]
                                  for t in self.threads for v in self.variables)
+        self.write_offset = {w: k for k, w in enumerate(self.block_write)}
+        self.block_write_mask = sum(1 << w for w in self.block_write)
         self.write_mask = sum(1 << i for i, (lab, _) in enumerate(self.symbols) if lab.is_write())
         self.sym_thread = tuple(self.thread_index[lab.thread] for lab, _ in self.symbols)
 
@@ -165,13 +206,14 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     lab, marked = sym
     xi = u.var_index[lab.variable]
     ti = u.thread_index[lab.thread]
-    nT, nX = len(u.threads), len(u.variables)
+    nX = len(u.variables)
     ns, tx = len(u.symbols), u.stride
     nr = ns * tx
     abit = 1 << ai
     notai = ~abit
     others = [c for c in range(ns) if c != ai]
     new_block = marked and lab.is_write()
+    kx = ti * nX + xi  # offset of the arriving symbol's own pair
 
     dep_in = _dep_in(state, ai)  # validates reads against rf
 
@@ -199,8 +241,6 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # applies to every such pair.  Hence the tracked first block is the
     # *last* block of its kind exactly when the row's open flag is up, and
     # the flag goes down precisely when a later same-kind block exists.
-    A = list(state.aft)
-    F = list(state.fba)
     old_F = state.fba
     eff_open = list(state.open_)
 
@@ -209,47 +249,67 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # clears it; rows that start tracking this step are set below.
     eff_tir = list(state.tir)
     if new_block or not marked:
-        for r in range(xi, nr, nX):  # the rows on variable xi
-            eff_tir[r] = False
+        eff_tir[xi::nX] = [False] * (nr // nX)  # the rows on variable xi
 
     # Change log: a row r of F that grew is logged as r, a symbol c whose A
-    # row grew as nr + c, a raised tir bit as -1.  Change-driven sections
-    # keep the log position at their previous run's start (-1: none yet).
-    log: list[int] = []
-    since = dict.fromkeys(("1", "4b", "5", "flags"), -1)
-    packed = [0] * ns  # rule 5's rows per symbol, ns bits per offset
+    # row grew as nr + c, a raised tir bit as -1.  An A row that gained
+    # only the arriving symbol is logged in band 1 (shifted by nr + ns),
+    # and a join made by rule 1 in band 2: rules 1 and 5 and the flags,
+    # which mask the arriving symbol out of A, read band 0 only, rules 4b
+    # and 6 bands 0-1, and rules 2-4 all three.  Each change-driven
+    # section keeps the log position at its previous run's start.  The
+    # log opens with the non-empty rows of the symbols the previous
+    # step's overrides may have rewritten, read by rules 2-4 and 4b
+    # only, and rule 1's first sweep is not logged (module docstring).
+    band = nr + ns
+    seeds = [c for c, a in enumerate(state.aft) if a == 1 << c and c != ai]
+    log = [r for c in seeds for r in range(c * tx, (c + 1) * tx) if old_F[r]]
+    since = dict.fromkeys(("1", "5", "6", "flags"), len(log))
+    since.update(dict.fromkeys(("24", "4b", "dropped"), 0))
+    dropped: list[int] = []  # rows whose open flag went down, in order
+    closures: list[Optional[int]] = [None] * nX  # rules 2-4: each block's last after set
+    lowered: Optional[list[int]] = None  # flag_rules' table, built on first use
 
-    def changes(pos: int) -> tuple[int, set[int], int]:
-        # since pos: mask of symbols whose A row grew, F rows that grew, mask of their symbols
-        syms, rows, owners = 0, set(), 0
+    # 1. the arriving symbol joins every row it depends into
+    A = [a | abit if a & dep_in else a for a in state.aft]
+    F = [f | abit if f & dep_in else f for f in old_F]
+
+    def changes(pos: int, bands: int, syms: int = 0,
+                rows: Optional[set[int]] = None) -> tuple[int, set[int]]:
+        # since pos, in the lowest bands: mask of symbols whose A row
+        # grew, F rows that grew; added to syms and rows when given
+        rows = set() if rows is None else rows
+        top = bands * band
         for e in log[pos:]:
+            if e >= band:
+                if e >= top:
+                    continue
+                e %= band
             if e >= nr:
                 syms |= 1 << (e - nr)
             elif e >= 0:
                 rows.add(e)
-                owners |= 1 << (e // tx)
-        return syms, rows, owners
+        return syms, rows
 
     def mask_rules() -> bool:
         start = len(log)
 
-        # 1. the arriving symbol joins every row it depends into (a row
-        # that did not grow since the last run has nothing new to join)
-        if since["1"] < 0:
-            arows, frows = range(ns), range(nr)
-        else:
-            syms, frows, _ = changes(since["1"])
-            arows = [c for c in range(ns) if syms >> c & 1]
-        since["1"] = len(log)
-        for c in arows:
+        # 1. a row that grew since the last run may now meet dep_in
+        syms, rows = changes(since["1"], 1)
+        since["1"] = start
+        for c in bits(syms):
             if A[c] & dep_in and not A[c] & abit:
                 A[c] |= abit
-                log.append(nr + c)
-        for r in frows:
+                log.append(2 * band + nr + c)
+        for r in rows:
             if F[r] & dep_in and not F[r] & abit:
                 F[r] |= abit
-                log.append(r)
+                log.append(2 * band + r)
 
+        # changes since the last run began (rule 1's too), caught up as
+        # this run logs more
+        read, since["24"] = since["24"], len(log)
+        syms24, rows24 = 0, set()
         for v in range(nX):
             bv = blk[v]
             if bv == 0:
@@ -267,8 +327,22 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 closure |= A[low.bit_length() - 1]
                 m ^= low
 
-            for c in others:
-                r = c * tx + th * nX + v
+            # every instance on v is examined when the block's after set
+            # changed, and on the arriving symbol's variable in the first
+            # run; otherwise those whose rows changed since the last run
+            prev, closures[v] = closures[v], closure
+            full = closure != prev if prev is not None else v == xi
+            off = th * nX + v
+            if full:  # the instances below that can fire
+                cands = [c for c in others if eff_tir[c * tx + off] or A[c] & bv]
+            else:
+                syms24, rows24 = changes(read, 3, syms24, rows24)
+                read = len(log)
+                if prev is None:
+                    syms24 |= sum(1 << c for c in seeds)
+                cands = bits(syms24 & notai)
+            for c in cands:
+                r = c * tx + off
                 # 2. start tracking: a running-block member inside an
                 # after row opens first-block tracking for that row
                 if not eff_tir[r] and A[c] & bv and not old_F[r]:
@@ -283,17 +357,20 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             # 4. block-level step: a first-block row holding a member of
             # a *different* running block on its variable orders the whole
             # running block after the tracked block and the row's label
-            for c in others:
-                for t in range(nT):
-                    r = c * tx + t * nX + v
-                    if not F[r] & bv or (t == th and eff_tir[r]):
-                        continue  # no member, or the running block itself
-                    if A[c] | closure != A[c]:
-                        A[c] |= closure
-                        log.append(nr + c)
-                    if F[r] | closure != F[r]:
-                        F[r] |= closure
-                        log.append(r)
+            if not full:
+                syms24, rows24 = changes(read, 3, syms24, rows24)
+                read = len(log)
+            rows = range(v, nr, nX) if full else sorted(rows24)
+            for r in [r for r in rows if r % nX == v and F[r] & bv and r // tx != ai]:
+                if r % tx == off and eff_tir[r]:
+                    continue  # the running block itself
+                c = r // tx
+                if A[c] | closure != A[c]:
+                    log.append((band if closure & ~A[c] == abit else 0) + nr + c)
+                    A[c] |= closure
+                if F[r] | closure != F[r]:
+                    F[r] |= closure
+                    log.append(r)
 
         # 4b. transitivity through after rows: a symbol inside a
         # first-block row pins everything after its own last occurrence
@@ -301,14 +378,11 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # stale, but its fresh contribution is exactly the joins rule 1
         # already makes).  Only rows that grew, or hold a symbol whose A
         # row grew, since the last run can gain; equal rows gain alike.
-        if since["4b"] < 0:
-            rows = range(nr)
-        else:
-            syms, rows, _ = changes(since["4b"])
-            syms &= notai
-            if syms:
-                rows |= {r for r in range(nr) if F[r] & syms}
+        syms, rows = changes(since["4b"], 2)
         since["4b"] = len(log)
+        syms &= notai
+        if syms:
+            rows.update(r for r in range(nr) if F[r] & syms)
         memo: dict[int, int] = {}
         for r in rows:
             fr = F[r]
@@ -332,46 +406,52 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # Swept with rho ascending, rho's rows are final when rho is
         # visited, so each c gains the rows of every symbol in A[c] as they
         # stand once the lower ones are done: computed per c, lower first.
-        # A pair (rho, c) can add something only if rho's rows grew (also
-        # earlier in this run) or A[c] changed since the last run.
-        if since["5"] < 0:
-            syms = owners = -1
-        else:
-            syms, _, owners = changes(since["5"])
+        # A pair (rho, c) can add something at an offset only if rho's row
+        # there grew (also earlier in this run) or A[c] changed since the
+        # last run.  Each offset is swept on its own, over its column as
+        # the rows stand now.
+        syms, rows = changes(since["5"], 1)
         since["5"] = len(log)
-        for c in range(ns):
-            if owners >> c & 1:
-                p = 0
-                for f in reversed(F[c * tx:(c + 1) * tx]):
-                    p = p << ns | f
-                packed[c] = p
-        grew = 0
-        for above in (False, True):
-            for c in others:
-                m = A[c] & notai & ((-2 << c) if above else ((1 << c) - 1))
-                if not syms >> c & 1:
-                    m &= owners
-                new = packed[c]
-                while m:
-                    low = m & -m
-                    new |= packed[low.bit_length() - 1]
-                    m ^= low
-                if new != packed[c]:
-                    packed[c] = new
-                    grew |= 1 << c
-                    if not above:
-                        owners |= 1 << c
-        full = (1 << ns) - 1
-        while grew:
-            low = grew & -grew
-            grew ^= low
-            c = low.bit_length() - 1
-            p = packed[c]
-            for r in range(c * tx, (c + 1) * tx):
-                if p & full != F[r]:
-                    F[r] = p & full
-                    log.append(r)
-                p >>= ns
+        syms &= notai
+        owners = [0] * tx  # per offset, the symbols whose row there grew
+        for r in rows:
+            owners[r % tx] |= 1 << (r // tx)
+        for k in range(tx):
+            own = owners[k]
+            if not own and not syms:
+                continue
+            col = F[k::tx]
+            grew = 0
+            for above in (False, True):
+                # the symbols c with a pair to examine, lowest first; in
+                # the first sweep a c that grows joins the owners, and
+                # the higher symbols holding it join the sweep
+                todo = syms | sum(1 << c for c in others if A[c] & own)
+                joins: dict[int, int] = {}  # rho mask -> union of their rows
+                while todo:
+                    c = (todo & -todo).bit_length() - 1
+                    todo &= todo - 1
+                    m = A[c] & notai & ((-2 << c) if above else ((1 << c) - 1))
+                    if not syms >> c & 1:
+                        m &= own
+                    add = joins.get(m)
+                    if add is None:
+                        add, rest = 0, m
+                        while rest:
+                            low = rest & -rest
+                            add |= col[low.bit_length() - 1]
+                            rest ^= low
+                        joins[m] = add
+                    if col[c] | add != col[c]:
+                        col[c] |= add
+                        grew |= 1 << c
+                        joins.clear()
+                        if not above:
+                            own |= 1 << c
+                            todo |= sum(1 << d for d in others if d > c and A[d] >> c & 1)
+            for c in bits(grew):
+                F[c * tx + k] = col[c]
+                log.append(c * tx + k)
 
         # 6. a lowered open flag proves a later same-kind block exists and
         # sits fully after the row's label, so the label is ordered before
@@ -380,12 +460,23 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # the previous occurrence; that older content is justified only if
         # the flag was already down before this step (a second block
         # already existed, pinning the previous occurrence after it).
-        for r in range(nr):
-            if eff_open[r]:
-                continue
-            w_sym = u.block_write[r % tx]
-            if not F[r] >> w_sym & 1:
-                continue
+        # Examined in row order: rows that grew or were lowered since the
+        # last run, the rows of a write whose A row grew (also earlier in
+        # this run, on later rows), and those of the arriving write.
+        syms, rows = changes(since["6"], 2)
+        since["6"] = len(log)
+        rows.update(dropped[since["dropped"]:])
+        since["dropped"] = len(dropped)
+        for w in bits(syms & u.block_write_mask & notai):
+            rows.update(range(u.write_offset[w], nr, tx))
+        if new_block:
+            rows.update(range(kx, nr, tx))
+        bw = u.block_write
+        heap = [r for r in rows if not eff_open[r] and F[r] >> bw[r % tx] & 1]
+        heapify(heap)
+        while heap:
+            r = heappop(heap)
+            w_sym = bw[r % tx]
             if w_sym != ai:
                 add = A[w_sym] | (1 << w_sym)
             elif not state.open_[r]:
@@ -394,8 +485,13 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 add = abit
             c = r // tx
             if A[c] | add != A[c]:
+                log.append((band if add & ~A[c] == abit else 0) + nr + c)
                 A[c] |= add
-                log.append(nr + c)
+                if u.block_write_mask >> c & 1 and c != ai:
+                    for r2 in range(u.write_offset[c], nr, tx):
+                        if r2 > r and r2 not in rows and not eff_open[r2] and F[r2] >> c & 1:
+                            rows.add(r2)
+                            heappush(heap, r2)
         return len(log) != start
 
     def flag_rules() -> bool:
@@ -404,32 +500,44 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # symbol in its after set, and the arrival of a new block lowers
         # every row already tracking an older first block: the least
         # fixpoint of both, in any order.  Since the last run only symbols
-        # whose A row changed or holds one with a grown row can inherit.
-        if since["flags"] < 0:
-            todo = (1 << ns) - 1
-        else:
-            todo, _, owners = changes(since["flags"])
-            todo |= sum(1 << c for c in range(ns) if A[c] & owners)
+        # whose A row grew, or that hold a symbol with a lowered row that
+        # grew, can inherit.
+        nonlocal lowered
+        syms, rows = changes(since["flags"], 1)
         since["flags"] = len(log)
-        # per offset, the symbols whose row there is lowered and non-empty
-        lowered = [0] * tx
-        for r in range(nr):
-            if not eff_open[r] and F[r]:
-                lowered[r % tx] |= 1 << (r // tx)
+        fresh = 0  # symbols with a lowered, non-empty row that may be new
+        for r in rows:
+            if not eff_open[r]:
+                fresh |= 1 << (r // tx)
+                if lowered is not None:
+                    lowered[r % tx] |= 1 << (r // tx)
         changed = False
         if new_block:
-            kx = ti * nX + xi
-            older = sum(1 << c for c in range(ns)
-                        if c != ai and F[c * tx + kx] and not A[c] & abit)
-            for c in range(ns):
+            older = sum(1 << c for c in others if F[c * tx + kx] and not A[c] & abit)
+            for c in others:
                 r = c * tx + kx
-                if c != ai and eff_open[r] and F[r] and (old_F[r] or A[c] & older):
+                if eff_open[r] and F[r] and (old_F[r] or A[c] & older):
                     eff_open[r] = False
-                    lowered[kx] |= 1 << c
+                    dropped.append(r)
+                    fresh |= 1 << c
+                    if lowered is not None:
+                        lowered[kx] |= 1 << c
                     changed = True
-            todo |= sum(1 << c for c in range(ns) if A[c] & lowered[kx])
+        fresh &= notai
+        todo = syms
+        if fresh:
+            todo |= sum(1 << c for c in range(ns) if A[c] & fresh)
+        todo &= notai
+        if not todo:
+            return changed
+        if lowered is None:
+            # per offset, the symbols whose row there is lowered and non-empty
+            lowered = [0] * tx
+            for r in range(nr):
+                if not eff_open[r] and F[r]:
+                    lowered[r % tx] |= 1 << (r // tx)
         while todo:
-            m, todo, grew = todo & notai, 0, 0
+            m, todo, grew = todo, 0, 0
             while m:
                 low = m & -m
                 m ^= low
@@ -438,12 +546,13 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 for k in range(tx):
                     if a & lowered[k] and eff_open[base + k]:
                         eff_open[base + k] = False
+                        dropped.append(base + k)
                         changed = True
                         if F[base + k]:
                             lowered[k] |= low
                             grew |= low
             if grew:
-                todo = sum(1 << c for c in range(ns) if A[c] & grew)
+                todo = sum(1 << c for c in others if A[c] & grew)
         return changed
 
     while True:

@@ -53,7 +53,7 @@ from heapq import heappop, heappush
 from typing import Iterator, Optional, Sequence
 
 from .blocks import Block, BlockSet, _position_of, _windows_disjoint
-from .trace import AnnLabel, Event, Run, extended_dep
+from .trace import AnnLabel, Event, Run, cross_dep_rows
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -200,16 +200,10 @@ def _direct_edges(run: Run, blocks: BlockSet) -> list[int]:
     position is ``2 * code + membership bit``; ``cross[k]`` is the mask
     of the other-thread symbols that symbol k extended-depends on."""
     sym = [2 * k + (b >= 0) for k, b in zip(run.code, blocks.owner)]
-    first: dict[int, int] = {}  # symbol -> its first position
-    for i, k in enumerate(sym):
-        first.setdefault(k, i)
-    ann = {k: (run.labels[i], k & 1 == 1) for k, i in first.items()}
+    rows = cross_dep_rows(run.threads, run.variables)
+    span = len(rows)  # symbols per thread
+    cross = {k: rows[k % span] & ~(((1 << span) - 1) << k // span * span) for k in set(sym)}
     tid = run.tid
-    cross = dict.fromkeys(first, 0)
-    for k, i in first.items():
-        for k2, i2 in first.items():
-            if tid[i] != tid[i2] and extended_dep(ann[k], ann[k2]):
-                cross[k] |= 1 << k2
     last: dict[int, int] = {}  # symbol -> its latest position so far
     seen = 0
     prev = [-1] * len(run.threads)

@@ -17,7 +17,7 @@ from the trace, no declaration header is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -69,6 +69,36 @@ def extended_dep(a: AnnLabel, b: AnnLabel) -> bool:
     if not conflicting(la, lb):
         return False
     return la.thread == lb.thread or not (ba and bb)
+
+
+@lru_cache(maxsize=16)
+def cross_dep_rows(threads: tuple[str, ...], variables: tuple[str, ...]) -> tuple[int, ...]:
+    """The cross-thread extended-dependence rows of the alphabet over the
+    sorted ``threads`` and ``variables``, built once per alphabet.  Its
+    symbols are numbered ``2 * code + bit`` (the label's code as in
+    ``Run.code``, then the membership bit), so each thread's symbols
+    form one block of ``4 * len(variables)``, in the same order on every
+    thread.  Entry ``k`` is the mask of the symbols that the ``k``-th
+    symbol of a block extended-depends on across threads; it spans every
+    thread's block, so a caller masks off the symbol's own.  One row per
+    place in a block suffices: labels of two threads conflict only on a
+    shared variable, and then their ops and bits alone decide."""
+    nv = len(variables)
+    if len(threads) < 2:
+        return (0,) * (4 * nv)
+    every_thread = sum(1 << t * 4 * nv for t in range(len(threads)))
+    t0, t1 = threads[:2]
+    rows = []
+    for op in (READ, WRITE):
+        for v, var in enumerate(variables):
+            for bit in (False, True):
+                row = 0
+                for w2, op2 in enumerate((READ, WRITE)):
+                    for bit2 in (False, True):
+                        if extended_dep((Label(t0, op, var), bit), (Label(t1, op2, var), bit2)):
+                            row |= every_thread << 2 * (w2 * nv + v) + bit2
+                rows.append(row)
+    return tuple(rows)
 
 
 @dataclass(frozen=True, order=True)

@@ -83,7 +83,7 @@ def test_blocks_from_writes_picks_readers():
     (blk,) = list(bs)
     assert blk.write == run.events[0]
     assert [str(r) for r in blk.reads] == ["T2 r x #1"]
-    assert set(bs.unblocked()) == {run.events[2], run.events[3]}
+    assert [i for i, b in enumerate(bs.owner) if b < 0] == [2, 3]
     assert bs.is_member(run.events[1]) and not bs.is_member(run.events[3])
     assert bs.block_of(run.events[1]) is blk
     assert bs.block_of(run.events[2]) is None

@@ -9,6 +9,7 @@ agree on the full component domain after every single step.
 import functools
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from blockeq.blocks import blocks_from_annotation
@@ -24,6 +25,8 @@ from blockeq.orders import after_set, bits, saturate
 from blockeq.trace import Label, READ, WRITE, Run
 
 import gen
+import monitor_reference
+from test_golden import _monitor_streams
 
 
 # ---- offline reference ---------------------------------------------------
@@ -129,6 +132,24 @@ def compare_prefixes(aw, universe=None, every=1):
     return mismatches
 
 
+STATE_FIELDS = ("blk", "rf", "aft", "fba", "open_", "tir")
+
+
+def reference_mismatch(universe, syms):
+    """Fold ``sat_step`` over the symbols, and from every state reached
+    step both it and the full-sweep reference; the first (step, field)
+    whose values differ, or None.  ``tir`` is compared too, although
+    ``canonical_text`` leaves it out."""
+    q = sat_initial(universe)
+    for k, s in enumerate(syms):
+        got, want = sat_step(q, s), monitor_reference.sat_step(q, s)
+        for name in STATE_FIELDS:
+            if getattr(got, name) != getattr(want, name):
+                return k, name
+        q = got
+    return None
+
+
 def describe(aw):
     return " | ".join(
         "%s%s" % (lab, " @" if bit else "")
@@ -202,6 +223,51 @@ def test_monitor_matches_batch_fold():
         for s in symbols_of(aw):
             q = sat_step(q, s)
         assert q == sat_run(aw, u)
+
+
+@pytest.mark.parametrize("name", sorted(_monitor_streams()))
+def test_step_matches_full_sweep_on_golden_streams(name):
+    # the corpus traces and the seeded random streams of the golden file
+    universe, run = _monitor_streams()[name]
+    assert reference_mismatch(universe, symbols_of(run)) is None
+
+
+@settings(max_examples=150)
+@given(gen.annotated_runs())
+def test_step_matches_full_sweep_drawn(drawn):
+    threads, variables, aw = drawn
+    mism = reference_mismatch(Universe(threads, variables), symbols_of(aw))
+    assert mism is None, "%s\nfirst mismatch: %r" % (describe(aw), mism)
+
+
+def test_step_matches_full_sweep_exhaustive_small():
+    # every annotated stream of up to 4 symbols over each alphabet within
+    # 2 threads x 2 variables, walked as a tree so each state is stepped
+    # once per continuation: a write takes either mark, and a read the
+    # mark of the write it observes
+    checked = 0
+
+    def walk(universe, q, depth, marks):
+        nonlocal checked
+        for lab in universe.labels if depth < 4 else ():
+            v = universe.var_index[lab.variable]
+            if lab.is_write():
+                choices = (False, True)
+            else:
+                choices = () if marks[v] is None else (marks[v],)
+            for bit in choices:
+                got, want = sat_step(q, (lab, bit)), monitor_reference.sat_step(q, (lab, bit))
+                for name in STATE_FIELDS:
+                    assert getattr(got, name) == getattr(want, name), (depth, lab, bit, name)
+                checked += 1
+                after = marks[:v] + (bit,) + marks[v + 1:] if lab.is_write() else marks
+                walk(universe, got, depth + 1, after)
+
+    for threads in (["T1"], ["T1", "T2"]):
+        for variables in (["x"], ["x", "y"]):
+            u = universe_of(tuple(threads), tuple(variables))
+            walk(u, sat_initial(u), 0, (None,) * len(variables))
+    assert checked > 10000
 
 
 def test_canonical_text_constant_size():

@@ -13,6 +13,8 @@ from blockeq.trace import (
     Run,
     TraceError,
     conflicting,
+    cross_dep_rows,
+    extended_dep,
     interleave_threads,
     parse_run,
     same_equiv_rf,
@@ -64,6 +66,21 @@ def test_conflicting_ignores_marks():
     assert conflicting(Label("T1", "r", "x"), Label("T1", "r", "y"))
     # distinct variables across threads never conflict
     assert not conflicting(Label("T1", "w", "x"), Label("T2", "w", "y"))
+
+
+@pytest.mark.parametrize("n_threads, n_vars", [(1, 1), (2, 1), (3, 3), (4, 2), (2, 5)])
+def test_cross_dep_rows_match_extended_dep(n_threads, n_vars):
+    threads = tuple("T%d" % (i + 1) for i in range(n_threads))
+    variables = tuple("v%d" % i for i in range(n_vars))
+    symbols = [(Label(t, op, v), bit)
+               for t in threads for op in ("r", "w") for v in variables for bit in (False, True)]
+    rows = cross_dep_rows(threads, variables)
+    span = 4 * n_vars
+    for i, a in enumerate(symbols):
+        own = ((1 << span) - 1) << i // span * span
+        want = sum(1 << j for j, b in enumerate(symbols)
+                   if a[0].thread != b[0].thread and extended_dep(a, b))
+        assert rows[i % span] & ~own == want, a
 
 
 def test_run_accessors():
