@@ -25,8 +25,6 @@ from .blocks import (
     all_block_sets,
     annotate,
     blocks_from_annotation,
-    blocks_from_writes,
-    candidate_blocks,
     is_well_annotated,
     parse_block_selector,
 )
@@ -35,9 +33,7 @@ from .concurrency import (
     MAZURKIEWICZ,
     MODES,
     MOST_GENERAL,
-    ConcQuery,
     ConcState,
-    conc_decide,
     conc_events,
     conc_initial,
     conc_step,
@@ -47,38 +43,18 @@ from .concurrency import (
     inner_pair_positions,
 )
 from .hardness import EqualityInstance, check_reduction, gen_equality_trace, ordered_in_class
-from .monitor import (
-    SatState,
-    Universe,
-    sat_initial,
-    sat_run,
-    sat_step,
-    symbols_of,
-)
+from .monitor import SatState, Universe, sat_initial, sat_step, symbols_of
 from .oracle import (
     RF_BOUND,
     SWAP_BOUND,
     BoundExceeded,
     EquivClass,
-    check_scope,
-    count_linear_extensions,
     enum_block_class,
     enum_maz_class,
     enum_rf_class,
-    intersection_order,
-    proper_linearizations,
     proper_topological_sort,
 )
-from .orders import (
-    PartialOrder,
-    SaturationResult,
-    after_set,
-    ann_label,
-    block_hb,
-    is_proper_linearization,
-    mazurkiewicz_hb,
-    saturate,
-)
+from .orders import PartialOrder, SaturationResult, block_hb, mazurkiewicz_hb, saturate
 from .trace import (
     READ,
     WRITE,
@@ -88,10 +64,8 @@ from .trace import (
     Run,
     TraceError,
     conflicting,
-    interleave_threads,
     parse_run,
     parse_symbol,
-    same_equiv_rf,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

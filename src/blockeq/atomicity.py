@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import monitor
 from .blocks import BlockSet, blocks_from_annotation
 from .monitor import SatState, Universe, sat_initial, sat_step, symbols_of
 from .orders import _direct_edges, bits, block_hb, topological_order
@@ -143,9 +144,10 @@ def serial_witness(run: Run, blocks: BlockSet) -> Run:
 class LibAtState:
     """State of the streaming liberal-atomicity check.
 
-    ``edges`` are variable-index pairs of the summarized conflict graph;
-    an edge (y, x) asserts a path from the active block on variable y to
-    the active block on variable x whose inner nodes are all inactive.
+    ``edges`` holds, per variable, the successor mask of its node in the
+    summarized conflict graph: bit x of ``edges[y]`` asserts a path from
+    the active block on variable y to the active block on variable x
+    whose inner nodes are all inactive.
     Per variable, ``start`` holds the symbol index of the write that
     began the active block (-1 before any block), ``members`` the symbol
     mask of its members so far, and ``reach`` the witness mask: symbols
@@ -160,7 +162,7 @@ class LibAtState:
     """
 
     sat: SatState
-    edges: frozenset[tuple[int, int]]
+    edges: tuple[int, ...]
     start: tuple[int, ...]
     members: tuple[int, ...]
     reach: tuple[int, ...]
@@ -172,7 +174,7 @@ class LibAtState:
 
 def libat_initial(universe: Universe) -> LibAtState:
     nx = len(universe.variables)
-    return LibAtState(sat_initial(universe), frozenset(), (-1,) * nx, (0,) * nx, (0,) * nx, False)
+    return LibAtState(sat_initial(universe), (0,) * nx, (-1,) * nx, (0,) * nx, (0,) * nx, False)
 
 
 def _witnessed(sat: SatState, mask: int, abit: int) -> bool:
@@ -211,7 +213,7 @@ def libat_step(state: LibAtState, sym: AnnLabel) -> LibAtState:
         return LibAtState(sat, state.edges, state.start, state.members, tuple(reach), False)
 
     xi = u.var_index[lab.variable]
-    edges = set(state.edges)
+    edges = list(state.edges)
     start = list(state.start)
     members = list(state.members)
     reach = list(state.reach)
@@ -224,14 +226,13 @@ def libat_step(state: LibAtState, sym: AnnLabel) -> LibAtState:
             # and compose its incident edges pairwise, so the paths it
             # stood for survive the removal
             carry = (1 << old) | members[xi] | reach[xi]
-            into = [p for (p, q) in edges if q == xi]
-            outof = [q for (p, q) in edges if p == xi]
-            edges = {(p, q) for (p, q) in edges if p != xi and q != xi}
-            for p in into:
-                reach[p] |= carry
-                for q in outof:
-                    assert p != q, "composition on an acyclic graph cannot close a loop"
-                    edges.add((p, q))
+            xbit, outof = 1 << xi, edges[xi]
+            edges[xi] = 0
+            for p in range(nx):
+                if edges[p] & xbit:
+                    reach[p] |= carry
+                    assert not outof >> p & 1, "composition on an acyclic graph cannot close a loop"
+                    edges[p] = edges[p] & ~xbit | outof
         start[xi] = ai
         members[xi] = abit
         reach[xi] = 0
@@ -249,15 +250,12 @@ def libat_step(state: LibAtState, sym: AnnLabel) -> LibAtState:
             # needs a path that leaves the node and returns, which only
             # its witnesses can certify
             if _witnessed(sat, reach[xi], abit):
-                edges.add((xi, xi))
+                edges[xi] |= 1 << xi
         elif sat.aft[start[yi]] & abit or _witnessed(sat, reach[yi], abit):
-            edges.add((yi, xi))
+            edges[yi] |= 1 << xi
 
-    succ = [0] * nx
-    for y, x in edges:
-        succ[y] |= 1 << x
-    rejected = topological_order(succ) is None
-    return LibAtState(sat, frozenset(edges), tuple(start), tuple(members), tuple(reach), rejected)
+    rejected = topological_order(edges) is None
+    return LibAtState(sat, tuple(edges), tuple(start), tuple(members), tuple(reach), rejected)
 
 
 def libat_run(aw: Run, universe: Universe | None = None) -> bool:
@@ -276,14 +274,10 @@ def canonical_text(state: LibAtState) -> str:
     """Fixed-width rendering: reject flag, the edge set as one bitmask
     over variable pairs, the per-variable registers, then the saturation
     state.  Byte length depends only on the universe."""
-    from . import monitor
-
     u = state.sat.universe
     nx = len(u.variables)
     nsym = len(u.symbols)
-    mask = 0
-    for y, x in state.edges:
-        mask |= 1 << (y * nx + x)
+    mask = sum(out << y * nx for y, out in enumerate(state.edges))
     ewidth = max(1, (nx * nx + 3) // 4)
     swidth = max(1, (nsym + 3) // 4)
     dwidth = len(str(nsym))  # start indices are -1 .. nsym-1

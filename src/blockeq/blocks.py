@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .trace import Event, Run, TraceError
 
@@ -31,49 +31,33 @@ class Block:
     write: Event
     reads: tuple[Event, ...]  # in run order
 
-    @property
-    def variable(self) -> str:
-        return self.write.label.variable
-
     def members(self) -> tuple[Event, ...]:
         return (self.write,) + self.reads
-
-    def __contains__(self, e: Event) -> bool:
-        return e == self.write or e in self.reads
 
     def __str__(self):
         return "{" + ", ".join(str(e) for e in self.members()) + "}"
 
 
 class BlockSet:
-    """A pairwise-disjoint set of blocks over one run, held by its
-    writes: ``writes`` are their positions, ascending, ``masks`` their
-    member masks, ``owner`` the block index of each position (-1 when
-    unblocked) and ``by_variable`` the members on each variable of the
-    run.  ``Block`` objects are built when ``blocks`` is read.  Every
-    block must be a candidate block (see below)."""
+    """A pairwise-disjoint set of blocks over one run, given by the
+    positions of their writes; each block is the candidate block of its
+    write (see above).  ``writes`` are those positions, ascending,
+    ``masks`` the blocks' member masks, ``owner`` the block index of each
+    position (-1 when unblocked) and ``by_variable`` the members on each
+    variable of the run.  ``Block`` objects are built when ``blocks`` is
+    read.  A position that is not a write of the run, or that is given
+    twice, raises ValueError."""
 
-    def __init__(self, run: Run, blocks: Iterable[Block]):
-        blocks = sorted(blocks, key=lambda b: _position_of(run, b.write))
-        self._fill(run, [run.position(b.write) for b in blocks])
-        is_write = run.is_write
-        if blocks and (tuple(blocks) != self.blocks or not all(is_write[w] for w in self.writes)):
-            raise ValueError("a block must hold a write and all its readers")
-
-    @classmethod
-    def _of_writes(cls, run: Run, writes: Iterable[int]) -> "BlockSet":
-        self = cls.__new__(cls)
-        self._fill(run, writes)
-        return self
-
-    def _fill(self, run: Run, writes: Iterable[int]) -> None:
+    def __init__(self, run: Run, writes: Iterable[int]):
         self.run = run
         self.writes: tuple[int, ...] = tuple(sorted(writes))
         owner = [-1] * len(run)
         masks, by_variable = [], [0] * len(run.variables)
         for b, w in enumerate(self.writes):
+            if not (0 <= w < len(run) and run.is_write[w]):
+                raise ValueError("position %r is not a write of the run" % (w,))
             if owner[w] >= 0:
-                raise ValueError("event %s belongs to two blocks" % (run.event_at(w),))
+                raise ValueError("write %s is given twice" % (run.event_at(w),))
             members = (w,) + run.readers[w]
             for i in members:
                 owner[i] = b
@@ -94,18 +78,6 @@ class BlockSet:
     def __iter__(self):
         return iter(self.blocks)
 
-    def block_of(self, e: Event) -> Optional[Block]:
-        return self.blocks[self.owner[self.run.position(e)]] if self.is_member(e) else None
-
-    def is_member(self, e: Event) -> bool:
-        try:
-            return self.owner[self.run.position(e)] >= 0
-        except KeyError:
-            return False
-
-    def members(self) -> frozenset[Event]:
-        return frozenset(e for e, b in zip(self.run.events, self.owner) if b >= 0)
-
     def __eq__(self, other):
         return isinstance(other, BlockSet) and self.run == other.run and self.writes == other.writes
 
@@ -123,38 +95,17 @@ def _position_of(run: Run, e: Event) -> int:
         raise ValueError("%s is not an event of the run" % (e,)) from None
 
 
-def candidate_blocks(run: Run) -> list[Block]:
-    """One candidate block per write event: the write plus all its readers.
-
-    Every valid block of the run is one of these (a block must contain the
-    write and *all* reads observing it), so the valid block sets are exactly
-    the subsets of this list — they are automatically disjoint.
-    """
-    return list(BlockSet._of_writes(run, _write_positions(run)).blocks)
-
-
 def _write_positions(run: Run) -> list[int]:
     return [i for i, w in enumerate(run.is_write) if w]
-
-
-def blocks_from_writes(run: Run, writes: Iterable[Event]) -> BlockSet:
-    """The block set whose blocks are the candidate blocks of the given
-    write events."""
-    chosen = set()
-    for e in writes:
-        i = _position_of(run, e)
-        if not run.is_write[i]:
-            raise ValueError("%s is not a write event" % (e,))
-        chosen.add(i)
-    return BlockSet._of_writes(run, chosen)
 
 
 def annotate(run: Run, block_set: BlockSet) -> Run:
     """Mark exactly the members of the block set on a copy of the run,
     which may list the block set's events in another order."""
+    owner = block_set.owner
     if run.labels == block_set.run.labels:
-        return run.with_annotations(b >= 0 for b in block_set.owner)
-    return run.with_annotations(block_set.is_member(e) for e in run.events)
+        return run.with_annotations(b >= 0 for b in owner)
+    return run.with_annotations(owner[_position_of(block_set.run, e)] >= 0 for e in run.events)
 
 
 def is_well_annotated(run: Run) -> bool:
@@ -186,7 +137,7 @@ def blocks_from_annotation(run: Run) -> BlockSet:
             raise TraceError(
                 "write %s is marked but its reader %s is not" % (run.event_at(w), run.event_at(r))
             )
-    return BlockSet._of_writes(run, [i for i, on in enumerate(marked) if on and run.is_write[i]])
+    return BlockSet(run, [i for i, on in enumerate(marked) if on and run.is_write[i]])
 
 
 def all_block_sets(run: Run) -> Iterable[BlockSet]:
@@ -195,31 +146,7 @@ def all_block_sets(run: Run) -> Iterable[BlockSet]:
     writes = _write_positions(run)
     n = len(writes)
     for mask in range(1 << n):
-        yield BlockSet._of_writes(run, [writes[i] for i in range(n) if mask >> i & 1])
-
-
-def blocks_in_run_order_disjoint(run: Run, block_set: BlockSet) -> bool:
-    """Check that same-variable blocks occupy disjoint position windows.
-
-    Always true for valid block sets (a read between two writes of x
-    observes the later write); exposed for the property tests.  ``run``
-    may be any permutation of the block set's run.
-    """
-    return _windows_disjoint(block_set, [_position_of(block_set.run, e) for e in run.events])
-
-
-def _windows_disjoint(block_set: BlockSet, order: Iterable[int]) -> bool:
-    """True iff listing the block set's run positions in ``order`` never
-    interleaves two blocks on one variable, that is, iff each block
-    starts exactly one streak among its variable's members."""
-    last: dict[int, int] = {}  # variable -> block of its latest member
-    streaks = 0
-    for p in order:
-        b, x = block_set.owner[p], block_set.run.vid[p]
-        if b >= 0 and last.get(x) != b:
-            last[x] = b
-            streaks += 1
-    return streaks == len(block_set)
+        yield BlockSet(run, [writes[i] for i in range(n) if mask >> i & 1])
 
 
 def parse_block_selector(run: Run, spec: str) -> BlockSet:
@@ -230,9 +157,9 @@ def parse_block_selector(run: Run, spec: str) -> BlockSet:
     ``writes=i,j``-> blocks of the writes at 1-based run positions i, j
     """
     if spec == "all":
-        return BlockSet._of_writes(run, _write_positions(run))
+        return BlockSet(run, _write_positions(run))
     if spec == "none":
-        return BlockSet._of_writes(run, ())
+        return BlockSet(run, ())
     if spec.startswith("writes="):
         body = spec[len("writes="):]
         positions = []
@@ -248,5 +175,5 @@ def parse_block_selector(run: Run, spec: str) -> BlockSet:
                 raise TraceError("write position %d out of range 1..%d" % (p, len(run)))
             if not run.is_write[p - 1]:
                 raise TraceError("position %d is %s, not a write" % (p, run.labels[p - 1]))
-        return BlockSet._of_writes(run, {p - 1 for p in positions})
+        return BlockSet(run, {p - 1 for p in positions})
     raise TraceError("bad block selector %r (expected all, none or writes=...)" % spec)

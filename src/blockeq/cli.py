@@ -76,7 +76,8 @@ class Config:
     breaks ties whenever a command samples among equally valid outputs
     (currently: which members ``enumerate --limit`` prints when the
     class is larger than the limit).  ``fmt`` selects the output format;
-    each command accepts the subset that makes sense for it.
+    each subcommand declares the subset it accepts as its ``formats``
+    default, and ``main`` refuses the others.
     """
 
     swap_bound: int = SWAP_BOUND
@@ -112,12 +113,6 @@ def _blocks_for(run: Run, selector: str | None) -> BlockSet:
     return blocks_from_annotation(run)
 
 
-def _require_format(cfg: Config, command: str, supported: tuple[str, ...]) -> int | None:
-    if cfg.fmt not in supported:
-        return _fail("format %r is not supported by %r" % (cfg.fmt, command))
-    return None
-
-
 def _label_text(run: Run, pos: int) -> str:
     text = str(run.labels[pos])
     if run.annotations[pos]:
@@ -128,9 +123,6 @@ def _label_text(run: Run, pos: int) -> str:
 # ---- validate --------------------------------------------------------------
 
 def cmd_validate(args, cfg: Config) -> int:
-    bad = _require_format(cfg, "validate", ("text",))
-    if bad is not None:
-        return bad
     try:
         run = _load(args.trace)
     except TraceError as exc:
@@ -171,17 +163,11 @@ def _emit_order(name: str, run: Run, order, cfg: Config) -> int:
 
 
 def cmd_hb(args, cfg: Config) -> int:
-    bad = _require_format(cfg, "hb", ("text", "dot"))
-    if bad is not None:
-        return bad
     run = _load(args.trace)
     return _emit_order("hb", run, mazurkiewicz_hb(run), cfg)
 
 
 def cmd_bhb(args, cfg: Config) -> int:
-    bad = _require_format(cfg, "bhb", ("text", "dot"))
-    if bad is not None:
-        return bad
     run = _load(args.trace)
     blocks = _blocks_for(run, args.blocks)
     return _emit_order("bhb", run, block_hb(run, blocks), cfg)
@@ -202,13 +188,12 @@ def _dot_block_graph(run: Run, blocks: BlockSet) -> str:
 
 
 def cmd_atomicity(args, cfg: Config) -> int:
-    bad = _require_format(cfg, "atomicity", ("text", "dot"))
-    if bad is not None:
-        return bad
     run = _load(args.trace)
     blocks = _blocks_for(run, args.blocks)
     atomic = is_liberally_atomic(run, blocks)
     if cfg.fmt == "dot":
+        if args.witness:
+            _warn("--witness is ignored with --format dot")
         sys.stdout.write(_dot_block_graph(run, blocks))
         return EXIT_OK if atomic else EXIT_NO
     print("liberally-atomic: %s" % ("yes" if atomic else "no"))
@@ -228,9 +213,6 @@ def cmd_atomicity(args, cfg: Config) -> int:
 # ---- concurrent ------------------------------------------------------------
 
 def cmd_concurrent(args, cfg: Config) -> int:
-    bad = _require_format(cfg, "concurrent", ("text",))
-    if bad is not None:
-        return bad
     run = _load(args.trace)
     if args.blocks is not None and args.mode != GIVEN_BLOCKS:
         _warn("--blocks is ignored outside blocks mode")
@@ -273,9 +255,6 @@ def cmd_concurrent(args, cfg: Config) -> int:
 # ---- enumerate -------------------------------------------------------------
 
 def cmd_enumerate(args, cfg: Config) -> int:
-    bad = _require_format(cfg, "enumerate", ("text",))
-    if bad is not None:
-        return bad
     if args.limit < 0:
         return _fail("--limit needs a non-negative count")
     run = _load(args.trace)
@@ -302,9 +281,6 @@ def cmd_enumerate(args, cfg: Config) -> int:
 # ---- annotate --------------------------------------------------------------
 
 def cmd_annotate(args, cfg: Config) -> int:
-    bad = _require_format(cfg, "annotate", ("text",))
-    if bad is not None:
-        return bad
     run = _load(args.trace)
     # annotate overwrites every mark; unmarked traces default to all blocks
     selector = "all" if args.blocks is None and not any(run.annotations) else args.blocks
@@ -324,9 +300,6 @@ def _dump_state(count: int, state, cfg: Config) -> None:
 
 
 def cmd_sat(args, cfg: Config) -> int:
-    bad = _require_format(cfg, "sat", ("text", "json-lines"))
-    if bad is not None:
-        return bad
     if args.dump_state_every is not None and args.dump_state_every <= 0:
         return _fail("--dump-state-every needs a positive count")
     run = _load(args.trace)
@@ -348,9 +321,6 @@ def cmd_sat(args, cfg: Config) -> int:
 # ---- gen-hardness ----------------------------------------------------------
 
 def cmd_gen_hardness(args, cfg: Config) -> int:
-    bad = _require_format(cfg, "gen-hardness", ("text",))
-    if bad is not None:
-        return bad
     try:
         inst = EqualityInstance.from_strings(args.a, args.b)
     except ValueError as exc:
@@ -404,18 +374,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", parents=[common],
                         help="parse a trace and report basic shape (exit 1 if invalid)")
     sp.add_argument("trace")
-    sp.set_defaults(func=cmd_validate)
+    sp.set_defaults(func=cmd_validate, formats=("text",))
 
     sp = sub.add_parser("hb", parents=[common],
                         help="happens-before order of the trace as covering edges")
     sp.add_argument("trace")
-    sp.set_defaults(func=cmd_hb)
+    sp.set_defaults(func=cmd_hb, formats=("text", "dot"))
 
     sp = sub.add_parser("bhb", parents=[common, blocksel],
                         help="block happens-before order (cross-thread pairs inside "
                              "two distinct blocks are exempted)")
     sp.add_argument("trace")
-    sp.set_defaults(func=cmd_bhb)
+    sp.set_defaults(func=cmd_bhb, formats=("text", "dot"))
 
     sp = sub.add_parser("atomicity", parents=[common, blocksel],
                         help="report liberal atomicity and conflict serializability "
@@ -423,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("trace")
     sp.add_argument("--witness", action="store_true",
                     help="also print one equivalent run with every block contiguous")
-    sp.set_defaults(func=cmd_atomicity)
+    sp.set_defaults(func=cmd_atomicity, formats=("text", "dot"))
 
     sp = sub.add_parser("concurrent", parents=[common, blocksel],
                         help="decide whether two symbols or events can execute in "
@@ -438,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=("enumerate", "stream"), default="enumerate",
                     help="general mode only: exact enumeration or streaming "
                          "over-approximation (default enumerate)")
-    sp.set_defaults(func=cmd_concurrent)
+    sp.set_defaults(func=cmd_concurrent, formats=("text",))
 
     sp = sub.add_parser("enumerate", parents=[common, blocksel],
                         help="enumerate an equivalence class by brute force")
@@ -446,13 +416,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--relation", choices=("maz", "blocks", "rf"), required=True)
     sp.add_argument("--limit", type=int, default=0, metavar="N",
                     help="print up to N members after the count")
-    sp.set_defaults(func=cmd_enumerate)
+    sp.set_defaults(func=cmd_enumerate, formats=("text",))
 
     sp = sub.add_parser("annotate", parents=[common, blocksel],
                         help="print the trace with @ marks for the selected blocks "
                              "(default: every write starts a block)")
     sp.add_argument("trace")
-    sp.set_defaults(func=cmd_annotate)
+    sp.set_defaults(func=cmd_annotate, formats=("text",))
 
     sp = sub.add_parser("sat", parents=[common, blocksel],
                         help="stream the trace through the saturation monitor and "
@@ -460,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("trace")
     sp.add_argument("--dump-state-every", type=int, metavar="K",
                     help="snapshot after every K events (default: final state only)")
-    sp.set_defaults(func=cmd_sat)
+    sp.set_defaults(func=cmd_sat, formats=("text", "json-lines"))
 
     sp = sub.add_parser("gen-hardness", parents=[common],
                         help="emit the two-thread trace whose marker events are "
@@ -469,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", required=True, metavar="BITS", help="second bit string")
     sp.add_argument("--check", action="store_true",
                     help="verify the ordered-iff-equal property (n <= 3 only)")
-    sp.set_defaults(func=cmd_gen_hardness)
+    sp.set_defaults(func=cmd_gen_hardness, formats=("text",))
 
     return p
 
@@ -485,6 +455,8 @@ def main(argv=None) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc))
+    if cfg.fmt not in args.formats:
+        return _fail("format %r is not supported by %r" % (cfg.fmt, args.command))
     try:
         return args.func(args, cfg)
     except BoundExceeded as exc:

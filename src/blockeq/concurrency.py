@@ -57,33 +57,6 @@ MOST_GENERAL = "general"
 MODES = (MAZURKIEWICZ, GIVEN_BLOCKS, MOST_GENERAL)
 
 
-@dataclass(frozen=True)
-class ConcQuery:
-    """A reorderability question: two distinct labels and the equivalence
-    to ask it under."""
-
-    c: Label
-    d: Label
-    mode: str = GIVEN_BLOCKS
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), self.mode))
-        if self.c == self.d:
-            raise ValueError(
-                "need two distinct labels; use conc_events to compare "
-                "two events of one label"
-            )
-
-
-def conc_decide(run: Run, query: ConcQuery) -> bool:
-    if query.mode == MAZURKIEWICZ:
-        return conc_symbols_maz(run, query.c, query.d)
-    if query.mode == GIVEN_BLOCKS:
-        return conc_symbols_blocks(run, query.c, query.d)
-    return conc_symbols_general(run, query.c, query.d)
-
-
 # ---- the streaming pair automaton ----------------------------------------
 
 @dataclass(frozen=True)

@@ -129,9 +129,6 @@ class Universe:
     def nrows(self) -> int:
         return len(self.symbols) * self.stride
 
-    def symbol_set(self, mask: int) -> frozenset[AnnLabel]:
-        return frozenset(self.symbols[i] for i in bits(mask))
-
 
 @dataclass(frozen=True)
 class SatState:
@@ -142,28 +139,6 @@ class SatState:
     fba: tuple[int, ...]      # per (symbol, thread, variable) row: mask
     open_: tuple[bool, ...]   # per row: first tracked block still unique?
     tir: tuple[bool, ...]     # per row: tracked block is the running block
-
-    # -- reading the state ------------------------------------------------
-
-    def blk_set(self, variable: str) -> frozenset[AnnLabel]:
-        return self.universe.symbol_set(self.blk[self.universe.var_index[variable]])
-
-    def rf_symbol(self, variable: str) -> Optional[AnnLabel]:
-        i = self.rf[self.universe.var_index[variable]]
-        return None if i < 0 else self.universe.symbols[i]
-
-    def aft_set(self, sym: AnnLabel) -> frozenset[AnnLabel]:
-        return self.universe.symbol_set(self.aft[self.universe.sym_index[sym]])
-
-    def fba_set(self, sym: AnnLabel, thread: str, variable: str) -> frozenset[AnnLabel]:
-        u = self.universe
-        r = u.row(u.sym_index[sym], u.thread_index[thread], u.var_index[variable])
-        return u.symbol_set(self.fba[r])
-
-    def fba_open(self, sym: AnnLabel, thread: str, variable: str) -> bool:
-        u = self.universe
-        r = u.row(u.sym_index[sym], u.thread_index[thread], u.var_index[variable])
-        return self.open_[r]
 
 
 def sat_initial(universe: Universe) -> SatState:
@@ -574,16 +549,6 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
 
     return SatState(u, tuple(blk), tuple(rf), tuple(A), tuple(F),
                     tuple(eff_open), tuple(eff_tir))
-
-
-def sat_run(aw: Run, universe: Optional[Universe] = None) -> SatState:
-    """Fold sat_step over an annotated run from the initial state."""
-    if universe is None:
-        universe = Universe.from_run(aw)
-    q = sat_initial(universe)
-    for s in symbols_of(aw):
-        q = sat_step(q, s)
-    return q
 
 
 # ---- canonical serialization -------------------------------------------

@@ -4,11 +4,9 @@ The class enumerations are order-free and bounded: equivalence classes
 by breadth-first closure under the allowed swaps and reads-from classes
 by interleaving search never consult the offline orders, and their
 length caps keep them at desk scale, so they certify the incremental
-algorithms by an independent route.  The linearization helpers are not
-order-free: ``proper_linearizations`` and ``check_scope`` search
-topologically over ``block_hb`` (bounded), ``check_scope`` tests its
-premise on ``saturate``, and ``proper_topological_sort`` emits along
-``saturate`` with no bound.
+algorithms by an independent route.  ``proper_topological_sort`` is
+not order-free: it emits one proper linearization along ``saturate``,
+with no bound.
 
 Class members are *position words*: ``bytes`` whose k-th byte is the
 run position of the k-th event.  The swap closure reads a commutation
@@ -24,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .blocks import BlockSet
-from .orders import PartialOrder, bits, block_hb, rows_union, saturate
+from .orders import bits, rows_union, saturate
 from .trace import Event, Label, Run, conflicting
 
 SWAP_BOUND = 12  # breadth-first closure under swaps
@@ -87,15 +85,6 @@ class EquivClass:
         rank = {k: r for r, k in enumerate(sorted(set(codes)))}
         table = bytes(rank[k] for k in codes).ljust(256, b"\0")
         return sorted(self.words, key=lambda w: w.translate(table))
-
-    def member_runs(self) -> list[Run]:
-        """Members as runs in label order, each event keeping the
-        annotation it carries in the representative."""
-        rep = self.representative
-        return [
-            Run([rep.labels[p] for p in w], [rep.annotations[p] for p in w])
-            for w in self.sorted_words()
-        ]
 
     def __repr__(self):
         return "EquivClass(%s, %d members)" % (self.relation, len(self.words))
@@ -210,58 +199,13 @@ def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
     return EquivClass("rf", run, rf_class_words(run, bound))
 
 
-# ---- proper linearizations -------------------------------------------------
+# ---- proper topological sort -----------------------------------------------
 
 def _busy(blocks: BlockSet, placed: int) -> int:
     """Variable mask of the blocks with some but not all members placed."""
     vid = blocks.run.vid
     open_writes = [w for w, m in zip(blocks.writes, blocks.masks) if placed & m not in (0, m)]
     return sum({1 << vid[w] for w in open_writes})
-
-
-def _proper_search(run: Run, blocks: BlockSet, forced: Iterable[int] = (),
-                   first_only: bool = False) -> list[tuple[int, ...]]:
-    """Topological DFS over the block happens-before order that never
-    lets two same-variable blocks overlap, as position sequences.
-    ``forced`` pins the first placements (callers guarantee those
-    respect the order); with ``first_only`` the search stops at the
-    first completion."""
-    succ = block_hb(run, blocks).succ
-    vid = run.vid
-    out: list[tuple[int, ...]] = []
-    acc = list(forced)
-    full = (1 << len(run)) - 1
-
-    def dfs(placed: int) -> bool:
-        if placed == full:
-            out.append(tuple(acc))
-            return first_only
-        busy = _busy(blocks, placed)
-        pending = full & ~placed
-        for i in bits(pending & ~rows_union(succ, pending)):
-            b = blocks.owner[i]
-            if b >= 0 and not placed & blocks.masks[b] and busy >> vid[i] & 1:
-                continue  # starting this block would interleave an open one
-            acc.append(i)
-            done = dfs(placed | 1 << i)
-            acc.pop()
-            if done:
-                return True
-        return False
-
-    dfs(sum(1 << i for i in acc))
-    return out
-
-
-def proper_linearizations(run: Run, blocks: BlockSet, bound: Optional[int] = None) -> set[Run]:
-    """Every permutation of the run that linearizes the block
-    happens-before order without interleaving two blocks on the same
-    variable."""
-    _check_bound(run, bound, SWAP_BOUND, "proper-linearization")
-    return {
-        Run([run.labels[i] for i in w], [run.annotations[i] for i in w])
-        for w in _proper_search(run, blocks)
-    }
 
 
 def proper_topological_sort(
@@ -294,64 +238,3 @@ def proper_topological_sort(
         pending &= ~(1 << i)
         picked.append(i)
     return Run([run.labels[i] for i in picked], [run.annotations[i] for i in picked])
-
-
-# ---- derived order queries --------------------------------------------------
-
-def intersection_order(cls: EquivClass) -> PartialOrder:
-    """The pairs ordered the same way in every member of the class."""
-    n = len(cls.representative)
-    keep = [(1 << n) - 1] * n
-    for w in cls.words:
-        later = 0
-        for p in reversed(w):
-            keep[p] &= later
-            later |= 1 << p
-    return PartialOrder(cls.representative, keep)
-
-
-def count_linear_extensions(order: PartialOrder) -> int:
-    """Number of linearizations, by dynamic programming over downward
-    closed sets."""
-    succ = order.succ
-    memo = {0: 1}
-
-    def count(mask: int) -> int:
-        got = memo.get(mask)
-        if got is None:
-            # remove a maximal element of the downward closed set
-            got = memo[mask] = sum(count(mask ^ 1 << i) for i in bits(mask) if not succ[i] & mask)
-        return got
-
-    return count((1 << len(succ)) - 1)
-
-
-def check_scope(
-    run: Run,
-    blocks: BlockSet,
-    prefix_len: int,
-    event_pos: int,
-    bound: Optional[int] = None,
-) -> bool:
-    """Decompose the run as v·w·e·w' with v the first ``prefix_len``
-    events and e the event at ``event_pos``.  Requires that v contains
-    every block wholly or not at all, and that no event of w is
-    saturation-ordered before e; violations raise ValueError.  Returns
-    whether some completion v·e·v' is a proper linearization — which the
-    scope property guarantees whenever the blocks are liberally atomic."""
-    _check_bound(run, bound, SWAP_BOUND, "scope-completion")
-    if not (0 <= prefix_len <= event_pos < len(run)):
-        raise ValueError("need 0 <= prefix_len <= event_pos < run length")
-    prefix = (1 << prefix_len) - 1
-    for b, m in enumerate(blocks.masks):
-        if m & prefix and m & ~prefix:
-            raise ValueError("the prefix splits the block %s" % (blocks.blocks[b],))
-    succ = saturate(run, blocks).order.succ
-    for p in range(prefix_len, event_pos):
-        if succ[p] >> event_pos & 1:
-            raise ValueError(
-                "%s is ordered before the pivot %s" % (run.event_at(p), run.event_at(event_pos))
-            )
-
-    forced = list(range(prefix_len)) + [event_pos]
-    return bool(_proper_search(run, blocks, forced=forced, first_only=True))

@@ -52,8 +52,8 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterator, Optional, Sequence
 
-from .blocks import Block, BlockSet, _position_of, _windows_disjoint
-from .trace import AnnLabel, Event, Run, cross_dep_rows
+from .blocks import Block, BlockSet
+from .trace import Event, Run, cross_dep_rows
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -115,40 +115,18 @@ class PartialOrder:
     ``succ[i]`` is the mask of the positions ordered after position i of
     ``run``.  Built from a table of direct edges, which it closes.  Every
     edge must point forward in run order; a backward edge or a self loop
-    raises ValueError, and so does any cycle.  The universe is a ``Run``
-    or its events in run order; events are built only when ``universe``
-    is read."""
+    raises ValueError, and so does any cycle."""
 
-    def __init__(self, universe: Sequence[Event], edges: Sequence[int]):
+    def __init__(self, run: Run, edges: Sequence[int]):
         for i, mask in enumerate(edges):
             if mask & ((2 << i) - 1):
                 raise ValueError("an edge from position %d does not point forward" % i)
-        if not isinstance(universe, Run):
-            events = tuple(universe)
-            universe = Run(e.label for e in events)
-            if universe.events != events:
-                raise ValueError("the universe must list the events of a run in run order")
-        self.run = universe
+        self.run = run
         self.succ: tuple[int, ...] = tuple(transitive_closure(edges))
-
-    @property
-    def universe(self) -> tuple[Event, ...]:
-        return self.run.events
 
     def ordered(self, e: Event, f: Event) -> bool:
         """True iff e strictly before f."""
         return self.succ[self.run.position(e)] >> self.run.position(f) & 1 == 1
-
-    def leq(self, e: Event, f: Event) -> bool:
-        return e == f or self.ordered(e, f)
-
-    def successors(self, e: Event) -> frozenset[Event]:
-        return frozenset(self.universe[j] for j in bits(self.succ[self.run.position(e)]))
-
-    def pairs(self) -> frozenset[tuple[Event, Event]]:
-        return frozenset(
-            (e, self.universe[j]) for e, m in zip(self.universe, self.succ) for j in bits(m)
-        )
 
     def covering_positions(self) -> list[tuple[int, int]]:
         """Transitive reduction as position pairs, in row order: a
@@ -158,23 +136,8 @@ class PartialOrder:
 
     def covering_pairs(self) -> list[tuple[Event, Event]]:
         """Transitive reduction, for edge-list display."""
-        return [(self.universe[i], self.universe[j]) for i, j in self.covering_positions()]
-
-    def is_linearized_by(self, seq: Sequence[Event]) -> bool:
-        try:
-            order = [self.run.position(e) for e in seq]
-        except KeyError:
-            return False
-        return sorted(order) == list(range(len(self.succ))) and self._linearized_by(order)
-
-    def _linearized_by(self, order: Sequence[int]) -> bool:
-        """True iff listing the positions in ``order`` respects every edge."""
-        later = 0
-        for i in reversed(order):
-            if self.succ[i] & ~later:
-                return False
-            later |= 1 << i
-        return True
+        ev = self.run.events
+        return [(ev[i], ev[j]) for i, j in self.covering_positions()]
 
     def __len__(self):
         return len(self.succ)
@@ -266,9 +229,6 @@ class SaturationResult:
     def ordered(self, e: Event, f: Event) -> bool:
         return self.order.ordered(e, f)
 
-    def leq(self, e: Event, f: Event) -> bool:
-        return self.order.leq(e, f)
-
 
 def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
     """Least fixpoint of:
@@ -318,47 +278,3 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
                 succ[i] |= targets
         succ = transitive_closure(succ)
     return SaturationResult(run, blocks, PartialOrder(run, succ), frozenset(pairs), cyclic)
-
-
-def ann_label(blocks: BlockSet, e: Event) -> AnnLabel:
-    """The annotated-alphabet symbol of an event: label plus membership bit."""
-    return (e.label, blocks.is_member(e))
-
-
-def after_set(
-    run: Run,
-    blocks: BlockSet,
-    e: Event,
-    sat: Optional[SaturationResult] = None,
-) -> frozenset[AnnLabel]:
-    """Annotated labels of all events at-or-after e in the saturated order.
-
-    Bounded by the alphabet size regardless of run length, which is what
-    makes the streaming monitor's state constant."""
-    if sat is None:
-        sat = saturate(run, blocks)
-    i = run.position(e)
-    after = sat.order.succ[i] | 1 << i
-    return frozenset((run.labels[j], blocks.owner[j] >= 0) for j in bits(after))
-
-
-def is_proper_linearization(
-    candidate: Run,
-    base: Run,
-    blocks: BlockSet,
-    order: Optional[PartialOrder] = None,
-) -> bool:
-    """True iff candidate permutes base's events, respects the block
-    happens-before of (base, blocks), and no two same-variable blocks
-    occupy overlapping position windows in candidate.
-
-    ``order`` substitutes a different order to respect (e.g. the saturated
-    one); the accepted set is provably the same either way, which the
-    tests check by enumeration.
-    """
-    if len(candidate) != len(base):
-        raise ValueError("candidate is not a permutation of the base run's events")
-    order_in_base = [_position_of(base, e) for e in candidate.events]
-    if order is None:
-        order = block_hb(base, blocks)
-    return order._linearized_by(order_in_base) and _windows_disjoint(blocks, order_in_base)

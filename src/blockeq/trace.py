@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 READ = "r"
@@ -218,26 +217,7 @@ class Run:
     def event_at(self, i: int) -> Event:
         return Event(self.labels[i], self.by_code[self.code[i]].index(i) + 1)
 
-    def annotation_at(self, i: int) -> bool:
-        return self.annotations[i]
-
-    # -- derived relations ----------------------------------------------
-
-    def program_order(self) -> frozenset[tuple[Event, Event]]:
-        """All pairs (e, f) with e before f in the same thread."""
-        ev = self.events
-        pairs = (pq for chain in self.by_thread for pq in combinations(chain, 2))
-        return frozenset((ev[p], ev[q]) for p, q in pairs)
-
-    def reads_from(self) -> dict[Event, Event]:
-        """Map from each read event to the write event it observes."""
-        return {self.events[r]: self.events[w] for r, w in self.rf_pos.items()}
-
-    def writer_of(self, e: Event) -> Event:
-        i = self.position(e)
-        if i not in self.rf_pos:
-            raise KeyError("%s is not a read event" % (e,))
-        return self.event_at(self.rf_pos[i])
+    # -- derived runs ---------------------------------------------------
 
     def with_annotations(self, annotations: Iterable[bool]) -> "Run":
         return Run(self.labels, annotations)
@@ -294,33 +274,3 @@ def parse_run(text: str) -> Run:
         if raw.split("#", 1)[0].strip()
     ]
     return Run([lab for lab, _ in symbols], [marked for _, marked in symbols])
-
-
-def same_equiv_rf(run_a: Run, run_b: Run) -> bool:
-    """Reads-from equivalence: equal event sets, equal program order and
-    equal reads-from maps."""
-    if set(run_a.events) != set(run_b.events):
-        return False
-    if run_a.program_order() != run_b.program_order():
-        return False
-    return run_a.reads_from() == run_b.reads_from()
-
-
-def interleave_threads(per_thread: dict[str, list[Label]]) -> Iterable[tuple[Label, ...]]:
-    """All interleavings of the given per-thread label sequences.  Utility
-    for oracle-style enumeration; order of emission is deterministic."""
-    threads = sorted(per_thread)
-    seqs = [tuple(per_thread[t]) for t in threads]
-
-    def rec(ptrs):
-        if all(p == len(s) for p, s in zip(ptrs, seqs)):
-            yield ()
-            return
-        for k, (p, s) in enumerate(zip(ptrs, seqs)):
-            if p < len(s):
-                nxt = list(ptrs)
-                nxt[k] += 1
-                for rest in rec(tuple(nxt)):
-                    yield (s[p],) + rest
-
-    return rec(tuple(0 for _ in seqs))

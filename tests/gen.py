@@ -9,7 +9,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from blockeq.blocks import annotate, blocks_from_writes, candidate_blocks
+from blockeq.blocks import BlockSet, annotate
 from blockeq.trace import Label, READ, WRITE, Run
 
 
@@ -34,9 +34,9 @@ def random_run(rng, n_events, n_threads=3, n_vars=3):
 
 def random_block_set(rng, run, p=0.5):
     """A uniform-ish random valid block set: each write independently in."""
-    writes = [b.write for b in candidate_blocks(run)]
+    writes = [i for i, w in enumerate(run.is_write) if w]
     chosen = [w for w in writes if rng.random() < p]
-    return blocks_from_writes(run, chosen)
+    return BlockSet(run, chosen)
 
 
 def random_annotated_run(rng, n_events, n_threads=3, n_vars=3, p=0.5):
@@ -92,8 +92,8 @@ def annotated_runs(draw, max_threads=4, max_vars=4, min_events=15, max_events=40
         labels.append(Label(t, op, v))
         written.add(v)
     run = Run(labels)
-    chosen = [b.write for b in candidate_blocks(run) if draw(st.booleans())]
-    return threads, variables, annotate(run, blocks_from_writes(run, chosen))
+    chosen = [i for i, w in enumerate(run.is_write) if w and draw(st.booleans())]
+    return threads, variables, annotate(run, BlockSet(run, chosen))
 
 
 def all_runs(n_events, n_threads=2, n_vars=2):
@@ -120,7 +120,7 @@ def all_runs(n_events, n_threads=2, n_vars=2):
 def all_annotated_runs(n_events, n_threads=2, n_vars=2):
     """Every (run, block set) pair, annotated — the full space for small sizes."""
     for run in all_runs(n_events, n_threads, n_vars):
-        writes = [b.write for b in candidate_blocks(run)]
+        writes = [i for i, w in enumerate(run.is_write) if w]
         for k in range(len(writes) + 1):
             for chosen in itertools.combinations(writes, k):
-                yield annotate(run, blocks_from_writes(run, list(chosen)))
+                yield annotate(run, BlockSet(run, chosen))

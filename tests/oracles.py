@@ -1,0 +1,258 @@
+"""Reference code the tests compare the library against.
+
+Brute-force searches and order queries that no part of ``blockeq``
+calls: the proper-linearization search over ``block_hb`` and the scope
+check built on it, the common order of an enumerated class and its
+linear-extension count, the proper-linearization predicate, after sets
+read off the saturated order, the window-disjointness check of a block
+set, and reads-from equivalence of two runs.  All of them read the
+library's position tables; events appear only where a caller passes
+them in.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional, Sequence
+
+from blockeq.blocks import BlockSet, _position_of
+from blockeq.oracle import SWAP_BOUND, EquivClass, _busy, _check_bound
+from blockeq.orders import PartialOrder, SaturationResult, bits, block_hb, rows_union, saturate
+from blockeq.trace import AnnLabel, Event, Label, Run
+
+
+# ---- proper linearizations --------------------------------------------------
+
+def _proper_search(run: Run, blocks: BlockSet, forced: Iterable[int] = (),
+                   first_only: bool = False) -> list[tuple[int, ...]]:
+    """Topological DFS over the block happens-before order that never
+    lets two same-variable blocks overlap, as position sequences.
+    ``forced`` pins the first placements (callers guarantee those
+    respect the order); with ``first_only`` the search stops at the
+    first completion."""
+    succ = block_hb(run, blocks).succ
+    vid = run.vid
+    out: list[tuple[int, ...]] = []
+    acc = list(forced)
+    full = (1 << len(run)) - 1
+
+    def dfs(placed: int) -> bool:
+        if placed == full:
+            out.append(tuple(acc))
+            return first_only
+        busy = _busy(blocks, placed)
+        pending = full & ~placed
+        for i in bits(pending & ~rows_union(succ, pending)):
+            b = blocks.owner[i]
+            if b >= 0 and not placed & blocks.masks[b] and busy >> vid[i] & 1:
+                continue  # starting this block would interleave an open one
+            acc.append(i)
+            done = dfs(placed | 1 << i)
+            acc.pop()
+            if done:
+                return True
+        return False
+
+    dfs(sum(1 << i for i in acc))
+    return out
+
+
+def proper_linearizations(run: Run, blocks: BlockSet, bound: Optional[int] = None) -> set[Run]:
+    """Every permutation of the run that linearizes the block
+    happens-before order without interleaving two blocks on the same
+    variable."""
+    _check_bound(run, bound, SWAP_BOUND, "proper-linearization")
+    return {
+        Run([run.labels[i] for i in w], [run.annotations[i] for i in w])
+        for w in _proper_search(run, blocks)
+    }
+
+
+def check_scope(
+    run: Run,
+    blocks: BlockSet,
+    prefix_len: int,
+    event_pos: int,
+    bound: Optional[int] = None,
+) -> bool:
+    """Decompose the run as v·w·e·w' with v the first ``prefix_len``
+    events and e the event at ``event_pos``.  Requires that v contains
+    every block wholly or not at all, and that no event of w is
+    saturation-ordered before e; violations raise ValueError.  Returns
+    whether some completion v·e·v' is a proper linearization — which the
+    scope property guarantees whenever the blocks are liberally atomic."""
+    _check_bound(run, bound, SWAP_BOUND, "scope-completion")
+    if not (0 <= prefix_len <= event_pos < len(run)):
+        raise ValueError("need 0 <= prefix_len <= event_pos < run length")
+    prefix = (1 << prefix_len) - 1
+    for b, m in enumerate(blocks.masks):
+        if m & prefix and m & ~prefix:
+            raise ValueError("the prefix splits the block %s" % (blocks.blocks[b],))
+    succ = saturate(run, blocks).order.succ
+    for p in range(prefix_len, event_pos):
+        if succ[p] >> event_pos & 1:
+            raise ValueError(
+                "%s is ordered before the pivot %s" % (run.event_at(p), run.event_at(event_pos))
+            )
+
+    forced = list(range(prefix_len)) + [event_pos]
+    return bool(_proper_search(run, blocks, forced=forced, first_only=True))
+
+
+def linearized_by(succ: Sequence[int], order: Sequence[int]) -> bool:
+    """True iff listing the positions in ``order`` respects every edge
+    of the successor table ``succ``."""
+    later = 0
+    for i in reversed(order):
+        if succ[i] & ~later:
+            return False
+        later |= 1 << i
+    return True
+
+
+def is_proper_linearization(
+    candidate: Run,
+    base: Run,
+    blocks: BlockSet,
+    order: Optional[PartialOrder] = None,
+) -> bool:
+    """True iff candidate permutes base's events, respects the block
+    happens-before of (base, blocks), and no two same-variable blocks
+    occupy overlapping position windows in candidate.
+
+    ``order`` substitutes a different order to respect (e.g. the saturated
+    one); the accepted set is provably the same either way, which the
+    tests check by enumeration.
+    """
+    if len(candidate) != len(base):
+        raise ValueError("candidate is not a permutation of the base run's events")
+    order_in_base = [_position_of(base, e) for e in candidate.events]
+    if order is None:
+        order = block_hb(base, blocks)
+    return linearized_by(order.succ, order_in_base) and _windows_disjoint(blocks, order_in_base)
+
+
+# ---- derived order queries --------------------------------------------------
+
+def intersection_order(cls: EquivClass) -> PartialOrder:
+    """The pairs ordered the same way in every member of the class."""
+    n = len(cls.representative)
+    keep = [(1 << n) - 1] * n
+    for w in cls.words:
+        later = 0
+        for p in reversed(w):
+            keep[p] &= later
+            later |= 1 << p
+    return PartialOrder(cls.representative, keep)
+
+
+def count_linear_extensions(order: PartialOrder) -> int:
+    """Number of linearizations, by dynamic programming over downward
+    closed sets."""
+    succ = order.succ
+    memo = {0: 1}
+
+    def count(mask: int) -> int:
+        got = memo.get(mask)
+        if got is None:
+            # remove a maximal element of the downward closed set
+            got = memo[mask] = sum(count(mask ^ 1 << i) for i in bits(mask) if not succ[i] & mask)
+        return got
+
+    return count((1 << len(succ)) - 1)
+
+
+def member_runs(cls: EquivClass) -> list[Run]:
+    """Members as runs in label order, each event keeping the
+    annotation it carries in the representative."""
+    rep = cls.representative
+    return [
+        Run([rep.labels[p] for p in w], [rep.annotations[p] for p in w])
+        for w in cls.sorted_words()
+    ]
+
+
+def after_set(
+    run: Run,
+    blocks: BlockSet,
+    e: Event,
+    sat: Optional[SaturationResult] = None,
+) -> frozenset[AnnLabel]:
+    """Annotated labels of all events at-or-after e in the saturated order.
+
+    Bounded by the alphabet size regardless of run length, which is what
+    makes the streaming monitor's state constant."""
+    if sat is None:
+        sat = saturate(run, blocks)
+    i = run.position(e)
+    after = sat.order.succ[i] | 1 << i
+    return frozenset((run.labels[j], blocks.owner[j] >= 0) for j in bits(after))
+
+
+# ---- block windows ----------------------------------------------------------
+
+def blocks_in_run_order_disjoint(run: Run, block_set: BlockSet) -> bool:
+    """Check that same-variable blocks occupy disjoint position windows.
+
+    Always true for valid block sets (a read between two writes of x
+    observes the later write).  ``run`` may be any permutation of the
+    block set's run.
+    """
+    return _windows_disjoint(block_set, [_position_of(block_set.run, e) for e in run.events])
+
+
+def _windows_disjoint(block_set: BlockSet, order: Iterable[int]) -> bool:
+    """True iff listing the block set's run positions in ``order`` never
+    interleaves two blocks on one variable, that is, iff each block
+    starts exactly one streak among its variable's members."""
+    last: dict[int, int] = {}  # variable -> block of its latest member
+    streaks = 0
+    for p in order:
+        b, x = block_set.owner[p], block_set.run.vid[p]
+        if b >= 0 and last.get(x) != b:
+            last[x] = b
+            streaks += 1
+    return streaks == len(block_set)
+
+
+# ---- reads-from equivalence and interleavings -------------------------------
+
+def same_equiv_rf(run_a: Run, run_b: Run) -> bool:
+    """Reads-from equivalence: equal event sets, equal program order and
+    equal reads-from maps."""
+    if set(run_a.events) != set(run_b.events):
+        return False
+    if program_order(run_a) != program_order(run_b):
+        return False
+    return reads_from(run_a) == reads_from(run_b)
+
+
+def program_order(run: Run) -> frozenset[tuple[Event, Event]]:
+    """All pairs (e, f) with e before f in the same thread."""
+    ev = run.events
+    return frozenset((ev[p], ev[q]) for chain in run.by_thread
+                     for k, p in enumerate(chain) for q in chain[k + 1:])
+
+
+def reads_from(run: Run) -> dict[Event, Event]:
+    """Map from each read event to the write event it observes."""
+    return {run.events[r]: run.events[w] for r, w in run.rf_pos.items()}
+
+
+def interleave_threads(per_thread: dict[str, list[Label]]) -> Iterable[tuple[Label, ...]]:
+    """All interleavings of the given per-thread label sequences, in a
+    deterministic order."""
+    threads = sorted(per_thread)
+    seqs = [tuple(per_thread[t]) for t in threads]
+
+    def rec(ptrs):
+        if all(p == len(s) for p, s in zip(ptrs, seqs)):
+            yield ()
+            return
+        for k, (p, s) in enumerate(zip(ptrs, seqs)):
+            if p < len(s):
+                nxt = list(ptrs)
+                nxt[k] += 1
+                for rest in rec(tuple(nxt)):
+                    yield (s[p],) + rest
+
+    return rec(tuple(0 for _ in seqs))

@@ -25,10 +25,10 @@ from blockeq.atomicity import (
 )
 from blockeq.atomicity import canonical_text as libat_text
 from blockeq.blocks import (
+    BlockSet,
     all_block_sets,
     annotate,
     blocks_from_annotation,
-    blocks_from_writes,
     parse_block_selector,
 )
 from blockeq.concurrency import conc_symbols_blocks, conc_symbols_general
@@ -36,16 +36,16 @@ from blockeq.hardness import EqualityInstance, check_reduction
 from blockeq.monitor import Universe
 from blockeq.monitor import canonical_text as sat_text
 from blockeq.monitor import sat_initial, sat_step, symbols_of
-from blockeq.oracle import (
-    count_linear_extensions,
-    enum_block_class,
-    enum_maz_class,
-    enum_rf_class,
-    intersection_order,
-    proper_linearizations,
-)
+from blockeq.oracle import enum_block_class, enum_maz_class, enum_rf_class
 from blockeq.orders import block_hb, saturate
-from blockeq.trace import Label, Run, parse_run, same_equiv_rf
+from blockeq.trace import Label, Run, parse_run
+from oracles import (
+    count_linear_extensions,
+    intersection_order,
+    member_runs,
+    proper_linearizations,
+    same_equiv_rf,
+)
 from test_monitor import compare_prefixes
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -81,7 +81,7 @@ def test_criterion_1_hierarchy():
 
     # the bundled 12-event instance separates all three relations
     run = corpus("block_vs_rf_gap.trace")
-    bs = blocks_from_writes(run, [run.events[0], run.events[3]])
+    bs = BlockSet(run, [0, 3])
     maz = set(enum_maz_class(run).members)
     blk = set(enum_block_class(run, bs).members)
     word = list(run.labels)
@@ -122,7 +122,7 @@ def test_criterion_3_soundness():
         sat = saturate(aw, bs)
         positions = [
             {e: i for i, e in enumerate(m.events)}
-            for m in enum_block_class(aw, bs).member_runs()
+            for m in member_runs(enum_block_class(aw, bs))
         ]
         for e, f in itertools.permutations(aw.events, 2):
             always_before = all(p[e] < p[f] for p in positions)
@@ -212,7 +212,7 @@ def _class_inverts_pair(aw, cls, c, d):
     rep = {e: i for i, e in enumerate(aw.events)}
     ce = [e for e in aw.events if e.label == c]
     de = [e for e in aw.events if e.label == d]
-    for member in cls.member_runs():
+    for member in member_runs(cls):
         pos = {e: i for i, e in enumerate(member.events)}
         for e in ce:
             for f in de:

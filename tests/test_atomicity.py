@@ -26,11 +26,12 @@ from blockeq.atomicity import (
 )
 from blockeq.blocks import blocks_from_annotation
 from blockeq.monitor import Universe, symbols_of
-from blockeq.oracle import enum_block_class, proper_linearizations, proper_topological_sort
-from blockeq.orders import block_hb, is_proper_linearization, mazurkiewicz_hb, topological_order
+from blockeq.oracle import enum_block_class, proper_topological_sort
+from blockeq.orders import block_hb, mazurkiewicz_hb, topological_order
 from blockeq.trace import Run, parse_run
 
 import gen
+from oracles import is_proper_linearization, proper_linearizations
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -230,7 +231,7 @@ def closed_route(aw, blocks):
     if kahn is None:
         return False, serializable, None
     events = [e for k in kahn for e in g.nodes[k]]
-    witness = Run([e.label for e in events], [aw.annotation_at(aw.position(e)) for e in events])
+    witness = Run([e.label for e in events], [aw.annotations[aw.position(e)] for e in events])
     return True, serializable, witness
 
 

@@ -12,33 +12,30 @@ import pytest
 
 import gen
 from blockeq.blocks import (
-    Block,
     BlockSet,
     all_block_sets,
     annotate,
     blocks_from_annotation,
-    blocks_from_writes,
-    blocks_in_run_order_disjoint,
-    candidate_blocks,
     is_well_annotated,
     parse_block_selector,
 )
-from blockeq.trace import Event, Label, TraceError, parse_run
+from blockeq.trace import TraceError, parse_run
+from oracles import blocks_in_run_order_disjoint
 
 
 def test_candidate_blocks_cover_reads():
     rng = random.Random(11)
     for _ in range(120):
         run = gen.random_run(rng, rng.randint(1, 10))
-        cands = candidate_blocks(run)
-        writes = [e for e in run.events if e.label.op == "w"]
-        assert [b.write for b in cands] == writes
-        rf = run.reads_from()
-        for b in cands:
-            assert set(b.reads) == {e for e, w in rf.items() if w == b.write}
-            assert b.variable == b.write.label.variable
-            for r in b.reads:
-                assert r.label.variable == b.variable
+        writes = [i for i, lab in enumerate(run.labels) if lab.op == "w"]
+        cands = BlockSet(run, writes)
+        assert cands.writes == tuple(writes)
+        for b, (w, mask) in enumerate(zip(cands.writes, cands.masks)):
+            readers = {r for r, rw in run.rf_pos.items() if rw == w}
+            assert mask == sum(1 << i for i in readers | {w})
+            assert {i for i, o in enumerate(cands.owner) if o == b} == readers | {w}
+            for r in readers:
+                assert run.labels[r].variable == run.labels[w].variable
 
 
 def test_block_set_roundtrip_through_annotation():
@@ -49,18 +46,17 @@ def test_block_set_roundtrip_through_annotation():
             aw = annotate(run, bs)
             assert is_well_annotated(aw)
             back = blocks_from_annotation(aw)
-            assert {b.write for b in back} == {b.write for b in bs}
+            assert back.writes == bs.writes
             # every member marked, everything else unmarked
-            members = set(bs.members())
-            for i, e in enumerate(aw.events):
-                assert aw.annotation_at(i) == (e in members)
+            for i, b in enumerate(bs.owner):
+                assert aw.annotations[i] == (b >= 0)
 
 
 def test_all_block_sets_is_write_powerset():
     run = parse_run("T1 w x\nT1 r x\nT2 w x\nT2 w y\nT1 r y")
     sets = list(all_block_sets(run))
     assert len(sets) == 2 ** 3
-    keys = {frozenset(run.position(b.write) for b in bs) for bs in sets}
+    keys = {bs.writes for bs in sets}
     assert len(keys) == len(sets)
 
 
@@ -79,38 +75,38 @@ def test_invalid_annotations_rejected():
 
 def test_blocks_from_writes_picks_readers():
     run = parse_run("T1 w x\nT2 r x\nT1 w x\nT1 r x")
-    bs = blocks_from_writes(run, [run.events[0]])
+    bs = BlockSet(run, [0])
     (blk,) = list(bs)
     assert blk.write == run.events[0]
     assert [str(r) for r in blk.reads] == ["T2 r x #1"]
-    assert [i for i, b in enumerate(bs.owner) if b < 0] == [2, 3]
-    assert bs.is_member(run.events[1]) and not bs.is_member(run.events[3])
-    assert bs.block_of(run.events[1]) is blk
-    assert bs.block_of(run.events[2]) is None
+    assert bs.owner == (0, 0, -1, -1)
+    assert bs.masks == (0b0011,)
 
 
 def test_blocks_from_writes_names_bad_events():
     run = parse_run("T1 w x\nT2 r x\nT1 w x\nT1 r x")
-    foreign = (Event(Label("T9", "w", "q"), 1), Event(Label("T1", "w", "x"), 3))
-    for e in foreign + (run.events[1],):
-        with pytest.raises(ValueError, match=re.escape(str(e))):
-            blocks_from_writes(run, [e])
+    for p in (-1, 4, 9, 1):  # out of range, and a read
+        with pytest.raises(ValueError, match="position %d is not a write" % p):
+            BlockSet(run, [p])
+    with pytest.raises(ValueError, match=re.escape("T1 w x #2")):
+        BlockSet(run, [2, 0, 2])
 
 
 def test_block_set_takes_candidate_blocks_only():
     run = parse_run("T1 w x\nT2 r x\nT1 w x\nT1 r x")
-    assert BlockSet(run, reversed(candidate_blocks(run))) == parse_block_selector(run, "all")
+    assert BlockSet(run, [2, 0]) == parse_block_selector(run, "all")
+    # each write brings all its readers, so the blocks are candidate blocks
+    assert [str(b) for b in BlockSet(run, [0, 2])] == ["{T1 w x #1, T2 r x #1}",
+                                                       "{T1 w x #2, T1 r x #1}"]
     with pytest.raises(ValueError):
-        BlockSet(run, [Block(run.events[0], ())])  # its reader is missing
+        BlockSet(run, [1])  # a read
     with pytest.raises(ValueError):
-        BlockSet(run, [Block(run.events[1], ())])  # a read
-    with pytest.raises(ValueError):
-        BlockSet(run, candidate_blocks(run)[:1] * 2)
+        BlockSet(run, [0, 0])
 
 
 def test_annotate_marks_events_of_a_permuted_run():
     run = parse_run("T1 w x\nT2 r x\nT2 w y\nT1 r y")
-    bs = blocks_from_writes(run, [run.events[0]])
+    bs = BlockSet(run, [0])
     perm = parse_run("T2 w y\nT1 w x\nT1 r y\nT2 r x")
     assert annotate(perm, bs).annotations == (False, True, False, True)
     assert annotate(run, bs).annotations == (True, True, False, False)
@@ -121,7 +117,7 @@ def test_selector_grammar():
     assert len(list(parse_block_selector(run, "none"))) == 0
     assert len(list(parse_block_selector(run, "all"))) == 2
     bs = parse_block_selector(run, "writes=1,3")
-    assert {run.position(b.write) for b in bs} == {0, 2}
+    assert bs.writes == (0, 2)
     with pytest.raises(TraceError):
         parse_block_selector(run, "writes=2")  # a read position
     with pytest.raises(TraceError):

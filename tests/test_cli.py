@@ -184,20 +184,23 @@ def test_concurrent_stream_strategy_warns(capsys):
 
 
 @pytest.mark.parametrize("ignored, query", [
-    (("--blocks", "all"), ("--mode", "maz", "--events", "1", "3")),
-    (("--blocks", "none"), ("--mode", "general", "--events", "1", "3")),
+    (("--blocks", "all"), ("concurrent", "--mode", "maz", "--events", "1", "3")),
+    (("--blocks", "none"), ("concurrent", "--mode", "general", "--events", "1", "3")),
     # event queries in general mode always enumerate exactly
-    (("--strategy", "stream"), ("--mode", "general", "--events", "1", "3")),
-    (("--strategy", "stream"), ("--mode", "maz", "--c", "T1 w x", "--d", "T2 w x")),
-    (("--strategy", "stream"), ("--mode", "blocks", "--events", "1", "3")),
+    (("--strategy", "stream"), ("concurrent", "--mode", "general", "--events", "1", "3")),
+    (("--strategy", "stream"), ("concurrent", "--mode", "maz", "--c", "T1 w x", "--d", "T2 w x")),
+    (("--strategy", "stream"), ("concurrent", "--mode", "blocks", "--events", "1", "3")),
+    # the dot block graph has no room for a witness
+    (("--witness",), ("atomicity", "--format", "dot")),
 ])
 def test_concurrent_warns_about_ignored_options(capsys, ignored, query):
     # the answer is the one given without the option, and one warning
     # line says the option was ignored
     path = trace("two_wr_pairs.trace")
-    want_code, want_out, want_err = run_cli(capsys, "concurrent", path, *query)
+    command, *query = query
+    want_code, want_out, want_err = run_cli(capsys, command, path, *query)
     assert want_err == ""
-    code, out, err = run_cli(capsys, "concurrent", path, *ignored, *query)
+    code, out, err = run_cli(capsys, command, path, *ignored, *query)
     assert (code, out) == (want_code, want_out)
     assert err.startswith("warning:") and err.count("\n") == 1
 
@@ -400,14 +403,16 @@ def test_gen_hardness_rejects_bad_bits(capsys):
 
 
 def test_format_gating(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "hb", trace("two_wr_pairs.trace"), "--format", "json-lines"
     )
-    assert code == 2 and err.startswith("error:")
-    code, _, err = run_cli(
+    assert code == 2 and out == ""
+    assert err == "error: format 'json-lines' is not supported by 'hb'\n"
+    code, out, err = run_cli(
         capsys, "sat", trace("two_wr_pairs.trace"), "--format", "dot"
     )
-    assert code == 2 and err.startswith("error:")
+    assert code == 2 and out == ""
+    assert err == "error: format 'dot' is not supported by 'sat'\n"
     code, _, err = run_cli(
         capsys, "enumerate", trace("two_wr_pairs.trace"),
         "--relation", "maz", "--format", "dot",

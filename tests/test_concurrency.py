@@ -21,8 +21,6 @@ from blockeq.atomicity import is_liberally_atomic
 from blockeq.blocks import all_block_sets, annotate, blocks_from_annotation
 from blockeq.concurrency import (
     MODES,
-    ConcQuery,
-    conc_decide,
     conc_events,
     conc_initial,
     conc_step,
@@ -35,6 +33,7 @@ from blockeq.monitor import Universe, symbols_of
 from blockeq.oracle import enum_block_class
 from blockeq.orders import mazurkiewicz_hb, saturate
 from blockeq.trace import Label, TraceError, parse_run
+from oracles import same_equiv_rf
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -46,25 +45,6 @@ def corpus(name):
 def distinct_label_pairs(run):
     labs = sorted(set(run.labels), key=str)
     return itertools.combinations(labs, 2)
-
-
-# ---- query objects ----------------------------------------------------------
-
-def test_query_validation():
-    a, b = Label("T1", "w", "x"), Label("T2", "r", "x")
-    with pytest.raises(ValueError):
-        ConcQuery(a, b, mode="sideways")
-    with pytest.raises(ValueError):
-        ConcQuery(a, a)
-    run = parse_run("T1 w x\nT2 r x")
-    for mode in MODES:
-        q = ConcQuery(a, b, mode)
-        direct = {
-            "maz": conc_symbols_maz,
-            "blocks": conc_symbols_blocks,
-            "general": conc_symbols_general,
-        }[mode](run, a, b)
-        assert conc_decide(run, q) == direct
 
 
 def test_inner_pairs_by_hand():
@@ -142,8 +122,6 @@ def test_corpus_three_thread_zx():
     for mode in MODES:
         assert not conc_events(run, e, f, mode)
     # the variant really is a different word with the same po and rf
-    from blockeq.trace import same_equiv_rf
-
     var = corpus("three_thread_zx_variant.trace")
     assert same_equiv_rf(run, var)
     assert tuple(run.labels) != tuple(var.labels)

@@ -20,8 +20,9 @@ from blockeq.hardness import (
     ordered_in_class,
 )
 from blockeq.monitor import Universe, sat_initial, sat_step, symbols_of
-from blockeq.orders import after_set
+from blockeq.orders import bits
 from blockeq.trace import parse_run
+from oracles import after_set
 
 
 def test_instance_validation():
@@ -90,4 +91,5 @@ def test_monitor_after_rows_on_reduction_trace():
     for e in run.events:
         last[(e.label, False)] = e
     for sym, e in last.items():
-        assert q.aft_set(sym) == after_set(run, blocks, e)
+        row = q.aft[universe.sym_index[sym]]
+        assert frozenset(universe.symbols[i] for i in bits(row)) == after_set(run, blocks, e)

@@ -13,19 +13,14 @@ import pytest
 from hypothesis import given, settings
 
 from blockeq.blocks import blocks_from_annotation
-from blockeq.monitor import (
-    Universe,
-    canonical_text,
-    sat_initial,
-    sat_run,
-    sat_step,
-    symbols_of,
-)
-from blockeq.orders import after_set, bits, saturate
+from blockeq.atomicity import libat_initial, libat_step
+from blockeq.monitor import Universe, canonical_text, sat_initial, sat_step, symbols_of
+from blockeq.orders import bits, saturate
 from blockeq.trace import Label, READ, WRITE, Run
 
 import gen
 import monitor_reference
+from oracles import after_set
 from test_golden import _monitor_streams
 
 
@@ -83,8 +78,9 @@ def expected_components(run, universe):
                     continue
                 at_or_after = succ[e] | 1 << e
                 cands = [
-                    mask for b, mask in zip(blocks.blocks, blocks.masks)
-                    if b.variable == v and b.write.label.thread == t and at_or_after & mask
+                    mask for w, mask in zip(blocks.writes, blocks.masks)
+                    if run.labels[w].variable == v and run.labels[w].thread == t
+                    and at_or_after & mask
                 ]
                 if not cands:
                     fba.append(0)
@@ -150,6 +146,18 @@ def reference_mismatch(universe, syms):
     return None
 
 
+def symbol_set(universe, mask):
+    return frozenset(universe.symbols[i] for i in bits(mask))
+
+
+def sat_fold(aw, universe):
+    """The monitor state once every symbol of an annotated run is folded in."""
+    q = sat_initial(universe)
+    for s in symbols_of(aw):
+        q = sat_step(q, s)
+    return q
+
+
 def describe(aw):
     return " | ".join(
         "%s%s" % (lab, " @" if bit else "")
@@ -179,29 +187,22 @@ def test_monitor_random_runs():
 
 
 def test_state_accessors_match_masks():
-    # compare_state reads the masks; the per-row accessors must read the
-    # same facts, and after_set must match the saturated order's rows
+    # compare_state reads the masks; read as symbol sets, the monitor's
+    # after rows and the recomputed ones must both equal after_set on
+    # the saturated order
     rng = random.Random(4102)
     for _ in range(60):
         aw = gen.random_annotated_run(rng, rng.randint(1, 12))
         u = universe_of(aw.threads, aw.variables)
         bs = blocks_from_annotation(aw)
         sat = saturate(aw, bs)
-        q = sat_run(aw, u)
-        for v, vi in u.var_index.items():
-            assert q.blk_set(v) == u.symbol_set(q.blk[vi])
-            assert q.rf_symbol(v) == (u.symbols[q.rf[vi]] if q.rf[vi] >= 0 else None)
-        for s, si in u.sym_index.items():
-            assert q.aft_set(s) == u.symbol_set(q.aft[si])
-            for t in u.threads:
-                for v in u.variables:
-                    r = u.row(si, u.thread_index[t], u.var_index[v])
-                    assert q.fba_set(s, t, v) == u.symbol_set(q.fba[r])
-                    assert q.fba_open(s, t, v) == q.open_[r]
+        q = sat_fold(aw, u)
         aft = expected_components(aw, u)[2]
         last = {s: i for i, s in enumerate(symbols_of(aw))}
         for s, i in last.items():
-            assert after_set(aw, bs, aw.events[i], sat) == u.symbol_set(aft[u.sym_index[s]])
+            want = after_set(aw, bs, aw.events[i], sat)
+            assert want == symbol_set(u, aft[u.sym_index[s]])
+            assert want == symbol_set(u, q.aft[u.sym_index[s]])
 
 
 @settings(max_examples=150)
@@ -219,10 +220,10 @@ def test_monitor_matches_batch_fold():
     for _ in range(25):
         aw = gen.random_annotated_run(rng, 10)
         u = Universe.from_run(aw)
-        q = sat_initial(u)
+        q = libat_initial(u)
         for s in symbols_of(aw):
-            q = sat_step(q, s)
-        assert q == sat_run(aw, u)
+            q = libat_step(q, s)
+        assert q.sat == sat_fold(aw, u)
 
 
 @pytest.mark.parametrize("name", sorted(_monitor_streams()))
@@ -276,7 +277,7 @@ def test_canonical_text_constant_size():
     sizes = set()
     for n in (3, 8, 12):
         aw = gen.random_annotated_run(rng, n)
-        sizes.add(len(canonical_text(sat_run(aw, u)).encode()))
+        sizes.add(len(canonical_text(sat_fold(aw, u)).encode()))
     assert len(sizes) == 1
 
 

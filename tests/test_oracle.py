@@ -16,25 +16,25 @@ import pytest
 
 import gen
 from blockeq.atomicity import is_liberally_atomic
-from blockeq.blocks import (
-    all_block_sets,
-    annotate,
-    blocks_from_annotation,
-    blocks_from_writes,
-)
+from blockeq.blocks import BlockSet, all_block_sets, blocks_from_annotation
 from blockeq.oracle import (
     BoundExceeded,
-    check_scope,
-    count_linear_extensions,
     enum_block_class,
     enum_maz_class,
     enum_rf_class,
-    intersection_order,
-    proper_linearizations,
     proper_topological_sort,
 )
-from blockeq.orders import PartialOrder, block_hb, mazurkiewicz_hb, saturate
-from blockeq.trace import Label, Run, conflicting, parse_run, same_equiv_rf
+from blockeq.orders import block_hb, mazurkiewicz_hb, saturate
+from blockeq.trace import Label, Run, conflicting, parse_run
+from oracles import (
+    check_scope,
+    count_linear_extensions,
+    intersection_order,
+    linearized_by,
+    member_runs,
+    proper_linearizations,
+    same_equiv_rf,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -74,7 +74,7 @@ def test_members_really_equivalent():
             for j in range(i + 1, len(run))
             if conflicting(run.labels[i], run.labels[j])
         }
-        for member in enum_maz_class(run).member_runs():
+        for member in member_runs(enum_maz_class(run)):
             pos = {e: i for i, e in enumerate(member.events)}
             assert all(pos[e] < pos[f] for e, f in base_pairs)
 
@@ -103,7 +103,7 @@ def test_soundness_saturated_order_is_the_common_order():
         if not is_liberally_atomic(aw, bs):
             continue
         sat = saturate(aw, bs)
-        members = enum_block_class(aw, bs).member_runs()
+        members = member_runs(enum_block_class(aw, bs))
         positions = [{e: i for i, e in enumerate(m.events)} for m in members]
         for e, f in itertools.combinations(aw.events, 2):
             always = all(p[e] < p[f] for p in positions)
@@ -116,7 +116,8 @@ def test_proper_inclusion_corpus_witness():
 
     # commutation ⊊ block: group the x-write of T1 with its read, leave
     # T2's x-write its own block, swap the two thread-disjoint x-blocks
-    bs = blocks_from_writes(run, [ev[0], ev[3]])
+    bs = BlockSet(run, [0, 3])
+    assert [b.write for b in bs] == [ev[0], ev[3]]
     blk = enum_block_class(run, bs)
     maz = enum_maz_class(run)
     assert maz.words < blk.words  # one representative, so one word space
@@ -135,8 +136,9 @@ def test_proper_inclusion_corpus_witness():
     # every other block choice misses the word too: most keep an inverted
     # dependent pair, which a cheap order check rules out; the handful
     # whose order the word does linearize get enumerated outright
+    at = [run.position(e) for e in witness.events]
     for choice in all_block_sets(run):
-        if block_hb(run, choice).is_linearized_by(witness.events):
+        if linearized_by(block_hb(run, choice).succ, at):
             assert target not in enum_block_class(run, choice)
 
 
@@ -144,10 +146,10 @@ def test_label_tuples_are_built_on_demand():
     run = corpus("block_hb_demo.trace")
     cls = enum_rf_class(run)
     assert len(cls) == 842 and run in cls and run.labels[::-1] not in cls
-    assert cls.member_runs()[0] in cls
+    assert member_runs(cls)[0] in cls
     assert "members" not in vars(cls)
     assert len(cls.members) == len(cls) and run.labels in cls.members
-    assert [tuple(r.labels) for r in cls.member_runs()] == sorted(cls.members)
+    assert [tuple(r.labels) for r in member_runs(cls)] == sorted(cls.members)
 
 
 def test_conciseness_corpus():
@@ -191,7 +193,7 @@ def test_intersection_order_is_common_order():
         cls = enum_block_class(aw, bs)
         common = intersection_order(cls)
         positions = [
-            {e: i for i, e in enumerate(m.events)} for m in cls.member_runs()
+            {e: i for i, e in enumerate(m.events)} for m in member_runs(cls)
         ]
         for e, f in itertools.permutations(aw.events, 2):
             assert common.ordered(e, f) == all(p[e] < p[f] for p in positions)
@@ -209,7 +211,7 @@ def test_count_linear_extensions():
         run = gen.random_run(rng, rng.randint(1, 6))
         po = mazurkiewicz_hb(run)
         brute = sum(
-            1 for perm in itertools.permutations(run.events) if po.is_linearized_by(perm)
+            1 for perm in itertools.permutations(range(len(run))) if linearized_by(po.succ, perm)
         )
         assert count_linear_extensions(po) == brute
 

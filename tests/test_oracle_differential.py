@@ -1,8 +1,8 @@
 """Differential tests of the class oracles against slow references.
 
 ``reference_swap_closure`` is the swap closure written directly over
-tuples of ``Event``s, with block contiguity looked up through
-``BlockSet.block_of``: the straightforward form of the commutation and
+tuples of ``Event``s, with block contiguity looked up in a map from
+each member event to its ``Block``: the straightforward form of the commutation and
 block classes.  The reads-from class is checked against a filter of
 every permutation of the run through ``same_equiv_rf``, which uses no
 search at all.  Both references are slow and kept here only as test
@@ -14,17 +14,18 @@ import random
 
 from blockeq.blocks import blocks_from_annotation
 from blockeq.oracle import enum_block_class, enum_maz_class, enum_rf_class
-from blockeq.trace import Run, TraceError, conflicting, same_equiv_rf
+from blockeq.trace import Run, TraceError, conflicting
 
 import gen
+from oracles import same_equiv_rf
 
 
-def _contiguous_spans(word, blocks):
+def _contiguous_spans(word, block_of):
     """(first, last, block) for every block whose members sit contiguously
     in the given permutation, sorted by first position."""
     lo, hi = {}, {}
     for i, e in enumerate(word):
-        b = blocks.block_of(e)
+        b = block_of.get(e)
         if b is None:
             continue
         lo.setdefault(b, i)
@@ -38,16 +39,16 @@ def _block_threads(b):
     return frozenset(e.label.thread for e in b.members())
 
 
-def _neighbors(word, blocks):
+def _neighbors(word, block_of):
     # adjacent independent event swaps
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
         if not conflicting(a.label, b.label):
             yield word[:i] + (b, a) + word[i + 2:]
-    if blocks is None or len(blocks) == 0:
+    if not block_of:
         return
     # adjacent contiguous thread-disjoint block swaps
-    spans = _contiguous_spans(word, blocks)
+    spans = _contiguous_spans(word, block_of)
     for (f1, l1, b1), (f2, l2, b2) in zip(spans, spans[1:]):
         if l1 + 1 != f2:
             continue
@@ -59,13 +60,16 @@ def _neighbors(word, blocks):
 def reference_swap_closure(run, blocks=None):
     """Label words of the breadth-first closure of the run under the
     swaps above."""
+    block_of = {}  # member event -> its block
+    if blocks is not None:
+        block_of = {e: blocks.blocks[b] for e, b in zip(run.events, blocks.owner) if b >= 0}
     start = tuple(run.events)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for word in frontier:
-            for neighbor in _neighbors(word, blocks):
+            for neighbor in _neighbors(word, block_of):
                 if neighbor not in seen:
                     seen.add(neighbor)
                     nxt.append(neighbor)

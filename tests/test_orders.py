@@ -17,23 +17,26 @@ from hypothesis import given, settings
 
 import gen
 from blockeq.blocks import all_block_sets, annotate, blocks_from_annotation
-from blockeq.oracle import proper_linearizations
-from blockeq.orders import (
-    PartialOrder,
+from blockeq.orders import PartialOrder, bits, block_hb, mazurkiewicz_hb, saturate
+from blockeq.trace import Run, TraceError, conflicting, parse_run
+from oracles import (
     after_set,
-    ann_label,
-    block_hb,
+    interleave_threads,
     is_proper_linearization,
-    mazurkiewicz_hb,
-    saturate,
+    linearized_by,
+    proper_linearizations,
 )
-from blockeq.trace import Event, Label, Run, conflicting, parse_run
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def corpus(name):
     return parse_run((CORPUS / name).read_text())
+
+
+def pairs(order):
+    """The ordered position pairs of an order."""
+    return {(i, j) for i, m in enumerate(order.succ) for j in bits(m)}
 
 
 def closure_by_hand(run, base_pairs):
@@ -50,8 +53,7 @@ def closure_by_hand(run, base_pairs):
                 if new:
                     reach[i] |= new
                     changed = True
-    ev = run.events
-    return {(ev[i], ev[j]) for i in range(n) for j in reach[i]}
+    return {(i, j) for i in range(n) for j in reach[i]}
 
 
 def test_mazurkiewicz_closure_matches_naive():
@@ -66,7 +68,7 @@ def test_mazurkiewicz_closure_matches_naive():
             for j in range(i + 1, len(run))
             if conflicting(run.labels[i], run.labels[j])
         }
-        assert set(mazurkiewicz_hb(run).pairs()) == closure_by_hand(run, base)
+        assert pairs(mazurkiewicz_hb(run)) == closure_by_hand(run, base)
 
 
 def test_block_order_drops_exactly_cross_block_pairs():
@@ -78,24 +80,17 @@ def test_block_order_drops_exactly_cross_block_pairs():
         base = set()
         for i in range(len(aw)):
             for j in range(i + 1, len(aw)):
-                e, f = aw.events[i], aw.events[j]
-                if not conflicting(e.label, f.label):
+                e, f = aw.labels[i], aw.labels[j]
+                if not conflicting(e, f):
                     continue
-                be, bf = bs.block_of(e), bs.block_of(f)
-                cross = (
-                    e.label.thread != f.label.thread
-                    and be is not None
-                    and bf is not None
-                    and be is not bf
-                )
+                be, bf = bs.owner[i], bs.owner[j]
+                cross = e.thread != f.thread and be >= 0 and bf >= 0 and be != bf
                 if not cross:
                     base.add((i, j))
-        assert set(block_hb(aw, bs).pairs()) == closure_by_hand(aw, base)
+        assert pairs(block_hb(aw, bs)) == closure_by_hand(aw, base)
         # without blocks the two orders coincide
         empty = blocks_from_annotation(aw.core())
-        assert set(block_hb(aw.core(), empty).pairs()) == set(
-            mazurkiewicz_hb(aw).pairs()
-        )
+        assert pairs(block_hb(aw.core(), empty)) == pairs(mazurkiewicz_hb(aw))
 
 
 def test_partial_order_basics():
@@ -103,32 +98,20 @@ def test_partial_order_basics():
     po = mazurkiewicz_hb(run)
     e0, e1, e2 = run.events
     assert po.ordered(e0, e1) and not po.ordered(e1, e0)
-    assert po.leq(e0, e0) and not po.ordered(e0, e0)
+    assert not po.ordered(e0, e0)
     assert not po.ordered(e0, e2)
-    assert po.successors(e0) == frozenset({e1})
+    assert po.succ == (0b010, 0, 0)
     assert set(po.covering_pairs()) == {(e0, e1)}
-    assert po.is_linearized_by(run.events)
-    assert po.is_linearized_by([e2, e0, e1])
-    assert not po.is_linearized_by([e1, e0, e2])
+    assert linearized_by(po.succ, [0, 1, 2])
+    assert linearized_by(po.succ, [2, 0, 1])
+    assert not linearized_by(po.succ, [1, 0, 2])
     with pytest.raises(ValueError):
-        PartialOrder(run.events, [0b010, 0b001, 0b000])  # e0 -> e1 -> e0
+        PartialOrder(run, [0b010, 0b001, 0b000])  # e0 -> e1 -> e0
     # every edge must point forward in run order, even when acyclic
     with pytest.raises(ValueError):
-        PartialOrder(run.events, [0, 0b001, 0])  # e1 -> e0
+        PartialOrder(run, [0, 0b001, 0])  # e1 -> e0
     with pytest.raises(ValueError):
-        PartialOrder(run.events, [0b001, 0, 0])  # e0 -> e0
-
-
-def test_partial_order_universe_is_a_run():
-    # a run's events, listed in its order, stand for the run
-    run = parse_run("T1 w x\nT1 r x\nT2 w y")
-    e0, e1, e2 = run.events
-    assert PartialOrder(run.events, [0b010, 0, 0]) == PartialOrder(run, [0b010, 0, 0])
-    assert PartialOrder([e2, e0, e1], [0, 0b100, 0]).ordered(e0, e1)
-    with pytest.raises(ValueError):
-        PartialOrder([e1, e0, e2], [0, 0, 0])  # a read before its write
-    with pytest.raises(ValueError):
-        PartialOrder([Event(Label("T1", "w", "x"), 2)], [0])  # no first occurrence
+        PartialOrder(run, [0b001, 0, 0])  # e0 -> e0
 
 
 def test_saturation_contains_block_order_and_stays_forward():
@@ -138,33 +121,33 @@ def test_saturation_contains_block_order_and_stays_forward():
         bs = blocks_from_annotation(aw)
         sat = saturate(aw, bs)
         assert not sat.cyclic
-        bhb = set(block_hb(aw, bs).pairs())
-        satp = set(sat.order.pairs())
+        bhb = pairs(block_hb(aw, bs))
+        satp = pairs(sat.order)
         assert bhb <= satp
-        pos = {e: i for i, e in enumerate(aw.events)}
-        assert all(pos[e] < pos[f] for e, f in satp)
+        assert all(i < j for i, j in satp)
 
 
 def saturate_by_hand(run, blocks):
     """Naive fixpoint: every same-variable block pair is tested against
     the whole closed relation, and the relation is re-closed after each
-    round.  Returns the event pairs and the block index pairs."""
-    members = [b.members() for b in blocks]
-    rel = set(block_hb(run, blocks).pairs())
+    round.  Returns the position pairs and the block index pairs."""
+    members = [list(bits(m)) for m in blocks.masks]
+    var = [run.vid[w] for w in blocks.writes]
+    rel = pairs(block_hb(run, blocks))
     overlay = set()
     while True:
         new = {
             (a, b)
-            for a, ba in enumerate(blocks)
-            for b, bb in enumerate(blocks)
-            if a != b and ba.variable == bb.variable and (a, b) not in overlay
+            for a in range(len(blocks))
+            for b in range(len(blocks))
+            if a != b and var[a] == var[b] and (a, b) not in overlay
             and any((e, f) in rel for e in members[a] for f in members[b])
         }
         if not new:
             return rel, overlay
         overlay |= new
         rel |= {(e, f) for a, b in new for e in members[a] for f in members[b]}
-        rel = closure_by_hand(run, {(run.position(e), run.position(f)) for e, f in rel})
+        rel = closure_by_hand(run, rel)
 
 
 def check_saturation(aw):
@@ -172,7 +155,7 @@ def check_saturation(aw):
     sat = saturate(aw, bs)
     rel, overlay = saturate_by_hand(aw, bs)
     assert not sat.cyclic
-    assert set(sat.order.pairs()) == rel
+    assert pairs(sat.order) == rel
     assert sat.block_pairs == overlay
     assert sat.overlay == {(bs.blocks[a], bs.blocks[b]) for a, b in overlay}
 
@@ -224,8 +207,8 @@ def test_block_hb_demo_corpus():
     bs = blocks_from_annotation(run)
     hb = mazurkiewicz_hb(run)
     sat = saturate(run, bs)
-    assert len(set(sat.order.pairs())) == len(set(block_hb(run, bs).pairs())) == 10
-    assert len(set(hb.pairs())) == 20
+    assert len(pairs(sat.order)) == len(pairs(block_hb(run, bs))) == 10
+    assert len(pairs(hb)) == 20
     # the two w(z) writes: pinned by commutation order, freed by blocks
     wz1, wz2 = run.events[0], run.events[8]
     assert hb.ordered(wz1, wz2)
@@ -238,10 +221,11 @@ def test_after_sets_are_alphabet_bounded():
         aw = gen.random_annotated_run(rng, rng.randint(1, 8))
         bs = blocks_from_annotation(aw)
         sat = saturate(aw, bs)
-        for e in aw.events:
+        symbol = [(lab, b >= 0) for lab, b in zip(aw.labels, bs.owner)]
+        for i, e in enumerate(aw.events):
             got = after_set(aw, bs, e, sat)
-            want = {ann_label(bs, e)}
-            want |= {ann_label(bs, f) for f in aw.events if sat.ordered(e, f)}
+            want = {symbol[i]}
+            want |= {symbol[j] for j, f in enumerate(aw.events) if sat.ordered(e, f)}
             assert got == frozenset(want)
 
 
@@ -256,8 +240,6 @@ def test_proper_linearizations_same_for_block_and_saturated_order():
         per_thread = {}
         for lab in aw.labels:
             per_thread.setdefault(lab.thread, []).append(lab)
-        from blockeq.trace import TraceError, interleave_threads
-
         for word in interleave_threads(per_thread):
             try:
                 cand = Run(word)

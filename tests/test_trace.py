@@ -15,10 +15,9 @@ from blockeq.trace import (
     conflicting,
     cross_dep_rows,
     extended_dep,
-    interleave_threads,
     parse_run,
-    same_equiv_rf,
 )
+from oracles import interleave_threads, same_equiv_rf
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -87,8 +86,8 @@ def test_run_accessors():
     run = parse_run("T1 w x\nT2 r x\nT1 w x")
     e0, e1, e2 = run.events
     assert run.position(e2) == 2 and run.event_at(0) == e0
-    assert run.annotation_at(1) is False
-    assert run.writer_of(e1) == e0
+    assert run.annotations[1] is False
+    assert run.rf_pos == {1: 0} and run.readers == ((1,), (), ())
     missing = Event(Label("T9", "w", "z"), 1)
     with pytest.raises(KeyError):
         run.position(missing)
@@ -101,26 +100,25 @@ def test_program_order_and_reads_from():
     rng = random.Random(5)
     for _ in range(100):
         run = gen.random_run(rng, rng.randint(1, 9))
-        po = run.program_order()
-        for e, f in po:
-            assert e.label.thread == f.label.thread
-            assert run.position(e) < run.position(f)
-        # count: per-thread k*(k-1)/2
-        per = {}
-        for e in run.events:
-            per[e.label.thread] = per.get(e.label.thread, 0) + 1
-        assert len(po) == sum(k * (k - 1) // 2 for k in per.values())
-        rf = run.reads_from()
-        for e in run.events:
-            if e.label.op == "r":
-                w = rf[e]
-                assert w.label.op == "w" and w.label.variable == e.label.variable
-                assert run.position(w) < run.position(e)
-                between = run.events[run.position(w) + 1 : run.position(e)]
+        # program order: each thread's positions, in run order
+        for t, chain in enumerate(run.by_thread):
+            assert list(chain) == [i for i, lab in enumerate(run.labels)
+                                   if lab.thread == run.threads[t]]
+        assert sorted(i for chain in run.by_thread for i in chain) == list(range(len(run)))
+        # reads-from: every read observes the latest earlier write of its variable
+        rf = run.rf_pos
+        for i, lab in enumerate(run.labels):
+            if lab.op == "r":
+                w = rf[i]
+                assert run.labels[w].op == "w" and run.labels[w].variable == lab.variable
+                assert w < i
                 assert not any(
-                    g.label.op == "w" and g.label.variable == e.label.variable
-                    for g in between
+                    g.op == "w" and g.variable == lab.variable
+                    for g in run.labels[w + 1 : i]
                 )
+                assert i in run.readers[w]
+            else:
+                assert i not in rf
 
 
 def test_same_equiv_rf():
