@@ -258,13 +258,11 @@ def libat_step(state: LibAtState, sym: AnnLabel) -> LibAtState:
     return LibAtState(sat, tuple(edges), tuple(start), tuple(members), tuple(reach), rejected)
 
 
-def libat_run(aw: Run, universe: Universe | None = None) -> bool:
+def libat_run(aw: Run) -> bool:
     """Feed a well-annotated run through the streaming check; True means
     the annotated blocks are liberally atomic."""
     blocks_from_annotation(aw)  # validates the annotation, raises otherwise
-    if universe is None:
-        universe = Universe.from_run(aw)
-    q = libat_initial(universe)
+    q = libat_initial(Universe.from_run(aw))
     for s in symbols_of(aw):
         q = libat_step(q, s)
     return q.accepting()

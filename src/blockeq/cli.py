@@ -18,7 +18,6 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .atomicity import (
@@ -66,32 +65,6 @@ EXIT_BOUND = 3
 FORMATS = ("text", "dot", "json-lines")
 
 
-@dataclass(frozen=True)
-class Config:
-    """Shared command configuration.
-
-    ``swap_bound`` caps the run length for swap-closure enumerations,
-    ``rf_bound`` for the reads-from interleaving search; neither lets
-    enumeration past ``oracle.WORD_LIMIT`` (255) events.  ``seed``
-    breaks ties whenever a command samples among equally valid outputs
-    (currently: which members ``enumerate --limit`` prints when the
-    class is larger than the limit).  ``fmt`` selects the output format;
-    each subcommand declares the subset it accepts as its ``formats``
-    default, and ``main`` refuses the others.
-    """
-
-    swap_bound: int = SWAP_BOUND
-    rf_bound: int = RF_BOUND
-    seed: int = 0
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.swap_bound <= 0 or self.rf_bound <= 0:
-            raise ValueError("enumeration bounds must be positive")
-        if self.fmt not in FORMATS:
-            raise ValueError("format must be one of %s" % (", ".join(FORMATS)))
-
-
 def _fail(message: str) -> int:
     print("error: %s" % message, file=sys.stderr)
     return EXIT_USAGE
@@ -122,7 +95,7 @@ def _label_text(run: Run, pos: int) -> str:
 
 # ---- validate --------------------------------------------------------------
 
-def cmd_validate(args, cfg: Config) -> int:
+def cmd_validate(args) -> int:
     try:
         run = _load(args.trace)
     except TraceError as exc:
@@ -152,9 +125,9 @@ def _dot_order(name: str, run: Run, pairs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_order(name: str, run: Run, order, cfg: Config) -> int:
+def _emit_order(name: str, run: Run, order, fmt: str) -> int:
     pairs = order.covering_positions()
-    if cfg.fmt == "dot":
+    if fmt == "dot":
         sys.stdout.write(_dot_order(name, run, pairs))
     else:
         for i, j in pairs:
@@ -162,15 +135,15 @@ def _emit_order(name: str, run: Run, order, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_hb(args, cfg: Config) -> int:
+def cmd_hb(args) -> int:
     run = _load(args.trace)
-    return _emit_order("hb", run, mazurkiewicz_hb(run), cfg)
+    return _emit_order("hb", run, mazurkiewicz_hb(run), args.format)
 
 
-def cmd_bhb(args, cfg: Config) -> int:
+def cmd_bhb(args) -> int:
     run = _load(args.trace)
     blocks = _blocks_for(run, args.blocks)
-    return _emit_order("bhb", run, block_hb(run, blocks), cfg)
+    return _emit_order("bhb", run, block_hb(run, blocks), args.format)
 
 
 # ---- atomicity -------------------------------------------------------------
@@ -187,11 +160,11 @@ def _dot_block_graph(run: Run, blocks: BlockSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_atomicity(args, cfg: Config) -> int:
+def cmd_atomicity(args) -> int:
     run = _load(args.trace)
     blocks = _blocks_for(run, args.blocks)
     atomic = is_liberally_atomic(run, blocks)
-    if cfg.fmt == "dot":
+    if args.format == "dot":
         if args.witness:
             _warn("--witness is ignored with --format dot")
         sys.stdout.write(_dot_block_graph(run, blocks))
@@ -212,7 +185,7 @@ def cmd_atomicity(args, cfg: Config) -> int:
 
 # ---- concurrent ------------------------------------------------------------
 
-def cmd_concurrent(args, cfg: Config) -> int:
+def cmd_concurrent(args) -> int:
     run = _load(args.trace)
     if args.blocks is not None and args.mode != GIVEN_BLOCKS:
         _warn("--blocks is ignored outside blocks mode")
@@ -254,22 +227,24 @@ def cmd_concurrent(args, cfg: Config) -> int:
 
 # ---- enumerate -------------------------------------------------------------
 
-def cmd_enumerate(args, cfg: Config) -> int:
+def cmd_enumerate(args) -> int:
+    if args.swap_bound <= 0 or args.rf_bound <= 0:
+        return _fail("enumeration bounds must be positive")
     if args.limit < 0:
         return _fail("--limit needs a non-negative count")
     run = _load(args.trace)
     if args.relation == "maz":
-        cls = enum_maz_class(run, bound=cfg.swap_bound)
+        cls = enum_maz_class(run, bound=args.swap_bound)
     elif args.relation == "blocks":
-        cls = enum_block_class(run, _blocks_for(run, args.blocks), bound=cfg.swap_bound)
+        cls = enum_block_class(run, _blocks_for(run, args.blocks), bound=args.swap_bound)
     else:
-        cls = enum_rf_class(run, bound=cfg.rf_bound)
+        cls = enum_rf_class(run, bound=args.rf_bound)
     print("members: %d" % len(cls))
     if args.limit:
         words = cls.sorted_words()
         if len(words) > args.limit:
-            if cfg.seed:
-                picked = random.Random(cfg.seed).sample(range(len(words)), args.limit)
+            if args.seed:
+                picked = random.Random(args.seed).sample(range(len(words)), args.limit)
                 words = [words[i] for i in sorted(picked)]
             else:
                 words = words[: args.limit]
@@ -280,7 +255,7 @@ def cmd_enumerate(args, cfg: Config) -> int:
 
 # ---- annotate --------------------------------------------------------------
 
-def cmd_annotate(args, cfg: Config) -> int:
+def cmd_annotate(args) -> int:
     run = _load(args.trace)
     # annotate overwrites every mark; unmarked traces default to all blocks
     selector = "all" if args.blocks is None and not any(run.annotations) else args.blocks
@@ -290,16 +265,16 @@ def cmd_annotate(args, cfg: Config) -> int:
 
 # ---- sat (streaming-state dumps) -------------------------------------------
 
-def _dump_state(count: int, state, cfg: Config) -> None:
+def _dump_state(count: int, state, fmt: str) -> None:
     text = canonical_text(state)
-    if cfg.fmt == "json-lines":
+    if fmt == "json-lines":
         print(json.dumps({"events": count, "state": text}, sort_keys=True))
     else:
         print("-- after %d events --" % count)
         sys.stdout.write(text)
 
 
-def cmd_sat(args, cfg: Config) -> int:
+def cmd_sat(args) -> int:
     if args.dump_state_every is not None and args.dump_state_every <= 0:
         return _fail("--dump-state-every needs a positive count")
     run = _load(args.trace)
@@ -312,15 +287,15 @@ def cmd_sat(args, cfg: Config) -> int:
         state = sat_step(state, sym)
         dumped_last = every is not None and count % every == 0
         if dumped_last:
-            _dump_state(count, state, cfg)
+            _dump_state(count, state, args.format)
     if not dumped_last:
-        _dump_state(len(aw), state, cfg)
+        _dump_state(len(aw), state, args.format)
     return EXIT_OK
 
 
 # ---- gen-hardness ----------------------------------------------------------
 
-def cmd_gen_hardness(args, cfg: Config) -> int:
+def cmd_gen_hardness(args) -> int:
     try:
         inst = EqualityInstance.from_strings(args.a, args.b)
     except ValueError as exc:
@@ -347,14 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused: parsing
     leaves it unchanged, and each call returns a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--swap-bound", type=int, default=SWAP_BOUND, metavar="N",
-                        help="max events for swap-closure enumeration (default %d; "
-                             "never more than %d)" % (SWAP_BOUND, WORD_LIMIT))
-    common.add_argument("--rf-bound", type=int, default=RF_BOUND, metavar="N",
-                        help="max events for the reads-from search (default %d; "
-                             "never more than %d)" % (RF_BOUND, WORD_LIMIT))
-    common.add_argument("--seed", type=int, default=0,
-                        help="tie-break seed for sampled output (default 0: no sampling)")
     common.add_argument("--format", choices=FORMATS, default="text",
                         help="output format (default text)")
 
@@ -416,6 +383,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--relation", choices=("maz", "blocks", "rf"), required=True)
     sp.add_argument("--limit", type=int, default=0, metavar="N",
                     help="print up to N members after the count")
+    sp.add_argument("--swap-bound", type=int, default=SWAP_BOUND, metavar="N",
+                    help="max events for swap-closure enumeration (default %d; "
+                         "never more than %d)" % (SWAP_BOUND, WORD_LIMIT))
+    sp.add_argument("--rf-bound", type=int, default=RF_BOUND, metavar="N",
+                    help="max events for the reads-from search (default %d; "
+                         "never more than %d)" % (RF_BOUND, WORD_LIMIT))
+    sp.add_argument("--seed", type=int, default=0,
+                    help="tie-break seed for sampled output (default 0: no sampling)")
     sp.set_defaults(func=cmd_enumerate, formats=("text",))
 
     sp = sub.add_parser("annotate", parents=[common, blocksel],
@@ -446,19 +421,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.format not in args.formats:
+        return _fail("format %r is not supported by %r" % (args.format, args.command))
     try:
-        cfg = Config(
-            swap_bound=args.swap_bound,
-            rf_bound=args.rf_bound,
-            seed=args.seed,
-            fmt=args.format,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-    if cfg.fmt not in args.formats:
-        return _fail("format %r is not supported by %r" % (cfg.fmt, args.command))
-    try:
-        return args.func(args, cfg)
+        return args.func(args)
     except BoundExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BOUND

@@ -34,21 +34,23 @@ the symbol universe, so each step costs time polynomial in the alphabet
 size and constant in the stream length; two arguments let the first
 pass, too, do work in proportion to what the step changes.
 
-*Rule 1 stays out of the change log.*  Rule 1 joins the arriving symbol
-a into every row that meets its dependence set D.  D is new every step,
-so the first pass sweeps every row for it once; later passes check the
-rows that grew.  Rules 4b, 5 and 6 and the flags read none of its joins:
-they mask a out of the rows they read, and when rule 1 adds a to a row R
-that some row S has to contain, S contains R's other bits, so S met D as
-well and took a in the same sweep.  After each rule-1 sweep every row
-that meets D holds a, so this also holds in later passes.  (Rule 6 reads
-a's bit in the rows of a's own pair when a is a block write, and
-re-examines those rows on every run.)  Only rules 2-4, whose running
-block on a's variable may hold a, read rule 1's joins: the first pass
-sweeps that variable, and later joins are logged for them alone.  A
-join of a made by any other rule is logged like any change, as that row
-need not meet D; only rules 5 and the flags, which read A rows with a
-masked out, skip an A row whose one gain was a.
+*Rule 1 runs once per step, outside the change log.*  Rule 1 joins the
+arriving symbol a into every row that meets its dependence set D.  D is
+new every step, so the step opens with one sweep of every row for it.
+No later pass needs another: every other rule grows a row by joining in
+other rows, and bits b whose after row it joins as well (a's own bit
+aside; b's row holds b), so a join that brings D into a row brings a row
+that meets D, which holds a.  Every row that meets D holds a from the
+sweep on.  Rules 4b, 5 and 6 and the flags read none of the sweep's
+joins: they mask a out of the rows they read, and when rule 1 adds a to
+a row R that some row S has to contain, S contains R's other bits, so S
+met D as well and took a in the same sweep.  (Rule 6 reads a's bit in
+the rows of a's own pair when a is a block write, and re-examines those
+rows on every run.)  Only rules 2-4, whose running block on a's
+variable may hold a, read the sweep's joins, and the first pass sweeps
+that variable.  A join of a made by any other rule is logged like any
+change, as that row need not meet D; an A row whose one gain was a gives
+rules 5 and the flags nothing to fire on, as they mask a out.
 
 *The previous fixpoint carries over.*  A step starts from a state that
 was closed under every rule, with the previous arrival p masked out,
@@ -227,39 +229,28 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         eff_tir[xi::nX] = [False] * (nr // nX)  # the rows on variable xi
 
     # Change log: a row r of F that grew is logged as r, a symbol c whose A
-    # row grew as nr + c, a raised tir bit as -1.  An A row that gained
-    # only the arriving symbol is logged in band 1 (shifted by nr + ns),
-    # and a join made by rule 1 in band 2: rules 1 and 5 and the flags,
-    # which mask the arriving symbol out of A, read band 0 only, rules 4b
-    # and 6 bands 0-1, and rules 2-4 all three.  Each change-driven
-    # section keeps the log position at its previous run's start.  The
+    # row grew as nr + c, a raised tir bit as -1.  Each change-driven
+    # section reads the entries logged since its previous run began.  The
     # log opens with the non-empty rows of the symbols the previous
     # step's overrides may have rewritten, read by rules 2-4 and 4b
-    # only, and rule 1's first sweep is not logged (module docstring).
-    band = nr + ns
+    # only, and rule 1's sweep is not logged (module docstring).
     seeds = [c for c, a in enumerate(state.aft) if a == 1 << c and c != ai]
     log = [r for c in seeds for r in range(c * tx, (c + 1) * tx) if old_F[r]]
-    since = dict.fromkeys(("1", "5", "6", "flags"), len(log))
+    since = dict.fromkeys(("5", "6", "flags"), len(log))
     since.update(dict.fromkeys(("24", "4b", "dropped"), 0))
     dropped: list[int] = []  # rows whose open flag went down, in order
     closures: list[Optional[int]] = [None] * nX  # rules 2-4: each block's last after set
-    lowered: Optional[list[int]] = None  # flag_rules' table, built on first use
 
     # 1. the arriving symbol joins every row it depends into
     A = [a | abit if a & dep_in else a for a in state.aft]
     F = [f | abit if f & dep_in else f for f in old_F]
 
-    def changes(pos: int, bands: int, syms: int = 0,
+    def changes(pos: int, syms: int = 0,
                 rows: Optional[set[int]] = None) -> tuple[int, set[int]]:
-        # since pos, in the lowest bands: mask of symbols whose A row
-        # grew, F rows that grew; added to syms and rows when given
+        # since pos: mask of symbols whose A row grew, F rows that grew;
+        # added to syms and rows when given
         rows = set() if rows is None else rows
-        top = bands * band
         for e in log[pos:]:
-            if e >= band:
-                if e >= top:
-                    continue
-                e %= band
             if e >= nr:
                 syms |= 1 << (e - nr)
             elif e >= 0:
@@ -269,20 +260,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     def mask_rules() -> bool:
         start = len(log)
 
-        # 1. a row that grew since the last run may now meet dep_in
-        syms, rows = changes(since["1"], 1)
-        since["1"] = start
-        for c in bits(syms):
-            if A[c] & dep_in and not A[c] & abit:
-                A[c] |= abit
-                log.append(2 * band + nr + c)
-        for r in rows:
-            if F[r] & dep_in and not F[r] & abit:
-                F[r] |= abit
-                log.append(2 * band + r)
-
-        # changes since the last run began (rule 1's too), caught up as
-        # this run logs more
+        # changes since the last run began, caught up as this run logs more
         read, since["24"] = since["24"], len(log)
         syms24, rows24 = 0, set()
         for v in range(nX):
@@ -311,7 +289,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             if full:  # the instances below that can fire
                 cands = [c for c in others if eff_tir[c * tx + off] or A[c] & bv]
             else:
-                syms24, rows24 = changes(read, 3, syms24, rows24)
+                syms24, rows24 = changes(read, syms24, rows24)
                 read = len(log)
                 if prev is None:
                     syms24 |= sum(1 << c for c in seeds)
@@ -333,7 +311,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             # a *different* running block on its variable orders the whole
             # running block after the tracked block and the row's label
             if not full:
-                syms24, rows24 = changes(read, 3, syms24, rows24)
+                syms24, rows24 = changes(read, syms24, rows24)
                 read = len(log)
             rows = range(v, nr, nX) if full else sorted(rows24)
             for r in [r for r in rows if r % nX == v and F[r] & bv and r // tx != ai]:
@@ -341,8 +319,8 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                     continue  # the running block itself
                 c = r // tx
                 if A[c] | closure != A[c]:
-                    log.append((band if closure & ~A[c] == abit else 0) + nr + c)
                     A[c] |= closure
+                    log.append(nr + c)
                 if F[r] | closure != F[r]:
                     F[r] |= closure
                     log.append(r)
@@ -353,7 +331,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # stale, but its fresh contribution is exactly the joins rule 1
         # already makes).  Only rows that grew, or hold a symbol whose A
         # row grew, since the last run can gain; equal rows gain alike.
-        syms, rows = changes(since["4b"], 2)
+        syms, rows = changes(since["4b"])
         since["4b"] = len(log)
         syms &= notai
         if syms:
@@ -385,7 +363,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # there grew (also earlier in this run) or A[c] changed since the
         # last run.  Each offset is swept on its own, over its column as
         # the rows stand now.
-        syms, rows = changes(since["5"], 1)
+        syms, rows = changes(since["5"])
         since["5"] = len(log)
         syms &= notai
         owners = [0] * tx  # per offset, the symbols whose row there grew
@@ -438,7 +416,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # Examined in row order: rows that grew or were lowered since the
         # last run, the rows of a write whose A row grew (also earlier in
         # this run, on later rows), and those of the arriving write.
-        syms, rows = changes(since["6"], 2)
+        syms, rows = changes(since["6"])
         since["6"] = len(log)
         rows.update(dropped[since["dropped"]:])
         since["dropped"] = len(dropped)
@@ -460,8 +438,8 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 add = abit
             c = r // tx
             if A[c] | add != A[c]:
-                log.append((band if add & ~A[c] == abit else 0) + nr + c)
                 A[c] |= add
+                log.append(nr + c)
                 if u.block_write_mask >> c & 1 and c != ai:
                     for r2 in range(u.write_offset[c], nr, tx):
                         if r2 > r and r2 not in rows and not eff_open[r2] and F[r2] >> c & 1:
@@ -477,15 +455,12 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # fixpoint of both, in any order.  Since the last run only symbols
         # whose A row grew, or that hold a symbol with a lowered row that
         # grew, can inherit.
-        nonlocal lowered
-        syms, rows = changes(since["flags"], 1)
+        syms, rows = changes(since["flags"])
         since["flags"] = len(log)
         fresh = 0  # symbols with a lowered, non-empty row that may be new
         for r in rows:
             if not eff_open[r]:
                 fresh |= 1 << (r // tx)
-                if lowered is not None:
-                    lowered[r % tx] |= 1 << (r // tx)
         changed = False
         if new_block:
             older = sum(1 << c for c in others if F[c * tx + kx] and not A[c] & abit)
@@ -495,8 +470,6 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                     eff_open[r] = False
                     dropped.append(r)
                     fresh |= 1 << c
-                    if lowered is not None:
-                        lowered[kx] |= 1 << c
                     changed = True
         fresh &= notai
         todo = syms
@@ -505,12 +478,11 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         todo &= notai
         if not todo:
             return changed
-        if lowered is None:
-            # per offset, the symbols whose row there is lowered and non-empty
-            lowered = [0] * tx
-            for r in range(nr):
-                if not eff_open[r] and F[r]:
-                    lowered[r % tx] |= 1 << (r // tx)
+        # per offset, the symbols whose row there is lowered and non-empty
+        lowered = [0] * tx
+        for r in range(nr):
+            if not eff_open[r] and F[r]:
+                lowered[r % tx] |= 1 << (r // tx)
         while todo:
             m, todo, grew = todo, 0, 0
             while m:

@@ -52,13 +52,11 @@ class EquivClass:
     label sequences, is built on first access.
     """
 
-    def __init__(self, relation: str, representative: Run, words: Iterable[bytes],
-                 blocks: Optional[BlockSet] = None):
+    def __init__(self, relation: str, representative: Run, words: Iterable[bytes]):
         assert relation in ("maz", "blocks", "rf")
         self.relation = relation
         self.representative = representative
         self.words: frozenset[bytes] = frozenset(words)
-        self.blocks = blocks
         assert bytes(range(len(representative))) in self.words, \
             "representative must belong to its class"
 
@@ -152,7 +150,7 @@ def enum_block_class(run: Run, blocks: BlockSet, bound: Optional[int] = None) ->
     adjacent, contiguous, thread-disjoint blocks.  Contiguity and
     adjacency are re-derived from each permutation as it is reached."""
     _check_bound(run, bound, SWAP_BOUND, "swap-class")
-    return EquivClass("blocks", run, _swap_closure(run, blocks), blocks)
+    return EquivClass("blocks", run, _swap_closure(run, blocks))
 
 
 def rf_class_words(run: Run, bound: Optional[int] = None) -> Iterator[bytes]:

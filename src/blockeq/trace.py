@@ -226,10 +226,10 @@ class Run:
         """The same run with all annotations dropped."""
         return Run(self.labels)
 
-    def to_text(self, with_annotations: bool = True) -> str:
+    def to_text(self) -> str:
         out = []
         for lab, on in zip(self.labels, self.annotations):
-            mark = " @" if with_annotations and on else ""
+            mark = " @" if on else ""
             out.append("%s %s %s%s\n" % (lab.thread, lab.op, lab.variable, mark))
         return "".join(out)
 

@@ -216,6 +216,11 @@ def test_concurrent_usage_errors(capsys):
         capsys, "concurrent", trace("two_wr_pairs.trace"), "--events", "1", "9"
     )
     assert code == 2 and err.startswith("error:")
+    code, out, err = run_cli(
+        capsys, "concurrent", trace("two_wr_pairs.trace"), "--events", "2", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: need two distinct event positions\n"
     code, _, err = run_cli(
         capsys, "concurrent", trace("two_wr_pairs.trace"), "--c", "T1 w x"
     )
@@ -425,7 +430,7 @@ def test_bounds_must_be_positive(capsys):
         capsys, "enumerate", trace("two_wr_pairs.trace"),
         "--relation", "maz", "--swap-bound", "0",
     )
-    assert code == 2 and err.startswith("error:")
+    assert code == 2 and err == "error: enumeration bounds must be positive\n"
 
 
 def test_bad_block_selector(capsys):
@@ -552,3 +557,23 @@ def test_random_bytes_never_escape_main(tmp_path, capsys):
         code = main(["gen-hardness", "--a=" + text[:3], "--b=" + text[3:6]])
         assert code in (0, 1, 2, 3), data
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", (
+    ("hb", trace("two_wr_pairs.trace"), "--seed", "3"),
+    ("gen-hardness", "--a", "1", "--b", "1", "--rf-bound", "5"),
+    ("atomicity", trace("two_wr_pairs.trace"), "--swap-bound", "9"),
+))
+def test_enumeration_options_belong_to_enumerate(capsys, argv):
+    # only enumerate reads the bounds and the sampling seed; argparse
+    # rejects them on every other command
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sat_rejects_zero_dump_interval(capsys):
+    code, out, err = run_cli(capsys, "sat", trace("two_wr_pairs.trace"), "--dump-state-every", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --dump-state-every needs a positive count\n"

@@ -393,3 +393,21 @@ def test_general_absent_symbol_answers_without_enumerating(monkeypatch):
     absent, present = Label("T9", "w", "q"), run.labels[0]
     assert not conc_symbols_general(run, absent, present)
     assert not conc_symbols_general(run, present, absent)
+
+
+@pytest.mark.parametrize("mode", ("maz", "blocks"))
+def test_conc_events_ignores_argument_order(mode):
+    # the golden file asks about I < J only; the later event may come first
+    for path in sorted(CORPUS.glob("*.trace")):
+        run = parse_run(path.read_text())
+        for i, j in itertools.combinations(range(len(run)), 2):
+            e, f = run.event_at(i), run.event_at(j)
+            assert conc_events(run, e, f, mode) == conc_events(run, f, e, mode), (path.name, i, j)
+
+
+def test_conc_initial_rejects_symbol_outside_universe():
+    u = Universe(["T1", "T2"], ["x"])
+    inside, outside = (Label("T1", "w", "x"), False), (Label("T1", "w", "y"), False)
+    for c_hat, d_hat in ((outside, inside), (inside, outside)):
+        with pytest.raises(ValueError, match="outside the universe"):
+            conc_initial(u, c_hat, d_hat)

@@ -93,3 +93,9 @@ def test_monitor_after_rows_on_reduction_trace():
     for sym, e in last.items():
         row = q.aft[universe.sym_index[sym]]
         assert frozenset(universe.symbols[i] for i in bits(row)) == after_set(run, blocks, e)
+
+
+def test_ordered_in_class_needs_distinct_labels():
+    run = parse_run("T1 w x\nT2 r x\nT1 w x\n")
+    with pytest.raises(ValueError, match="distinct labels"):
+        ordered_in_class(run, run.event_at(0), run.event_at(2))

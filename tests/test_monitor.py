@@ -304,6 +304,13 @@ def test_rejects_marked_read_of_unmarked_write():
         assert False, "marked read of an unmarked write must be rejected"
 
 
+def test_rejects_symbol_outside_universe():
+    q = sat_initial(Universe(["T1"], ["x"]))
+    for sym in ((Label("T2", WRITE, "x"), False), (Label("T1", WRITE, "y"), True)):
+        with pytest.raises(ValueError, match="outside the universe"):
+            sat_step(q, sym)
+
+
 # ---- deliberate dev loop: shrink a failing case ---------------------------
 
 def minimize(aw):

@@ -267,3 +267,10 @@ def test_bounds():
     # override check on a single-thread run, whose class is a singleton
     single = Run([Label("T1", "w", "x") for _ in range(23)])
     assert len(enum_rf_class(single, bound=23).members) == 1
+
+
+def test_class_excludes_runs_with_foreign_labels():
+    cls = enum_maz_class(parse_run("T1 w x\nT2 w y\n"))
+    assert parse_run("T2 w y\nT1 w x\n") in cls
+    assert parse_run("T1 w x\nT2 w z\n") not in cls
+    assert parse_run("T1 w x\nT2 w y\nT2 w y\n") not in cls

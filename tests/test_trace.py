@@ -202,3 +202,12 @@ def test_analyses_hash_no_event_or_label(monkeypatch):
     got = [analyses(text) for text in texts]
     monkeypatch.undo()
     assert got == expected
+
+
+def test_label_and_run_reject_bad_arguments():
+    with pytest.raises(ValueError, match="op must be"):
+        Label("T1", "x", "y")
+    labels = [Label("T1", "w", "x"), Label("T2", "r", "x")]
+    for marks in ([True], [True, False, False]):
+        with pytest.raises(ValueError, match="annotation list length"):
+            Run(labels, marks)
