@@ -45,12 +45,42 @@ sweep on.  Rules 4b, 5 and 6 and the flags read none of the sweep's
 joins: they mask a out of the rows they read, and when rule 1 adds a to
 a row R that some row S has to contain, S contains R's other bits, so S
 met D as well and took a in the same sweep.  (Rule 6 reads a's bit in
-the rows of a's own pair when a is a block write, and re-examines those
-rows on every run.)  Only rules 2-4, whose running block on a's
-variable may hold a, read the sweep's joins, and the first pass sweeps
-that variable.  A join of a made by any other rule is logged like any
-change, as that row need not meet D; an A row whose one gain was a gives
-rules 5 and the flags nothing to fire on, as they mask a out.
+the rows of a's own pair when a is a block write, and examines those
+rows on its first run; one whose flag drops later is examined again as a
+lowered row, and one that gains a later is logged.)  Only rules 2-4,
+whose running block on a's variable may hold a, read the sweep's joins,
+and the first pass sweeps that variable.  A join of a made by any other
+rule is logged like any change, as that row need not meet D; an A row
+whose one gain was a gives rules 5 and the flags nothing to fire on, as
+they mask a out.
+
+*A block opener's own rows are settled without re-examination.*  A
+marked write a on variable x by thread t opens a block, and rule 2
+starts tracking it in the empty rows, at a's own pair (t, x), of the
+symbols c whose after row holds a: each such row becomes exactly {a}.
+While its flag is up such a row is not logged, as no reader needs it:
+
+* rules 2-4 sweep x in full on the first pass; the running block's
+  after set is {a} all step, so rule 3 has nothing to add, and rule 4
+  skips the row, the running block's own;
+* rule 4b masks a out of the rows it reads;
+* rule 5 passes c's row only to a symbol d with c in A[d].  In the
+  step's fixpoint a is in A[d] as well (d's last occurrence precedes
+  c's, which precedes a), so d's row at (t, x) holds a: rule 2 opened it
+  like c's, or it already tracked an older block of the pair, whose
+  write is a's previous occurrence;
+* rule 6 reads only rows whose flag is down, and a row whose flag drops
+  is examined again as a lowered row;
+* the flags' new-block flip reads the rows at (t, x) directly, and
+  inheritance starts only from lowered rows, one the flip lowered among
+  them.
+
+A row whose flag is already down would be missed by inheritance, which
+finds the grown lowered rows in the log, so it is logged.  None occurs:
+a flag drops only on a non-empty row, by the flip, or by inheritance
+from a lowered, non-empty row of a symbol in the row's after set, and
+the flags run at a fixpoint of the mask rules, where rule 5 (or, for a
+row {a}, the argument above) has joined that row into the heir's.
 
 *The previous fixpoint carries over.*  A step starts from a state that
 was closed under every rule, with the previous arrival p masked out,
@@ -240,6 +270,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     since.update(dict.fromkeys(("24", "4b", "dropped"), 0))
     dropped: list[int] = []  # rows whose open flag went down, in order
     closures: list[Optional[int]] = [None] * nX  # rules 2-4: each block's last after set
+    unswept = set(range(kx, nr, tx)) if new_block else set()  # rule 6: its first run only
 
     # 1. the arriving symbol joins every row it depends into
     A = [a | abit if a & dep_in else a for a in state.aft]
@@ -286,6 +317,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             prev, closures[v] = closures[v], closure
             full = closure != prev if prev is not None else v == xi
             off = th * nX + v
+            opens = new_block and v == xi  # the new block's own pair
             if full:  # the instances below that can fire
                 cands = [c for c in others if eff_tir[c * tx + off] or A[c] & bv]
             else:
@@ -300,6 +332,9 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 # after row opens first-block tracking for that row
                 if not eff_tir[r] and A[c] & bv and not old_F[r]:
                     eff_tir[r] = True
+                    if opens and not F[r] and eff_open[r]:
+                        F[r] = abit  # settled unlogged (module docstring)
+                        continue
                     log.append(-1)
                 # 3. a tracked running block keeps its row in sync with
                 # the block's growing after set
@@ -406,6 +441,10 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 F[c * tx + k] = col[c]
                 log.append(c * tx + k)
 
+        rule_6()
+        return len(log) != start
+
+    def rule_6() -> bool:
         # 6. a lowered open flag proves a later same-kind block exists and
         # sits fully after the row's label, so the label is ordered before
         # that kind's latest annotated write occurrence.  When that write
@@ -415,17 +454,21 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # already existed, pinning the previous occurrence after it).
         # Examined in row order: rows that grew or were lowered since the
         # last run, the rows of a write whose A row grew (also earlier in
-        # this run, on later rows), and those of the arriving write.
+        # this run, on later rows), and, on the first run, those of the
+        # arriving write; the arriving symbol's own rows are skipped, as
+        # only A[ai] could grow.
+        start = len(log)
         syms, rows = changes(since["6"])
         since["6"] = len(log)
         rows.update(dropped[since["dropped"]:])
         since["dropped"] = len(dropped)
         for w in bits(syms & u.block_write_mask & notai):
             rows.update(range(u.write_offset[w], nr, tx))
-        if new_block:
-            rows.update(range(kx, nr, tx))
+        rows |= unswept
+        unswept.clear()
         bw = u.block_write
-        heap = [r for r in rows if not eff_open[r] and F[r] >> bw[r % tx] & 1]
+        heap = [r for r in rows
+                if r // tx != ai and not eff_open[r] and F[r] >> bw[r % tx] & 1]
         heapify(heap)
         while heap:
             r = heappop(heap)
@@ -440,9 +483,10 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             if A[c] | add != A[c]:
                 A[c] |= add
                 log.append(nr + c)
-                if u.block_write_mask >> c & 1 and c != ai:
+                if u.block_write_mask >> c & 1:
                     for r2 in range(u.write_offset[c], nr, tx):
-                        if r2 > r and r2 not in rows and not eff_open[r2] and F[r2] >> c & 1:
+                        if (r2 > r and r2 // tx != ai and r2 not in rows
+                                and not eff_open[r2] and F[r2] >> c & 1):
                             rows.add(r2)
                             heappush(heap, r2)
         return len(log) != start
@@ -450,62 +494,60 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     def flag_rules() -> bool:
         # Lower open flags on fresh evidence of a second same-kind block.
         # Evidence is monotone: a row inherits a lowered flag from any
-        # symbol in its after set, and the arrival of a new block lowers
-        # every row already tracking an older first block: the least
-        # fixpoint of both, in any order.  Since the last run only symbols
-        # whose A row grew, or that hold a symbol with a lowered row that
-        # grew, can inherit.
+        # symbol in its after set whose row at the same offset is lowered
+        # and non-empty, and the arrival of a new block lowers every row
+        # already tracking an older first block: the least fixpoint of
+        # both, in any order.  Since the last run a symbol whose A row grew
+        # can inherit at any offset; any other only at the offset of a
+        # row lowered, or grown while lowered, since then, from its
+        # symbol, and a row lowered there passes it on at that offset.
         syms, rows = changes(since["flags"])
         since["flags"] = len(log)
-        fresh = 0  # symbols with a lowered, non-empty row that may be new
+        fresh = [0] * tx  # per offset, symbols whose row there may newly pass it on
         for r in rows:
             if not eff_open[r]:
-                fresh |= 1 << (r // tx)
-        changed = False
+                fresh[r % tx] |= 1 << (r // tx)
+        start = len(dropped)
+
+        def lower(c: int, k: int) -> None:
+            r = c * tx + k
+            eff_open[r] = False
+            dropped.append(r)
+            if F[r]:
+                fresh[k] |= 1 << c
+
         if new_block:
             older = sum(1 << c for c in others if F[c * tx + kx] and not A[c] & abit)
             for c in others:
                 r = c * tx + kx
                 if eff_open[r] and F[r] and (old_F[r] or A[c] & older):
-                    eff_open[r] = False
-                    dropped.append(r)
-                    fresh |= 1 << c
-                    changed = True
-        fresh &= notai
-        todo = syms
-        if fresh:
-            todo |= sum(1 << c for c in range(ns) if A[c] & fresh)
-        todo &= notai
-        if not todo:
-            return changed
-        # per offset, the symbols whose row there is lowered and non-empty
-        lowered = [0] * tx
-        for r in range(nr):
-            if not eff_open[r] and F[r]:
-                lowered[r % tx] |= 1 << (r // tx)
-        while todo:
-            m, todo, grew = todo, 0, 0
-            while m:
-                low = m & -m
-                m ^= low
-                a = A[low.bit_length() - 1] & notai
-                base = (low.bit_length() - 1) * tx
+                    lower(c, kx)
+        syms &= notai
+        if syms:
+            # per offset, the symbols whose row there is lowered and non-empty
+            lowered = [0] * tx
+            for r in range(nr):
+                if not eff_open[r] and F[r]:
+                    lowered[r % tx] |= 1 << (r // tx)
+            for c in bits(syms):
+                a = A[c] & notai
                 for k in range(tx):
-                    if a & lowered[k] and eff_open[base + k]:
-                        eff_open[base + k] = False
-                        dropped.append(base + k)
-                        changed = True
-                        if F[base + k]:
-                            lowered[k] |= low
-                            grew |= low
-            if grew:
-                todo = sum(1 << c for c in others if A[c] & grew)
-        return changed
+                    if eff_open[c * tx + k] and a & lowered[k]:
+                        lower(c, k)
+        for k in range(tx):
+            while fresh[k] & notai:
+                new, fresh[k] = fresh[k] & notai, 0
+                for c in [c for c in others if eff_open[c * tx + k] and A[c] & new]:
+                    lower(c, k)
+        return len(dropped) != start
 
+    # Rule 6 is the only mask rule that reads the flags, so after they
+    # drop it runs alone.  The other rules, and the flags, can gain only
+    # from a row it grew, so the loop ends when it grows none.
     while True:
         while mask_rules():
             pass
-        if not flag_rules():
+        if not flag_rules() or not rule_6():
             break
 
     # ---- input-letter overrides ----------------------------------------

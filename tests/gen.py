@@ -13,10 +13,16 @@ from blockeq.blocks import BlockSet, annotate
 from blockeq.trace import Label, READ, WRITE, Run
 
 
+def alphabet(n_threads, n_vars):
+    """The thread and variable names of the random generators."""
+    threads = tuple("T%d" % (i + 1) for i in range(n_threads))
+    variables = tuple("xyz"[i] if i < 3 else "v%d" % i for i in range(n_vars))
+    return threads, variables
+
+
 def random_run(rng, n_events, n_threads=3, n_vars=3):
     """A random valid run: every read observes some earlier write."""
-    threads = ["T%d" % (i + 1) for i in range(n_threads)]
-    variables = ["xyz"[i] if i < 3 else "v%d" % i for i in range(n_vars)]
+    threads, variables = alphabet(n_threads, n_vars)
     labels = []
     written = set()
     for _ in range(n_events):
@@ -52,8 +58,7 @@ def atomic_not_serializable_run(rng, n_filler, n_threads=3, n_vars=3):
     Filler before and after the shape may use any thread; filler inside
     it uses only the other threads, so no filler event depends on a
     shape event placed after it and every block keeps its readers."""
-    threads = ["T%d" % (i + 1) for i in range(n_threads)]
-    variables = ["xyz"[i] if i < 3 else "v%d" % i for i in range(n_vars)]
+    threads, variables = alphabet(n_threads, n_vars)
     a, b = rng.sample(threads, 2)
     z, x = rng.sample(variables, 2)
     shape = [(a, WRITE, z), (a, WRITE, x), (a, READ, x), (b, WRITE, x), (b, READ, x), (b, READ, z)]
@@ -80,9 +85,7 @@ def atomic_not_serializable_run(rng, n_filler, n_threads=3, n_vars=3):
 def annotated_runs(draw, max_threads=4, max_vars=4, min_events=15, max_events=40):
     """(threads, variables, annotated run): a valid run over a drawn
     alphabet, marked with a drawn subset of its candidate blocks."""
-    threads = ["T%d" % (i + 1) for i in range(draw(st.integers(1, max_threads)))]
-    n_vars = draw(st.integers(1, max_vars))
-    variables = ["xyz"[i] if i < 3 else "v%d" % i for i in range(n_vars)]
+    threads, variables = alphabet(draw(st.integers(1, max_threads)), draw(st.integers(1, max_vars)))
     labels = []
     written = set()
     for _ in range(draw(st.integers(min_events, max_events))):

@@ -20,6 +20,7 @@ from blockeq.trace import Label, READ, WRITE, Run
 
 import gen
 import monitor_reference
+from monitor_reference import STATE_FIELDS, reference_mismatch
 from oracles import after_set
 from test_golden import _monitor_streams
 
@@ -128,24 +129,6 @@ def compare_prefixes(aw, universe=None, every=1):
     return mismatches
 
 
-STATE_FIELDS = ("blk", "rf", "aft", "fba", "open_", "tir")
-
-
-def reference_mismatch(universe, syms):
-    """Fold ``sat_step`` over the symbols, and from every state reached
-    step both it and the full-sweep reference; the first (step, field)
-    whose values differ, or None.  ``tir`` is compared too, although
-    ``canonical_text`` leaves it out."""
-    q = sat_initial(universe)
-    for k, s in enumerate(syms):
-        got, want = sat_step(q, s), monitor_reference.sat_step(q, s)
-        for name in STATE_FIELDS:
-            if getattr(got, name) != getattr(want, name):
-                return k, name
-        q = got
-    return None
-
-
 def symbol_set(universe, mask):
     return frozenset(universe.symbols[i] for i in bits(mask))
 
@@ -239,6 +222,18 @@ def test_step_matches_full_sweep_drawn(drawn):
     threads, variables, aw = drawn
     mism = reference_mismatch(Universe(threads, variables), symbols_of(aw))
     assert mism is None, "%s\nfirst mismatch: %r" % (describe(aw), mism)
+
+
+def test_step_matches_full_sweep_block_heavy():
+    # most writes open a block, on streams longer than the drawn ones, so
+    # block openers meet rows that already track older blocks
+    rng = random.Random(4111)
+    for i in range(200):
+        n_threads, n_vars = rng.randint(1, 4), rng.randint(1, 4)
+        aw = gen.random_annotated_run(rng, rng.randint(40, 120), n_threads, n_vars,
+                                      p=(0.7, 0.9)[i % 2])
+        mism = reference_mismatch(universe_of(*gen.alphabet(n_threads, n_vars)), symbols_of(aw))
+        assert mism is None, "case %d: %s\nfirst mismatch: %r" % (i, describe(aw), mism)
 
 
 def test_step_matches_full_sweep_exhaustive_small():
