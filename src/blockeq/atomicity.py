@@ -22,6 +22,13 @@ can be quadratic.  Only the public ``block_graph`` quotients the closed
 block order, because its edge set is what ``atomicity --format dot``
 prints.
 
+blocks.py holds ``_condense``, and a ``BlockSet`` builds its direct
+edges and its block graph's Kahn order there once: ``is_liberally_atomic``
+and ``serial_witness`` share that order, and ``saturate`` those edges.
+With no blocks every node is one event and every direct edge points
+forward, so all three decisions answer yes, the witness being the run
+itself, without building either.
+
 The streaming check keeps a *summarized* conflict graph instead: at most
 one node per variable (the block on that variable that began most
 recently), and edges that stand for whole paths of the offline graph
@@ -41,9 +48,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import monitor
-from .blocks import BlockSet, blocks_from_annotation
+from .blocks import BlockSet, _condense, blocks_from_annotation, topological_order
 from .monitor import SatState, Universe, sat_initial, sat_step, symbols_of
-from .orders import _direct_edges, bits, block_hb, topological_order
+from .orders import bits, block_hb
 from .trace import AnnLabel, Event, Run
 
 
@@ -68,36 +75,6 @@ class BlockGraph:
         return len(self.nodes)
 
 
-def _condense(blocks: BlockSet, succ: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Each node's position mask, and its successor mask over nodes, of
-    ``succ`` collapsed onto the blocks plus one singleton per unblocked
-    event.  Nodes are numbered by their first position (a block's write
-    precedes its reads), so one pass in run order numbers every
-    position's node."""
-    owner, masks, writes = blocks.owner, blocks.masks, blocks.writes
-    node_of: list[int] = []
-    node_mask: list[int] = []
-    for i, b in enumerate(owner):
-        if b < 0 or writes[b] == i:
-            node_of.append(len(node_mask))
-            node_mask.append(1 << i if b < 0 else masks[b])
-        else:
-            node_of.append(node_of[writes[b]])
-    node_succ = []
-    for m in node_mask:
-        reach = 0
-        for i in bits(m):
-            reach |= succ[i]
-        reach &= ~m
-        out = 0
-        while reach:
-            k = node_of[(reach & -reach).bit_length() - 1]
-            out |= 1 << k
-            reach &= ~node_mask[k]
-        node_succ.append(out)
-    return node_mask, node_succ
-
-
 def _quotient(run: Run, blocks: BlockSet, succ: Sequence[int]) -> BlockGraph:
     """``_condense`` with each node listed as its events."""
     node_mask, node_succ = _condense(blocks, succ)
@@ -111,7 +88,7 @@ def block_graph(run: Run, blocks: BlockSet) -> BlockGraph:
 
 
 def is_liberally_atomic(run: Run, blocks: BlockSet) -> bool:
-    return topological_order(_condense(blocks, _direct_edges(run, blocks))[1]) is not None
+    return not blocks.writes or blocks._serial is not None
 
 
 def is_conflict_serializable(run: Run, blocks: BlockSet) -> bool:
@@ -119,8 +96,8 @@ def is_conflict_serializable(run: Run, blocks: BlockSet) -> bool:
     and every unblocked event as a unit transaction: the plain
     commutation order collapsed onto the same nodes, with no exemption
     for cross-thread block pairs, must be acyclic."""
-    plain = _direct_edges(run, BlockSet(run, ()))
-    return topological_order(_condense(blocks, plain)[1]) is not None
+    return not blocks.writes or topological_order(
+        _condense(blocks, BlockSet(run, ())._edges)[1]) is not None
 
 
 def serial_witness(run: Run, blocks: BlockSet) -> Run:
@@ -130,11 +107,12 @@ def serial_witness(run: Run, blocks: BlockSet) -> Run:
     their original order; every happens-before pair is respected either
     inside a node or by the topological order, so the result is always a
     proper linearization."""
-    node_mask, node_succ = _condense(blocks, _direct_edges(run, blocks))
-    order = topological_order(node_succ)
-    if order is None:
+    if not blocks.writes:
+        return run
+    serial = blocks._serial
+    if serial is None:
         raise ValueError("blocks are not liberally atomic; no serial witness exists")
-    picked = [i for k in order for i in bits(node_mask[k])]
+    picked = [i for m in serial for i in bits(m)]
     return Run([run.labels[i] for i in picked], [run.annotations[i] for i in picked])
 
 

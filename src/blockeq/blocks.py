@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from heapq import heappop, heappush
+from typing import Iterable, Optional, Sequence
 
-from .trace import Event, Run, TraceError
+from .trace import Event, Run, TraceError, cross_dep_rows
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,9 @@ class BlockSet:
     ``masks`` the blocks' member masks, ``owner`` the block index of each
     position (-1 when unblocked) and ``by_variable`` the members on each
     variable of the run.  ``Block`` objects are built when ``blocks`` is
-    read.  A position that is not a write of the run, or that is given
-    twice, raises ValueError."""
+    read, and the block order's direct edges (``_edges``) and the block
+    graph's Kahn order (``_serial``) on first use.  A position that is
+    not a write of the run, or that is given twice, raises ValueError."""
 
     def __init__(self, run: Run, writes: Iterable[int]):
         self.run = run
@@ -72,6 +74,50 @@ class BlockSet:
         ev = self.run.events
         return tuple(Block(ev[w], tuple(ev[r] for r in self.run.readers[w])) for w in self.writes)
 
+    @cached_property
+    def _edges(self) -> tuple[int, ...]:
+        """Direct edges of the block order: from the previous event of the
+        same thread, from the last earlier occurrence of each other-thread
+        symbol that the event extended-depends on, and from the write it
+        reads from (which covers the pairs inside one block).  Same-thread
+        symbols always depend, and every earlier event of the thread is
+        reached through the previous one.  The annotated symbol of a
+        position is ``2 * code + membership bit``; ``cross[k]`` is the mask
+        of the other-thread symbols that symbol k extended-depends on."""
+        run = self.run
+        sym = [2 * k + (b >= 0) for k, b in zip(run.code, self.owner)]
+        rows = cross_dep_rows(run.threads, run.variables)
+        span = len(rows)  # symbols per thread
+        cross = {k: rows[k % span] & ~(((1 << span) - 1) << k // span * span) for k in set(sym)}
+        tid = run.tid
+        last: dict[int, int] = {}  # symbol -> its latest position so far
+        seen = 0
+        prev = [-1] * len(run.threads)
+        edges = [0] * len(run)
+        rf = run.rf_pos
+        for j, (k, t) in enumerate(zip(sym, tid)):
+            bit = 1 << j
+            hit = cross[k] & seen
+            while hit:
+                low = hit & -hit
+                edges[last[low.bit_length() - 1]] |= bit
+                hit ^= low
+            if prev[t] >= 0:
+                edges[prev[t]] |= bit
+            if j in rf:
+                edges[rf[j]] |= bit
+            prev[t] = last[k] = j
+            seen |= 1 << k
+        return tuple(edges)
+
+    @cached_property
+    def _serial(self) -> Optional[list[int]]:
+        """The node masks of the block graph of ``_edges`` in Kahn order
+        (see ``_condense``); None when the graph has a cycle."""
+        node_mask, node_succ = _condense(self, self._edges)
+        order = topological_order(node_succ)
+        return None if order is None else [node_mask[k] for k in order]
+
     def __len__(self):
         return len(self.writes)
 
@@ -86,6 +132,64 @@ class BlockSet:
 
     def __str__(self):
         return "[" + "; ".join(str(b) for b in self.blocks) + "]"
+
+
+def _condense(blocks: BlockSet, succ: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Each node's position mask, and its successor mask over nodes, of
+    ``succ`` collapsed onto the blocks plus one singleton per unblocked
+    event.  Nodes are numbered by their first position (a block's write
+    precedes its reads), so one pass in run order numbers every
+    position's node and gathers its reach."""
+    owner, masks, writes = blocks.owner, blocks.masks, blocks.writes
+    node_of: list[int] = []
+    node_mask: list[int] = []
+    reach: list[int] = []
+    for i, b in enumerate(owner):
+        if b < 0 or writes[b] == i:
+            node_of.append(len(node_mask))
+            node_mask.append(1 << i if b < 0 else masks[b])
+            reach.append(succ[i])
+        else:
+            k = node_of[writes[b]]
+            node_of.append(k)
+            reach[k] |= succ[i]
+    node_succ = []
+    for m, r in zip(node_mask, reach):
+        r &= ~m
+        out = 0
+        while r:
+            k = node_of[(r & -r).bit_length() - 1]
+            out |= 1 << k
+            r &= ~node_mask[k]
+        node_succ.append(out)
+    return node_mask, node_succ
+
+
+def topological_order(edges: Sequence[int]) -> Optional[list[int]]:
+    """Kahn order of a direct-edge table (``edges[i]`` is the mask of the
+    direct successors of i), lowest ready index first; None on a cycle.
+    For graphs whose edges may point backward, such as block graphs;
+    orders over a run are already sorted by run order."""
+    indeg = [0] * len(edges)
+    for mask in edges:
+        while mask:
+            low = mask & -mask
+            indeg[low.bit_length() - 1] += 1
+            mask ^= low
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    order = []
+    while ready:
+        i = heappop(ready)
+        order.append(i)
+        mask = edges[i]
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heappush(ready, j)
+            mask ^= low
+    return order if len(order) == len(edges) else None
 
 
 def _position_of(run: Run, e: Event) -> int:

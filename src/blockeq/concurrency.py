@@ -144,7 +144,7 @@ def _orders(run: Run, mode: str) -> Iterator[tuple[Run, PartialOrder]]:
     symbols it orders.  Raises TraceError in blocks mode when the marking
     is not a valid block set."""
     if mode == MAZURKIEWICZ:
-        base = run.core()
+        base = run.core() if any(run.annotations) else run
         yield base, mazurkiewicz_hb(base)
     elif mode == GIVEN_BLOCKS:
         bs = blocks_from_annotation(run)

@@ -28,9 +28,12 @@ gets an edge from the previous event of its thread (same-thread symbols
 always depend), from the last earlier occurrence of every other-thread
 symbol it depends on (occurrences of one symbol share a thread, so
 earlier ones are reached through the last), and from the write it reads
-from.  Block membership comes from the block set's owner table.
-Consumers that need only reachability, such as the atomicity checks,
-use the direct edges and never close them.
+from.  Block membership comes from the block set's owner table.  They
+depend only on the run and the block set, so ``BlockSet._edges``
+(blocks.py) builds them on first use and keeps them: ``block_hb`` and
+``saturate`` close that one copy, and the atomicity checks, which need
+only reachability, read it without closing it.  ``mazurkiewicz_hb``
+reads the edges of an empty block set.
 
 ``saturate`` keeps the closed table between rounds.  Rule 2 reads each
 block's reach off its write's row, since the write precedes every
@@ -49,11 +52,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .blocks import Block, BlockSet
-from .trace import Event, Run, cross_dep_rows
+from .trace import Event, Run
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -62,27 +64,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def topological_order(edges: Sequence[int]) -> Optional[list[int]]:
-    """Kahn order of a direct-edge table (``edges[i]`` is the mask of the
-    direct successors of i), lowest ready index first; None on a cycle.
-    For graphs whose edges may point backward, such as block graphs;
-    orders over a run are already sorted by run order."""
-    indeg = [0] * len(edges)
-    for mask in edges:
-        for j in bits(mask):
-            indeg[j] += 1
-    ready = [i for i, d in enumerate(indeg) if d == 0]
-    order = []
-    while ready:
-        i = heappop(ready)
-        order.append(i)
-        for j in bits(edges[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heappush(ready, j)
-    return order if len(order) == len(edges) else None
 
 
 def rows_union(succ: Sequence[int], mask: int) -> int:
@@ -132,7 +113,14 @@ class PartialOrder:
         """Transitive reduction as position pairs, in row order: a
         successor is covering unless another successor's row holds it."""
         succ = self.succ
-        return [(i, j) for i, m in enumerate(succ) for j in bits(m & ~rows_union(succ, m))]
+        out = []
+        for i, m in enumerate(succ):
+            m &= ~rows_union(succ, m)
+            while m:
+                low = m & -m
+                out.append((i, low.bit_length() - 1))
+                m ^= low
+        return out
 
     def covering_pairs(self) -> list[tuple[Event, Event]]:
         """Transitive reduction, for edge-list display."""
@@ -153,52 +141,17 @@ class PartialOrder:
         return hash((self.run.labels, self.succ))
 
 
-def _direct_edges(run: Run, blocks: BlockSet) -> list[int]:
-    """Direct edges of the block order: from the previous event of the
-    same thread, from the last earlier occurrence of each other-thread
-    symbol that the event extended-depends on, and from the write it
-    reads from (which covers the pairs inside one block).  Same-thread
-    symbols always depend, and every earlier event of the thread is
-    reached through the previous one.  The annotated symbol of a
-    position is ``2 * code + membership bit``; ``cross[k]`` is the mask
-    of the other-thread symbols that symbol k extended-depends on."""
-    sym = [2 * k + (b >= 0) for k, b in zip(run.code, blocks.owner)]
-    rows = cross_dep_rows(run.threads, run.variables)
-    span = len(rows)  # symbols per thread
-    cross = {k: rows[k % span] & ~(((1 << span) - 1) << k // span * span) for k in set(sym)}
-    tid = run.tid
-    last: dict[int, int] = {}  # symbol -> its latest position so far
-    seen = 0
-    prev = [-1] * len(run.threads)
-    edges = [0] * len(run)
-    rf = run.rf_pos
-    for j, (k, t) in enumerate(zip(sym, tid)):
-        bit = 1 << j
-        hit = cross[k] & seen
-        while hit:
-            low = hit & -hit
-            edges[last[low.bit_length() - 1]] |= bit
-            hit ^= low
-        if prev[t] >= 0:
-            edges[prev[t]] |= bit
-        if j in rf:
-            edges[rf[j]] |= bit
-        prev[t] = last[k] = j
-        seen |= 1 << k
-    return edges
-
-
 def mazurkiewicz_hb(run: Run) -> PartialOrder:
     """Happens-before of the plain commutation equivalence: the transitive
     closure of all dependent pairs in run order."""
-    return PartialOrder(run, _direct_edges(run, BlockSet(run, ())))
+    return PartialOrder(run, BlockSet(run, ())._edges)
 
 
 def block_hb(run: Run, blocks: BlockSet) -> PartialOrder:
     """Block happens-before: dependent pairs in run order, except that a
     cross-thread pair whose two events lie in two distinct blocks is
     dropped.  With no blocks this equals mazurkiewicz_hb."""
-    return PartialOrder(run, _direct_edges(run, blocks))
+    return PartialOrder(run, blocks._edges)
 
 
 @dataclass(frozen=True)
@@ -248,7 +201,7 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
     bits of the write's row inside it name the new pairs through
     ``owner``.  Rule 3 ORs the new targets into the rows of a's members,
     and the table is closed again for the next round."""
-    succ = transitive_closure(_direct_edges(run, blocks))
+    succ = transitive_closure(blocks._edges)
     masks, owner, vid = blocks.masks, blocks.owner, run.vid
     rivals = [blocks.by_variable[vid[w]] & ~mask for w, mask in zip(blocks.writes, masks)]
     clear = [~mask for mask in masks]
@@ -274,7 +227,9 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
         if not grown or cyclic:
             break
         for mask, targets in grown:
-            for i in bits(mask):
-                succ[i] |= targets
+            while mask:
+                low = mask & -mask
+                succ[low.bit_length() - 1] |= targets
+                mask ^= low
         succ = transitive_closure(succ)
     return SaturationResult(run, blocks, PartialOrder(run, succ), frozenset(pairs), cyclic)

@@ -11,7 +11,9 @@ The trace file format is line based::
     # comments and blank lines are ignored
 
 Threads and variables are bare identifiers; the universes are inferred
-from the trace, no declaration header is needed.
+from the trace, no declaration header is needed.  ``parse_run`` parses
+each distinct line text once, at its first occurrence (so an error names
+that line), and every repeat of the line shares the resulting label.
 """
 
 from __future__ import annotations
@@ -268,9 +270,10 @@ def parse_run(text: str) -> Run:
     Raises TraceError with the offending line number on bad syntax,
     unknown ops, or reads that have no preceding write.
     """
-    symbols = [
-        parse_symbol(raw, lineno)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if raw.split("#", 1)[0].strip()
-    ]
+    lines = text.splitlines()
+    parsed: dict[str, Optional[AnnLabel]] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        if raw not in parsed:
+            parsed[raw] = parse_symbol(raw, lineno) if raw.split("#", 1)[0].strip() else None
+    symbols = [sym for sym in map(parsed.__getitem__, lines) if sym is not None]
     return Run([lab for lab, _ in symbols], [marked for _, marked in symbols])

@@ -24,10 +24,10 @@ from blockeq.atomicity import (
     libat_step,
     serial_witness,
 )
-from blockeq.blocks import blocks_from_annotation
+from blockeq.blocks import BlockSet, blocks_from_annotation, topological_order
 from blockeq.monitor import Universe, symbols_of
 from blockeq.oracle import enum_block_class, proper_topological_sort
-from blockeq.orders import block_hb, mazurkiewicz_hb, topological_order
+from blockeq.orders import block_hb, mazurkiewicz_hb
 from blockeq.trace import Run, parse_run
 
 import gen
@@ -263,6 +263,32 @@ def test_sparse_route_matches_closed_route_small():
         aw = gen.atomic_not_serializable_run(rng, rng.randint(0, 6), rng.randint(2, 4), rng.randint(2, 4))
         assert closed_route(aw, blocks_from_annotation(aw))[:2] == (True, False), describe(aw)
         check_sparse_route(aw)
+
+
+def test_empty_block_set_decides_without_edges(monkeypatch):
+    """With no blocks every node of the block graph is one event and
+    every direct edge points forward, so the run is liberally atomic,
+    conflict serializable and its own serial witness.  Pinned against
+    the closed route on every unmarked corpus trace, on every marked
+    one under the empty block set, and on seeded random unmarked runs;
+    none of the three builds the direct edges."""
+    runs = [parse_run(path.read_text()) for path in sorted(CORPUS.glob("*.trace"))]
+    assert sum(not any(run.annotations) for run in runs) >= 4
+    rng = random.Random(1212)
+    runs += [gen.random_run(rng, rng.randint(1, 60), rng.randint(1, 4), rng.randint(1, 4)) for _ in range(150)]
+    for run in runs:
+        assert closed_route(run, BlockSet(run, ())) == (True, True, run), describe(run)
+
+    def refuse(blocks):
+        raise AssertionError("built the direct edges of an empty block set")
+
+    monkeypatch.setattr(BlockSet.__dict__["_edges"], "func", refuse)
+    for run in runs:
+        empty = BlockSet(run, ()) if any(run.annotations) else blocks_from_annotation(run)
+        assert not empty.writes
+        assert is_liberally_atomic(run, empty), describe(run)
+        assert is_conflict_serializable(run, empty), describe(run)
+        assert serial_witness(run, empty) == run, describe(run)
 
 
 @settings(max_examples=150)

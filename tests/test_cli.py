@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from blockeq.blocks import blocks_from_annotation
+from blockeq.blocks import BlockSet, blocks_from_annotation
 from blockeq.cli import main
 from blockeq.concurrency import MODES
 from blockeq.oracle import EquivClass
@@ -170,6 +170,45 @@ def test_concurrent_symbol_queries(capsys):
         "--c", "T2 w x", "--d", "T3 w x", "--mode", "maz",
     )
     assert code == 1 and out == "concurrent: no\n"
+
+
+def count_edge_builds(monkeypatch):
+    """The write positions of each block set whose direct edges get
+    built, in build order."""
+    builds = []
+    edges = BlockSet.__dict__["_edges"]
+    build = edges.func
+
+    def counting(blocks):
+        builds.append(blocks.writes)
+        return build(blocks)
+
+    monkeypatch.setattr(edges, "func", counting)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "name", ["atomic_not_serializable.trace", "scrambled_two_blocks.trace", "five_thread_blocks.trace"]
+)
+def test_commands_build_each_block_order_once(monkeypatch, capsys, name):
+    """The atomicity decision, the serial witness and saturation share
+    one build of a block set's direct edges; conflict serializability
+    adds one build for the empty block set."""
+    path = trace(name)
+    run = parse_run(Path(path).read_text(encoding="utf-8"))
+    marked = blocks_from_annotation(run).writes
+    c, d = str(run.labels[0]), str(run.labels[-1])
+    builds = count_edge_builds(monkeypatch)
+    code, out, _ = run_cli(capsys, "atomicity", path, "--witness")
+    assert code == 0 and "witness:" in out
+    assert builds == [marked, ()]
+    for query in (["--c", c, "--d", d], ["--events", "1", str(len(run))]):
+        builds.clear()
+        run_cli(capsys, "concurrent", path, "--mode", "blocks", *query)
+        assert builds == [marked], query
+    builds.clear()
+    run_cli(capsys, "concurrent", path, "--mode", "general", "--c", c, "--d", d)
+    assert builds and len(set(builds)) == len(builds)
 
 
 def test_concurrent_stream_strategy_warns(capsys):

@@ -16,6 +16,7 @@ from blockeq.trace import (
     cross_dep_rows,
     extended_dep,
     parse_run,
+    parse_symbol,
 )
 from oracles import interleave_threads, same_equiv_rf
 
@@ -51,6 +52,80 @@ def test_parse_errors():
         parse_run("T1 r x")
     with pytest.raises(TraceError):
         parse_run("T1 w y\nT1 r x")
+
+
+# ---- parse_run against a line-by-line fold of parse_symbol ------------------
+
+MALFORMED = ("T1 q x", "T1 w", "T1 w x y", "T1 w x @ @", "@", "T1 @ x", "w x @ # note")
+
+
+def outcome(parse, text):
+    """A parse's labels and marks, or its error's text and line."""
+    try:
+        run = parse(text)
+    except TraceError as exc:
+        return str(exc), exc.line
+    return run.labels, run.annotations
+
+
+def line_fold(text):
+    symbols = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw.split("#", 1)[0].strip():
+            symbols.append(parse_symbol(raw, lineno))
+    return Run([lab for lab, _ in symbols], [on for _, on in symbols])
+
+
+def random_trace_text(rng):
+    """Event lines with random spacing, tabs, marks and trailing
+    comments, many of them repeats, among blank and comment lines; with
+    probability 1/2 a malformed line, given once or more, follows a
+    repeated event line."""
+    threads, variables = gen.alphabet(rng.randint(1, 3), rng.randint(1, 3))
+    lines: list[str] = []
+    events: list[str] = []
+    for _ in range(rng.randint(0, 40)):
+        draw = rng.random()
+        if draw < 0.15:
+            lines.append(rng.choice(("", "  ", "\t", "# comment", " \t# T1 w x", "#")))
+            continue
+        if events and draw < 0.55:
+            line = rng.choice(events)
+        else:
+            op = "w" if not events or rng.random() < 0.6 else "r"
+            fields = [rng.choice(threads), op, rng.choice(variables)]
+            if rng.random() < 0.4:
+                fields.append("@")
+            gaps = [rng.choice((" ", "  ", "\t", " \t")) for _ in fields]
+            line = rng.choice(("", " ", "\t")) + "".join(g + f for g, f in zip(gaps, fields))[1:]
+            line += rng.choice(("", " ", "\t", " # note", "# @", "\t#"))
+        events.append(line)
+        lines.append(line)
+    if rng.random() < 0.5:
+        bad = rng.choice(MALFORMED)
+        repeats = [k for k, line in enumerate(lines) if line in lines[:k]]
+        if not repeats:
+            lines += [rng.choice(events)] if events else ["T1 w x"] * 2
+            repeats = [len(lines) - 1]
+        where = rng.choice(repeats) + 1
+        lines[where:where] = [bad] * rng.randint(1, 2)
+        if rng.random() < 0.5:
+            lines.append(bad)
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def test_parse_run_matches_line_fold():
+    rng = random.Random(4242)
+    parsed = failed = 0
+    for _ in range(600):
+        text = random_trace_text(rng)
+        want = outcome(line_fold, text)
+        assert outcome(parse_run, text) == want, text
+        if isinstance(want[0], str):
+            failed += want[1] is not None
+        else:
+            parsed += len(want[0]) > 0
+    assert parsed > 100 and failed > 100
 
 
 def test_conflicting_ignores_marks():
