@@ -17,14 +17,11 @@ State components (all keyed by the fixed alphabet):
   block on that variable, with that writer thread, holding an event
   at-or-after the symbol's last occurrence;
 * ``open_``— per (symbol, thread, variable), whether that first block is
-  the only one seen so far (flips once a second such block appears);
-* ``tir``  — private helper bit per (symbol, thread, variable): whether
-  the tracked first block is still the variable's running block.  It is
-  excluded from the canonical serialization; the five public components
-  above determine the monitor's answers.
+  the only one seen so far (flips once a second such block appears).
 
 The transition is a least-fixpoint computation per input symbol: passes
-of the rules, in a fixed order, until one changes nothing.  Each pass
+of the mask rules 1-5, in a fixed order, until one changes nothing, then
+one pass of the flags, which no mask rule reads.  Each pass
 re-examines, in the same order, only the rule instances whose inputs
 changed since their rule last ran, and only instances that cannot fire
 are skipped, so every pass leaves the state a sweep of every instance
@@ -41,24 +38,20 @@ No later pass needs another: every other rule grows a row by joining in
 other rows, and bits b whose after row it joins as well (a's own bit
 aside; b's row holds b), so a join that brings D into a row brings a row
 that meets D, which holds a.  Every row that meets D holds a from the
-sweep on.  Rules 4b, 5 and 6 and the flags read none of the sweep's
-joins: they mask a out of the rows they read, and when rule 1 adds a to
-a row R that some row S has to contain, S contains R's other bits, so S
-met D as well and took a in the same sweep.  (Rule 6 reads a's bit in
-the rows of a's own pair when a is a block write, and examines those
-rows on its first run; one whose flag drops later is examined again as a
-lowered row, and one that gains a later is logged.)  Only rules 2-4,
-whose running block on a's variable may hold a, read the sweep's joins,
-and the first pass sweeps that variable.  A join of a made by any other
-rule is logged like any change, as that row need not meet D; an A row
-whose one gain was a gives rules 5 and the flags nothing to fire on, as
-they mask a out.
+sweep on.  Rules 4b and 5 and the flags read none of the sweep's joins:
+they mask a out of the rows they read, and when rule 1 adds a to a row R
+that some row S has to contain, S contains R's other bits, so S met D as
+well and took a in the same sweep.  Only rules 2-4, whose running block
+on a's variable may hold a, read the sweep's joins, and the first pass
+sweeps that variable.  A join of a made by any other rule is logged like
+any change, as that row need not meet D; an A row whose one gain was a
+gives rule 5 and the flags nothing to fire on, as they mask a out.
 
 *A block opener's own rows are settled without re-examination.*  A
 marked write a on variable x by thread t opens a block, and rule 2
 starts tracking it in the empty rows, at a's own pair (t, x), of the
 symbols c whose after row holds a: each such row becomes exactly {a}.
-While its flag is up such a row is not logged, as no reader needs it:
+Such a row is not logged, as no reader needs it:
 
 * rules 2-4 sweep x in full on the first pass; the running block's
   after set is {a} all step, so rule 3 has nothing to add, and rule 4
@@ -69,42 +62,71 @@ While its flag is up such a row is not logged, as no reader needs it:
   c's, which precedes a), so d's row at (t, x) holds a: rule 2 opened it
   like c's, or it already tracked an older block of the pair, whose
   write is a's previous occurrence;
-* rule 6 reads only rows whose flag is down, and a row whose flag drops
-  is examined again as a lowered row;
 * the flags' new-block flip reads the rows at (t, x) directly, and
-  inheritance starts only from lowered rows, one the flip lowered among
-  them.
-
-A row whose flag is already down would be missed by inheritance, which
-finds the grown lowered rows in the log, so it is logged.  None occurs:
-a flag drops only on a non-empty row, by the flip, or by inheritance
-from a lowered, non-empty row of a symbol in the row's after set, and
-the flags run at a fixpoint of the mask rules, where rule 5 (or, for a
-row {a}, the argument above) has joined that row into the heir's.
+  inheritance reads A rows only.
 
 *The previous fixpoint carries over.*  A step starts from a state that
 was closed under every rule, with the previous arrival p masked out,
 before the overrides at the end of that step rewrote p's rows: A[p] =
-{p}, p's flags up, p's first-block rows empty but one, r0.  Masking out
-a instead of p drops the constraints on a and adds those on p, so only
-what involves p can fail to hold:
+{p}, p's flags up, p's first-block rows empty but one, r0, which tracks
+p's running block.  Masking out a instead of p drops the constraints on
+a and adds those on p, so only what involves p can fail to hold:
 
-* rules 2-4 and 4b may fire on r0 and on p's tir bits, so the log they
-  read opens with the non-empty rows of every symbol whose after row is
-  just its own bit (p is one of them; the state does not name p), and
-  rules 2-4 sweep a's variable, whose running block changed;
+* rules 2-4 and 4b may fire on r0, so the log they read opens with the
+  non-empty rows of every symbol whose after row is just its own bit (p
+  is one of them; the state does not name p), and rules 2-4 sweep a's
+  variable, whose running block changed;
 * rule 5 needs nothing: for each c with p in A[c], row (c, r0's pair)
   already held r0.  Rule 2 made such a row track p's running block if it
   was empty, and a non-empty row holds the bit of its pair's block write,
   a member of that block; either way rule 3 or 4 put the block's after
   set, which contains r0, into it;
-* rule 6 and the flags need nothing: p's rows are all open.
+* the flags need nothing: p's rows are all open.
+
+*Which rows track the running block is derived, not stored.*  Rules 2-4
+treat a row r = (c, t, v) as tracking v's running block B when rule 2
+started it this step, or when at the step's start r is non-empty, its
+flag is up, B's writer is t, and the arriving symbol does not replace B.
+At a step's start this is exact: a non-empty row tracks the first block
+of its kind after c, that block is the last of its kind iff the flag is
+up, and B is the last block of its kind.  The reference step in
+``tests/monitor_reference.py`` stores the bit, and keeps it up on some
+rows whose flag is down.  There rule 4 fires where the reference applies
+rule 3, and adds to A[c] only what the fixpoint puts there anyway: the
+flag says a later block of the row's kind follows all of c, and B is
+the last block of that kind.
+
+*A lowered flag needs no rule of its own.*  For a row (c, t, v) whose
+flag is down, A[c] holds A[w] and w, w being the write of the latest
+block of the kind, which lies wholly after c; rules 1, 4 and 5 keep it
+there.  The flag went down by inheritance from a symbol d in A[c], whose
+A row lies inside A[c] and holds them by the same argument, or by the
+flip, when a later block B' of the kind opened with write w'.  In that
+step B''s after set is {w'}, and A[c] holds w': rule 2 started the row
+tracking B', which needs w' in A[c], or the row, which holds an earlier
+write of w''s thread and so w' (rule 1), made rule 4 fire.  While B'
+runs, the row, its flag down, does not track B', so rule 4 joins B''s
+growing after set into A[c]; the same holds for every later block of
+the kind.  A[w] grows after that by rule 1, which joins A[c] too, as
+A[c] holds A[w], or by rule 4 through a row of w, which rule 5 joined
+into c's row at that offset, so rule 4 fires for c as well.
+
+*The flags pass no drop on.*  A drop at a non-empty row (d, k), lowered
+or grown this step, would reach each open row (c, k) with d in A[c], and
+on from there; each such row is lowered without that.  If A[c] grew
+this step, c inherits from d's row directly, or, when d inherited this
+step, from the row d inherited from, whose symbol A[c] holds too.  If
+A[c] did not grow, d was in A[c] at the step's start, so c's row held
+d's (rule 5) and A[c] held A[d].  If the flip lowered (d, k), its
+reason, a row that was non-empty or a symbol of ``older`` in A[d], holds
+for c as well, so the flip lowers (c, k).  A drop that d had before the
+step, or inherited from a row lowered before it, c had already, as the
+state the step starts from is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 from .orders import bits
@@ -170,22 +192,19 @@ class SatState:
     aft: tuple[int, ...]      # per symbol: after-set mask
     fba: tuple[int, ...]      # per (symbol, thread, variable) row: mask
     open_: tuple[bool, ...]   # per row: first tracked block still unique?
-    tir: tuple[bool, ...]     # per row: tracked block is the running block
 
 
 def sat_initial(universe: Universe) -> SatState:
     """All-empty maps, no last write, every open flag raised."""
     nv = len(universe.variables)
-    ns = len(universe.symbols)
     nr = universe.nrows()
     return SatState(
         universe,
         blk=(0,) * nv,
         rf=(-1,) * nv,
-        aft=(0,) * ns,
+        aft=(0,) * len(universe.symbols),
         fba=(0,) * nr,
         open_=(True,) * nr,
-        tir=(False,) * nr,
     )
 
 
@@ -251,26 +270,26 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     old_F = state.fba
     eff_open = list(state.open_)
 
-    # "tracked first block is the running block": a new annotated write
-    # replaces the running block on its variable, an unannotated event
-    # clears it; rows that start tracking this step are set below.
-    eff_tir = list(state.tir)
-    if new_block or not marked:
-        eff_tir[xi::nX] = [False] * (nr // nX)  # the rows on variable xi
+    # per variable, the symbols whose row at the running block's pair
+    # tracks that block: non-empty rows with their flag up, unless this
+    # symbol replaced the block; rule 2 adds the rows it starts
+    track = [0] * nX
+    for v, th in enumerate(btheta):
+        if th >= 0 and (v != xi or not new_block):
+            col = zip(old_F[th * nX + v::tx], state.open_[th * nX + v::tx])
+            track[v] = sum(1 << c for c, (f, up) in enumerate(col) if f and up)
 
     # Change log: a row r of F that grew is logged as r, a symbol c whose A
-    # row grew as nr + c, a raised tir bit as -1.  Each change-driven
-    # section reads the entries logged since its previous run began.  The
-    # log opens with the non-empty rows of the symbols the previous
-    # step's overrides may have rewritten, read by rules 2-4 and 4b
-    # only, and rule 1's sweep is not logged (module docstring).
+    # row grew as nr + c.  Each change-driven section reads the entries
+    # logged since its previous run began.  The log opens with the
+    # non-empty rows of the symbols the previous step's overrides may
+    # have rewritten, read by rules 2-4 and 4b only, and rule 1's sweep is
+    # not logged (module docstring).
     seeds = [c for c, a in enumerate(state.aft) if a == 1 << c and c != ai]
     log = [r for c in seeds for r in range(c * tx, (c + 1) * tx) if old_F[r]]
-    since = dict.fromkeys(("5", "6", "flags"), len(log))
-    since.update(dict.fromkeys(("24", "4b", "dropped"), 0))
-    dropped: list[int] = []  # rows whose open flag went down, in order
+    since = dict.fromkeys(("5", "flags"), len(log))
+    since.update(dict.fromkeys(("24", "4b"), 0))
     closures: list[Optional[int]] = [None] * nX  # rules 2-4: each block's last after set
-    unswept = set(range(kx, nr, tx)) if new_block else set()  # rule 6: its first run only
 
     # 1. the arriving symbol joins every row it depends into
     A = [a | abit if a & dep_in else a for a in state.aft]
@@ -284,7 +303,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         for e in log[pos:]:
             if e >= nr:
                 syms |= 1 << (e - nr)
-            elif e >= 0:
+            else:
                 rows.add(e)
         return syms, rows
 
@@ -319,7 +338,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             off = th * nX + v
             opens = new_block and v == xi  # the new block's own pair
             if full:  # the instances below that can fire
-                cands = [c for c in others if eff_tir[c * tx + off] or A[c] & bv]
+                cands = [c for c in others if track[v] >> c & 1 or A[c] & bv]
             else:
                 syms24, rows24 = changes(read, syms24, rows24)
                 read = len(log)
@@ -330,15 +349,14 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 r = c * tx + off
                 # 2. start tracking: a running-block member inside an
                 # after row opens first-block tracking for that row
-                if not eff_tir[r] and A[c] & bv and not old_F[r]:
-                    eff_tir[r] = True
-                    if opens and not F[r] and eff_open[r]:
+                if not track[v] >> c & 1 and A[c] & bv and not old_F[r]:
+                    track[v] |= 1 << c
+                    if opens and not F[r]:
                         F[r] = abit  # settled unlogged (module docstring)
                         continue
-                    log.append(-1)
                 # 3. a tracked running block keeps its row in sync with
                 # the block's growing after set
-                if eff_tir[r] and F[r] | closure != F[r]:
+                if track[v] >> c & 1 and F[r] | closure != F[r]:
                     F[r] |= closure
                     log.append(r)
 
@@ -350,9 +368,9 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 read = len(log)
             rows = range(v, nr, nX) if full else sorted(rows24)
             for r in [r for r in rows if r % nX == v and F[r] & bv and r // tx != ai]:
-                if r % tx == off and eff_tir[r]:
-                    continue  # the running block itself
                 c = r // tx
+                if r % tx == off and track[v] >> c & 1:
+                    continue  # the running block itself
                 if A[c] | closure != A[c]:
                     A[c] |= closure
                     log.append(nr + c)
@@ -441,128 +459,46 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 F[c * tx + k] = col[c]
                 log.append(c * tx + k)
 
-        rule_6()
         return len(log) != start
 
-    def rule_6() -> bool:
-        # 6. a lowered open flag proves a later same-kind block exists and
-        # sits fully after the row's label, so the label is ordered before
-        # that kind's latest annotated write occurrence.  When that write
-        # is the arriving symbol itself, its stored row still describes
-        # the previous occurrence; that older content is justified only if
-        # the flag was already down before this step (a second block
-        # already existed, pinning the previous occurrence after it).
-        # Examined in row order: rows that grew or were lowered since the
-        # last run, the rows of a write whose A row grew (also earlier in
-        # this run, on later rows), and, on the first run, those of the
-        # arriving write; the arriving symbol's own rows are skipped, as
-        # only A[ai] could grow.
-        start = len(log)
-        syms, rows = changes(since["6"])
-        since["6"] = len(log)
-        rows.update(dropped[since["dropped"]:])
-        since["dropped"] = len(dropped)
-        for w in bits(syms & u.block_write_mask & notai):
-            rows.update(range(u.write_offset[w], nr, tx))
-        rows |= unswept
-        unswept.clear()
-        bw = u.block_write
-        heap = [r for r in rows
-                if r // tx != ai and not eff_open[r] and F[r] >> bw[r % tx] & 1]
-        heapify(heap)
-        while heap:
-            r = heappop(heap)
-            w_sym = bw[r % tx]
-            if w_sym != ai:
-                add = A[w_sym] | (1 << w_sym)
-            elif not state.open_[r]:
-                add = state.aft[ai] | abit
-            else:
-                add = abit
-            c = r // tx
-            if A[c] | add != A[c]:
-                A[c] |= add
-                log.append(nr + c)
-                if u.block_write_mask >> c & 1:
-                    for r2 in range(u.write_offset[c], nr, tx):
-                        if (r2 > r and r2 // tx != ai and r2 not in rows
-                                and not eff_open[r2] and F[r2] >> c & 1):
-                            rows.add(r2)
-                            heappush(heap, r2)
-        return len(log) != start
+    while mask_rules():
+        pass
 
-    def flag_rules() -> bool:
-        # Lower open flags on fresh evidence of a second same-kind block.
-        # Evidence is monotone: a row inherits a lowered flag from any
-        # symbol in its after set whose row at the same offset is lowered
-        # and non-empty, and the arrival of a new block lowers every row
-        # already tracking an older first block: the least fixpoint of
-        # both, in any order.  Since the last run a symbol whose A row grew
-        # can inherit at any offset; any other only at the offset of a
-        # row lowered, or grown while lowered, since then, from its
-        # symbol, and a row lowered there passes it on at that offset.
-        syms, rows = changes(since["flags"])
-        since["flags"] = len(log)
-        fresh = [0] * tx  # per offset, symbols whose row there may newly pass it on
-        for r in rows:
-            if not eff_open[r]:
-                fresh[r % tx] |= 1 << (r // tx)
-        start = len(dropped)
-
-        def lower(c: int, k: int) -> None:
-            r = c * tx + k
-            eff_open[r] = False
-            dropped.append(r)
-            if F[r]:
-                fresh[k] |= 1 << c
-
-        if new_block:
-            older = sum(1 << c for c in others if F[c * tx + kx] and not A[c] & abit)
-            for c in others:
-                r = c * tx + kx
-                if eff_open[r] and F[r] and (old_F[r] or A[c] & older):
-                    lower(c, kx)
-        syms &= notai
-        if syms:
-            # per offset, the symbols whose row there is lowered and non-empty
-            lowered = [0] * tx
-            for r in range(nr):
-                if not eff_open[r] and F[r]:
-                    lowered[r % tx] |= 1 << (r // tx)
-            for c in bits(syms):
-                a = A[c] & notai
-                for k in range(tx):
-                    if eff_open[c * tx + k] and a & lowered[k]:
-                        lower(c, k)
-        for k in range(tx):
-            while fresh[k] & notai:
-                new, fresh[k] = fresh[k] & notai, 0
-                for c in [c for c in others if eff_open[c * tx + k] and A[c] & new]:
-                    lower(c, k)
-        return len(dropped) != start
-
-    # Rule 6 is the only mask rule that reads the flags, so after they
-    # drop it runs alone.  The other rules, and the flags, can gain only
-    # from a row it grew, so the loop ends when it grows none.
-    while True:
-        while mask_rules():
-            pass
-        if not flag_rules() or not rule_6():
-            break
+    # Flags, once, at the fixpoint of the mask rules, none of which reads
+    # them: lower open flags on evidence of a second same-kind block.  The
+    # arrival of a new block lowers every row already tracking an older
+    # first block, and a symbol whose A row grew this step inherits a
+    # lowered flag from any symbol in its after set whose row at the same
+    # offset is lowered and non-empty (module docstring).
+    if new_block:
+        older = sum(1 << c for c in others if F[c * tx + kx] and not A[c] & abit)
+        for c in others:
+            r = c * tx + kx
+            if eff_open[r] and F[r] and (old_F[r] or A[c] & older):
+                eff_open[r] = False
+    syms = changes(since["flags"])[0] & notai
+    if syms:
+        # per offset, the symbols whose row there is lowered and non-empty
+        lowered = [0] * tx
+        for r in range(nr):
+            if not eff_open[r] and F[r]:
+                lowered[r % tx] |= 1 << (r // tx)
+        for c in bits(syms):
+            a = A[c] & notai
+            for k in range(tx):
+                if eff_open[c * tx + k] and a & lowered[k]:
+                    eff_open[c * tx + k] = False
 
     # ---- input-letter overrides ----------------------------------------
     A[ai] = abit
     base = ai * tx
     F[base:base + tx] = [0] * tx
     eff_open[base:base + tx] = [True] * tx
-    eff_tir[base:base + tx] = [False] * tx
     if marked:
         r = base + (ti if new_block else btheta[xi]) * nX + xi
         F[r] = abit if new_block else A[state.rf[xi]] | abit
-        eff_tir[r] = True
 
-    return SatState(u, tuple(blk), tuple(rf), tuple(A), tuple(F),
-                    tuple(eff_open), tuple(eff_tir))
+    return SatState(u, tuple(blk), tuple(rf), tuple(A), tuple(F), tuple(eff_open))
 
 
 # ---- canonical serialization -------------------------------------------

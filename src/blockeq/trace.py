@@ -143,7 +143,7 @@ class Run:
         if annotations is None:
             self.annotations: tuple[bool, ...] = (False,) * len(self.labels)
         else:
-            self.annotations = tuple(bool(b) for b in annotations)
+            self.annotations = tuple(map(bool, annotations))
             if len(self.annotations) != len(self.labels):
                 raise ValueError("annotation list length does not match run length")
 

@@ -3,35 +3,63 @@
 ``sat_step`` below is the monitor's step as it stood before the step
 became delta-driven: the first pass of each step sweeps every rule
 instance, and only later passes are change-driven.  It is kept verbatim
-as a test reference; ``test_monitor.py`` steps it and the library's
-``sat_step`` from every state a stream reaches and requires all six
-state fields, the private ``tir`` bits included, to be equal.
+as a test reference, on its own state type: ``RefState`` holds the
+monitor's five public fields plus the private ``tir`` bit per row ("the
+tracked first block is the variable's running block"), which the
+reference stores and the library derives per step.
 
-Run as a script, it compares the two steps on random streams::
+``test_monitor.py`` walks the reference's states.  From each one it
+builds a library ``SatState`` of the five public fields, steps both, and
+requires the five public fields of the successors to be equal.  Two
+reference states may share their public fields and differ in ``tir``;
+both are stepped.
+
+Run as a script, it runs the same comparison on random streams, or on a
+breadth-first walk of every reachable reference state::
 
     PYTHONPATH=src python tests/monitor_reference.py --streams 5000 --seed 1
+    PYTHONPATH=src python tests/monitor_reference.py --walk 2 2 7 --cap 250000
 
-Each stream draws 1-5 threads, 1-4 variables, 5-120 events and a marking
-probability from 0.3 to 0.9 (``gen.random_annotated_run``), over the
-whole alphabet of its threads and variables.  From every state the
-library's step reaches, both steps take the next symbol and all six
-fields must be equal.  It prints the stream and step counts, or the
-first mismatch as (seed, stream, step, field) with the stream, and
-exits 1.
+Each random stream draws 1-5 threads, 1-4 variables, 5-120 events and a
+marking probability from 0.3 to 0.9 (``gen.random_annotated_run``), over
+the whole alphabet of its threads and variables.  ``--walk THREADS VARS
+DEPTH`` steps every state within DEPTH - 1 symbols of the initial state
+with every valid symbol: a write with either mark, a read with the mark
+of the write it observes.  ``--cap N`` steps from at most N states.  The
+script prints the step count, or the first mismatch with the symbols
+that reach it, and exits 1.
 """
 
 import argparse
 import random
 import sys
+from dataclasses import dataclass
 
-from blockeq.monitor import SatState, Universe, _dep_in, sat_initial, symbols_of
+from blockeq.monitor import SatState, Universe, _dep_in, symbols_of
 from blockeq.monitor import sat_step as library_step
 from blockeq.trace import AnnLabel
 
 import gen
 
 
-def sat_step(state: SatState, sym: AnnLabel) -> SatState:
+@dataclass(frozen=True)
+class RefState:
+    universe: Universe
+    blk: tuple[int, ...]      # per variable: mask of running-block symbols
+    rf: tuple[int, ...]       # per variable: symbol index of last write, -1 if none
+    aft: tuple[int, ...]      # per symbol: after-set mask
+    fba: tuple[int, ...]      # per (symbol, thread, variable) row: mask
+    open_: tuple[bool, ...]   # per row: first tracked block still unique?
+    tir: tuple[bool, ...]     # per row: tracked block is the running block
+
+
+def ref_initial(universe: Universe) -> RefState:
+    nv, nr = len(universe.variables), universe.nrows()
+    return RefState(universe, (0,) * nv, (-1,) * nv, (0,) * len(universe.symbols),
+                    (0,) * nr, (True,) * nr, (False,) * nr)
+
+
+def sat_step(state: RefState, sym: AnnLabel) -> RefState:
     """Process one annotated symbol and return the successor state."""
     u = state.universe
     if sym not in u.sym_index:
@@ -338,26 +366,102 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         F[r] = abit if new_block else A[state.rf[xi]] | abit
         eff_tir[r] = True
 
-    return SatState(u, tuple(blk), tuple(rf), tuple(A), tuple(F),
+    return RefState(u, tuple(blk), tuple(rf), tuple(A), tuple(F),
                     tuple(eff_open), tuple(eff_tir))
 
 
-STATE_FIELDS = ("blk", "rf", "aft", "fba", "open_", "tir")
+PUBLIC_FIELDS = ("blk", "rf", "aft", "fba", "open_")
+
+
+def library_state(q: RefState) -> SatState:
+    """The library state holding a reference state's five public fields."""
+    return SatState(q.universe, *(getattr(q, name) for name in PUBLIC_FIELDS))
+
+
+def step_mismatch(q: RefState, sym: AnnLabel) -> tuple[RefState, "str | None"]:
+    """Step the reference from q and the library from q's public fields;
+    the reference's successor and the first public field whose values
+    differ, or None."""
+    got, want = library_step(library_state(q), sym), sat_step(q, sym)
+    return want, next((name for name in PUBLIC_FIELDS
+                       if getattr(got, name) != getattr(want, name)), None)
 
 
 def reference_mismatch(universe, syms):
-    """Fold the library's ``sat_step`` over the symbols, and from every
-    state reached step both it and the full-sweep reference; the first
-    (step, field) whose values differ, or None.  ``tir`` is compared
-    too, although ``canonical_text`` leaves it out."""
-    q = sat_initial(universe)
+    """Fold the reference's ``sat_step`` over the symbols, and from every
+    state reached step it and the library (module docstring); the first
+    (step, field) whose values differ, or None."""
+    q = ref_initial(universe)
     for k, s in enumerate(syms):
-        got, want = library_step(q, s), sat_step(q, s)
-        for name in STATE_FIELDS:
-            if getattr(got, name) != getattr(want, name):
-                return k, name
-        q = got
+        q, name = step_mismatch(q, s)
+        if name:
+            return k, name
     return None
+
+
+def valid_symbols(q: RefState):
+    """Every symbol that may follow the stream that reached q."""
+    u = q.universe
+    for lab in u.labels:
+        if lab.is_write():
+            yield (lab, False)
+            yield (lab, True)
+        else:
+            w = q.rf[u.var_index[lab.variable]]
+            if w >= 0:
+                yield (lab, u.symbols[w][1])
+
+
+def _pack(q: RefState) -> bytes:
+    # a walk holds many states: one byte string each, fields at fixed width
+    w = (len(q.universe.symbols) + 7) // 8
+    ints = q.blk + tuple(x + 1 for x in q.rf) + q.aft + q.fba
+    flags = sum(b << i for i, b in enumerate(q.open_ + q.tir))
+    return (b"".join(x.to_bytes(w, "little") for x in ints)
+            + flags.to_bytes((2 * len(q.fba) + 7) // 8, "little"))
+
+
+def _unpack(u: Universe, key: bytes) -> RefState:
+    w = (len(u.symbols) + 7) // 8
+    nv, ns, nr = len(u.variables), len(u.symbols), u.nrows()
+    end = (2 * nv + ns + nr) * w
+    ints = [int.from_bytes(key[i:i + w], "little") for i in range(0, end, w)]
+    flags = int.from_bytes(key[end:], "little")
+    bools = tuple(bool(flags >> i & 1) for i in range(2 * nr))
+    return RefState(u, tuple(ints[:nv]), tuple(x - 1 for x in ints[nv:2 * nv]),
+                    tuple(ints[2 * nv:2 * nv + ns]), tuple(ints[2 * nv + ns:2 * nv + ns + nr]),
+                    bools[:nr], bools[nr:])
+
+
+def walk(n_threads: int, n_vars: int, depth: int, cap: int) -> int:
+    u = Universe(*gen.alphabet(n_threads, n_vars))
+    start = _pack(ref_initial(u))
+    seen = {start}
+    paths = {start: ()}  # the first stream that reached each state of the frontier
+    level, states, steps = [start], 0, 0
+    for d in range(depth):
+        nxt = []
+        for key in level:
+            states += 1
+            q = _unpack(u, key)
+            for sym in valid_symbols(q):
+                succ, name = step_mismatch(q, sym)
+                steps += 1
+                if name:
+                    print("mismatch in field %s after %s" % (name, " / ".join(
+                        "%s%s" % (lab, " @" if bit else "") for lab, bit in paths[key] + (sym,))))
+                    return 1
+                k = _pack(succ)
+                if d + 1 < depth and k not in seen and len(seen) < cap:
+                    seen.add(k)
+                    paths[k] = paths[key] + (sym,)
+                    nxt.append(k)
+            del paths[key]
+        level = nxt
+    print("%dx%d to depth %d: %d states, %d steps, %s; public fields equal after every step"
+          % (n_threads, n_vars, depth, states, steps,
+             "capped at %d" % cap if len(seen) >= cap else "not capped"))
+    return 0
 
 
 def campaign(streams: int, seed: int) -> int:
@@ -373,7 +477,7 @@ def campaign(streams: int, seed: int) -> int:
             print(aw.to_text(), end="")
             return 1
         steps += len(aw.labels)
-    print("%d streams, %d steps: all fields equal after every step" % (streams, steps))
+    print("%d streams, %d steps: public fields equal after every step" % (streams, steps))
     return 0
 
 
@@ -381,5 +485,9 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--streams", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--walk", type=int, nargs=3, metavar=("THREADS", "VARS", "DEPTH"))
+    parser.add_argument("--cap", type=int, default=250000)
     args = parser.parse_args()
+    if args.walk:
+        sys.exit(walk(*args.walk, args.cap))
     sys.exit(campaign(args.streams, args.seed))

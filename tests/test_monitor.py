@@ -16,11 +16,11 @@ from blockeq.blocks import blocks_from_annotation
 from blockeq.atomicity import libat_initial, libat_step
 from blockeq.monitor import Universe, canonical_text, sat_initial, sat_step, symbols_of
 from blockeq.orders import bits, saturate
-from blockeq.trace import Label, READ, WRITE, Run
+from blockeq.trace import Label, READ, WRITE, Run, parse_run
 
 import gen
-import monitor_reference
-from monitor_reference import STATE_FIELDS, reference_mismatch
+from monitor_reference import (library_state, ref_initial, reference_mismatch, step_mismatch,
+                               valid_symbols)
 from oracles import after_set
 from test_golden import _monitor_streams
 
@@ -236,34 +236,50 @@ def test_step_matches_full_sweep_block_heavy():
         assert mism is None, "case %d: %s\nfirst mismatch: %r" % (i, describe(aw), mism)
 
 
+def walk_reference(q, depth):
+    """Step the reference and the library from reference state q along
+    every valid continuation of up to depth symbols, requiring equal
+    public fields; the number of steps."""
+    checked = 0
+    for sym in valid_symbols(q) if depth else ():
+        succ, name = step_mismatch(q, sym)
+        assert name is None, (depth, sym, name)
+        checked += 1 + walk_reference(succ, depth - 1)
+    return checked
+
+
 def test_step_matches_full_sweep_exhaustive_small():
     # every annotated stream of up to 4 symbols over each alphabet within
-    # 2 threads x 2 variables, walked as a tree so each state is stepped
-    # once per continuation: a write takes either mark, and a read the
-    # mark of the write it observes
+    # 2 threads x 2 variables, walked as a tree of reference states so each
+    # state is stepped once per continuation: a write takes either mark,
+    # and a read the mark of the write it observes
     checked = 0
-
-    def walk(universe, q, depth, marks):
-        nonlocal checked
-        for lab in universe.labels if depth < 4 else ():
-            v = universe.var_index[lab.variable]
-            if lab.is_write():
-                choices = (False, True)
-            else:
-                choices = () if marks[v] is None else (marks[v],)
-            for bit in choices:
-                got, want = sat_step(q, (lab, bit)), monitor_reference.sat_step(q, (lab, bit))
-                for name in STATE_FIELDS:
-                    assert getattr(got, name) == getattr(want, name), (depth, lab, bit, name)
-                checked += 1
-                after = marks[:v] + (bit,) + marks[v + 1:] if lab.is_write() else marks
-                walk(universe, got, depth + 1, after)
-
     for threads in (["T1"], ["T1", "T2"]):
         for variables in (["x"], ["x", "y"]):
-            u = universe_of(tuple(threads), tuple(variables))
-            walk(u, sat_initial(u), 0, (None,) * len(variables))
+            checked += walk_reference(ref_initial(universe_of(tuple(threads), tuple(variables))), 4)
     assert checked > 10000
+
+
+def test_states_differing_only_in_tir():
+    # two 2x2 streams reach reference states whose public fields are equal
+    # and whose private tir bits differ; the library keeps only the public
+    # fields, so its two end states are equal, and every continuation of up
+    # to 3 symbols from either reference state gives the library's fields
+    u = universe_of(("T1", "T2"), ("x", "y"))
+    streams = ("T1 w x @ / T2 w x @ / T1 r x @ / T2 w y @ / T2 w y @",
+               "T1 w x @ / T2 w x @ / T2 w y @ / T2 w y @ / T1 r x @")
+    refs, ends = [], []
+    for text in streams:
+        q, lib = ref_initial(u), sat_initial(u)
+        for s in symbols_of(parse_run(text.replace(" / ", "\n"))):
+            q, lib = step_mismatch(q, s)[0], sat_step(lib, s)
+        refs.append(q)
+        ends.append(lib)
+    assert library_state(refs[0]) == library_state(refs[1])
+    assert refs[0].tir != refs[1].tir
+    assert ends[0] == ends[1] == library_state(refs[0])
+    for q in refs:
+        walk_reference(q, 3)
 
 
 def test_canonical_text_constant_size():
