@@ -168,8 +168,6 @@ class Universe:
         # per offset, the symbol of that pair's annotated write
         self.block_write = tuple(self.sym_index[(Label(t, WRITE, v), True)]
                                  for t in self.threads for v in self.variables)
-        self.write_offset = {w: k for k, w in enumerate(self.block_write)}
-        self.block_write_mask = sum(1 << w for w in self.block_write)
         self.write_mask = sum(1 << i for i, (lab, _) in enumerate(self.symbols) if lab.is_write())
         self.sym_thread = tuple(self.thread_index[lab.thread] for lab, _ in self.symbols)
 

@@ -18,8 +18,7 @@ each of them and run order is a topological order of each.  That is why
 ``transitive_closure`` needs no sort: one pass from the last position
 to the first finds every successor row already closed.  ``PartialOrder``
 refuses a table with a backward edge or a self loop, which also rules
-out every cycle; ``saturate`` checks the edges it adds and reports a
-backward one through ``cyclic`` instead.
+out every cycle; the edges ``saturate`` adds pass the same check.
 
 The direct edges of the two base orders take O(n·|Σ|) to build.  The
 annotated symbols of the run are numbered once, with one mask per
@@ -35,14 +34,13 @@ depend only on the run and the block set, so ``BlockSet._edges``
 only reachability, read it without closing it.  ``mazurkiewicz_hb``
 reads the edges of an empty block set.
 
-``saturate`` keeps the closed table between rounds.  Rule 2 reads each
-block's reach off its write's row, since the write precedes every
-member, and maps the bits that fall in other same-variable blocks to
-blocks through the block set's owner table, so a round costs one step
-per new block pair.  Rule 3 ORs each block's new targets into its
-members' rows, and the table is closed again.  The block pairs are kept
-as index pairs and turned into ``Block`` pairs only when ``overlay`` is
-first read.
+``saturate`` computes only the order.  Rule 2 reads each block's reach
+off its write's row, since the write precedes every member, and maps
+the bits that fall in other same-variable blocks to blocks through the
+block set's owner table, so a round costs one step per new block pair.
+Rule 3 ORs each block's new targets into its members' rows of a copy of
+the closed table, and a new ``PartialOrder`` closes it.  ``block_pairs``
+and ``overlay`` are read off the saturated order when first asked for.
 
 Everything here is offline; the constant-space streaming counterpart
 lives in monitor.py.
@@ -130,16 +128,6 @@ class PartialOrder:
     def __len__(self):
         return len(self.succ)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartialOrder)
-            and self.succ == other.succ
-            and self.run.labels == other.run.labels
-        )
-
-    def __hash__(self):
-        return hash((self.run.labels, self.succ))
-
 
 def mazurkiewicz_hb(run: Run) -> PartialOrder:
     """Happens-before of the plain commutation equivalence: the transitive
@@ -159,20 +147,28 @@ class SaturationResult:
     """Fixpoint of the saturation rules.
 
     ``order`` is the saturated event order, one successor mask per run
-    position.  ``block_pairs`` holds the block pairs the fixpoint
-    ordered, as index pairs into ``blocks.blocks``; ``overlay`` is the
-    same set as ``Block`` pairs, built on first read.  Saturation only
-    adds edges that point forward in run order, so the run itself
-    linearizes the result.  On valid block sets that always holds,
-    because same-variable blocks never interleave; it is checked anyway.
-    A backward edge stops the fixpoint and sets ``cyclic``; then
-    ``order`` is the last stage before that edge, not the saturation."""
+    position; the run linearizes it.  ``block_pairs``, the block pairs
+    it orders as index pairs into ``blocks.blocks``, and ``overlay``, the
+    same set as ``Block`` pairs, are read off the order on first use."""
 
     run: Run
     blocks: BlockSet
     order: PartialOrder
-    block_pairs: frozenset[tuple[int, int]]
-    cyclic: bool
+
+    @cached_property
+    def block_pairs(self) -> frozenset[tuple[int, int]]:
+        """(a, b) iff a != b, the blocks share a variable and a's write
+        is ordered before a member of b; one ``owner`` step per pair."""
+        bs, succ, vid = self.blocks, self.order.succ, self.run.vid
+        masks, owner = bs.masks, bs.owner
+        pairs = []
+        for a, (w, mask) in enumerate(zip(bs.writes, masks)):
+            reach = succ[w] & bs.by_variable[vid[w]] & ~mask
+            while reach:
+                b = owner[(reach & -reach).bit_length() - 1]
+                pairs.append((a, b))
+                reach &= ~masks[b]
+        return frozenset(pairs)
 
     @cached_property
     def overlay(self) -> frozenset[tuple[Block, Block]]:
@@ -199,16 +195,23 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
     write's row meets b's member mask.  ``rivals[a]`` holds the members
     of the same-variable blocks that a is not yet ordered before; the
     bits of the write's row inside it name the new pairs through
-    ``owner``.  Rule 3 ORs the new targets into the rows of a's members,
-    and the table is closed again for the next round."""
-    succ = transitive_closure(blocks._edges)
+    ``owner``.  Rule 3 ORs a's new targets into its members' rows of a
+    copy, which ``PartialOrder`` closes for the next round.
+
+    Every added edge points forward.  Candidate blocks on one variable
+    never interleave (blocks.py, fact 2), and every edge of the closed
+    order points forward, so a member of b that a's write reaches lies
+    after that write, and b's window (write to last member) lies wholly
+    after a's: every rule-2 target follows a's last member.  Were that
+    ever false, ``PartialOrder`` would raise ValueError on the backward
+    edge instead of returning a table that is not a partial order."""
+    order = PartialOrder(run, blocks._edges)
     masks, owner, vid = blocks.masks, blocks.owner, run.vid
     rivals = [blocks.by_variable[vid[w]] & ~mask for w, mask in zip(blocks.writes, masks)]
     clear = [~mask for mask in masks]
-    pairs: list[tuple[int, int]] = []
-    cyclic = False
     while True:
-        grown = []
+        succ = list(order.succ)
+        grew = False
         for a, mask in enumerate(masks):
             rest = rivals[a]
             fresh = succ[blocks.writes[a]] & rest
@@ -216,20 +219,15 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
                 continue
             while fresh:
                 b = owner[(fresh & -fresh).bit_length() - 1]
-                pairs.append((a, b))
                 rest &= clear[b]
                 fresh &= rest
             targets = rivals[a] ^ rest
             rivals[a] = rest
-            grown.append((mask, targets))
-            # the earliest new target must come after a's last member
-            cyclic = cyclic or (targets & -targets) < 1 << (mask.bit_length() - 1)
-        if not grown or cyclic:
-            break
-        for mask, targets in grown:
+            grew = True
             while mask:
                 low = mask & -mask
                 succ[low.bit_length() - 1] |= targets
                 mask ^= low
-        succ = transitive_closure(succ)
-    return SaturationResult(run, blocks, PartialOrder(run, succ), frozenset(pairs), cyclic)
+        if not grew:
+            return SaturationResult(run, blocks, order)
+        order = PartialOrder(run, succ)

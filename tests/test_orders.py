@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 
 import gen
-from blockeq.blocks import all_block_sets, annotate, blocks_from_annotation
+from blockeq import orders
+from blockeq.blocks import BlockSet, all_block_sets, annotate, blocks_from_annotation
 from blockeq.orders import PartialOrder, bits, block_hb, mazurkiewicz_hb, saturate
 from blockeq.trace import Run, TraceError, conflicting, parse_run
 from oracles import (
@@ -120,7 +121,6 @@ def test_saturation_contains_block_order_and_stays_forward():
         aw = gen.random_annotated_run(rng, rng.randint(1, 9))
         bs = blocks_from_annotation(aw)
         sat = saturate(aw, bs)
-        assert not sat.cyclic
         bhb = pairs(block_hb(aw, bs))
         satp = pairs(sat.order)
         assert bhb <= satp
@@ -154,7 +154,6 @@ def check_saturation(aw):
     bs = blocks_from_annotation(aw)
     sat = saturate(aw, bs)
     rel, overlay = saturate_by_hand(aw, bs)
-    assert not sat.cyclic
     assert pairs(sat.order) == rel
     assert sat.block_pairs == overlay
     assert sat.overlay == {(bs.blocks[a], bs.blocks[b]) for a, b in overlay}
@@ -176,9 +175,31 @@ def test_block_pairs_are_built_on_demand():
     run = corpus("saturation_chain.trace")
     bs = blocks_from_annotation(run)
     sat = saturate(run, bs)
+    assert "block_pairs" not in vars(sat)
     assert sat.block_pairs and "overlay" not in vars(sat)
     assert len(sat.overlay) == len(sat.block_pairs)
     assert "overlay" in vars(sat)
+
+
+def test_saturate_closes_once_per_round(monkeypatch):
+    """One closure for the block order and one per round that grew it;
+    the last round, which finds nothing new, closes nothing."""
+    calls = []
+    closure = orders.transitive_closure
+
+    def counting(edges):
+        calls.append(len(edges))
+        return closure(edges)
+
+    monkeypatch.setattr(orders, "transitive_closure", counting)
+    run = corpus("saturation_chain.trace")
+    saturate(run, BlockSet(run, ()))
+    assert len(calls) == 1
+    for name in ("saturation_chain.trace", "retroactive_pair.trace"):
+        run = corpus(name)
+        calls.clear()
+        saturate(run, blocks_from_annotation(run))
+        assert len(calls) == 2, name
 
 
 def test_saturation_chain_corpus():

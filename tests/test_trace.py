@@ -251,7 +251,7 @@ def analyses(text):
         annotate(run.core(), bs).annotations,
         [b.masks for b in all_block_sets(run)],
         mazurkiewicz_hb(run).succ, block_hb(run, bs).succ,
-        sat.order.succ, sorted(sat.block_pairs), sat.cyclic,
+        sat.order.succ, sorted(sat.block_pairs),
         is_liberally_atomic(run, bs), is_conflict_serializable(run, bs),
         witness if isinstance(witness, str) else (witness.labels, witness.annotations),
         [(conc_symbols_maz(run, c, d), conc_symbols_blocks(run, c, d)) for c, d in pairs],
