@@ -175,7 +175,7 @@ def libat_step(state: LibAtState, sym: AnnLabel) -> LibAtState:
     lab, marked = sym
     u = sat.universe
     nx = len(u.variables)
-    ai = u.sym_index[sym]
+    ai = u.index(sym)
     abit = 1 << ai
 
     if not marked:

@@ -81,8 +81,7 @@ class ConcState:
 
 def conc_initial(universe: Universe, c_hat: AnnLabel, d_hat: AnnLabel) -> ConcState:
     for s in (c_hat, d_hat):
-        if s not in universe.sym_index:
-            raise ValueError("symbol %s outside the universe" % (s,))
+        universe.index(s)  # ValueError outside the universe
     return ConcState(libat_initial(universe), c_hat, d_hat, False)
 
 
@@ -100,14 +99,10 @@ def _pair_witnessed(sat_aft: tuple[int, ...], ci: int, di: int, ai: int) -> bool
 def conc_step(state: ConcState, sym: AnnLabel) -> ConcState:
     libat = libat_step(state.libat, sym)
     found = state.found
-    if not found:
+    if not found and sym == state.d_hat:  # only a d-occurrence can witness
         u = libat.sat.universe
-        found = _pair_witnessed(
-            libat.sat.aft,
-            u.sym_index[state.c_hat],
-            u.sym_index[state.d_hat],
-            u.sym_index[sym],
-        )
+        di = u.index(sym)
+        found = _pair_witnessed(libat.sat.aft, u.index(state.c_hat), di, di)
     return ConcState(libat, state.c_hat, state.d_hat, found)
 
 
@@ -217,7 +212,7 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
     """
     universe = Universe.from_run(run)
     pair_idx = [
-        (universe.sym_index[ch], universe.sym_index[dh])
+        (universe.index(ch), universe.index(dh))
         for ch, dh in _query_combos(c, d)
     ]
     branches: set[tuple[LibAtState, int]] = {(libat_initial(universe), 0)}
@@ -233,7 +228,7 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
                 q2 = libat_step(q, (lab, bit))
                 if q2.rejected:
                     continue
-                ai = universe.sym_index[(lab, bit)]
+                ai = universe.index((lab, bit))
                 f2 = fnd
                 for k, (ci, di) in enumerate(pair_idx):
                     if not f2 >> k & 1 and _pair_witnessed(q2.sat.aft, ci, di, ai):

@@ -13,11 +13,27 @@ State components (all keyed by the fixed alphabet):
   last write on the variable is unmarked);
 * ``rf``   — per variable, the symbol of the last write;
 * ``aft``  — per symbol, the after set of its last occurrence;
-* ``fba``  — per (symbol, thread, variable), the after set of the first
-  block on that variable, with that writer thread, holding an event
-  at-or-after the symbol's last occurrence;
-* ``open_``— per (symbol, thread, variable), whether that first block is
-  the only one seen so far (flips once a second such block appears).
+* ``fba``  — per symbol, one int holding its first-block rows: for each
+  (thread t, variable v), at offset k = t * |variables| + v, the field
+  of |symbols| + 1 bits at bit k * (|symbols| + 1) holds the after set
+  of the first block on v, with writer thread t, holding an event
+  at-or-after the symbol's last occurrence; the field's top bit, its
+  guard, is always clear;
+* ``open_``— per symbol, a mask whose bit k is up while the first block
+  at offset k is the only one seen so far (it drops once a second such
+  block appears).
+
+*Rows are packed per symbol.*  The guard bit lets one addition test
+every field of a symbol at once: with each field masked to a set S,
+adding 2^|symbols| - 1 to every field carries into the guard exactly
+the fields that meet S, and no carry crosses a guard.  So rule 1 finds
+the fields that meet its dependence set in a few integer operations per
+symbol and joins the arriving symbol into them by shifting those guard
+bits down to its bit; rule 4 finds a symbol's fields on a variable that
+meet the running block the same way, and multiplying the hit fields'
+low bits by the block's after set writes it into all of them at once;
+and rule 5, which joins rows at the same offset, joins packed ints
+whole.
 
 The transition is a least-fixpoint computation per input symbol: passes
 of the mask rules 1-5, in a fixed order, until one changes nothing, then
@@ -94,7 +110,11 @@ up, and B is the last block of its kind.  The reference step in
 rows whose flag is down.  There rule 4 fires where the reference applies
 rule 3, and adds to A[c] only what the fixpoint puts there anyway: the
 flag says a later block of the row's kind follows all of c, and B is
-the last block of that kind.
+the last block of that kind.  The flag test stays although no check
+has seen it change a state: the next argument, which lets a lowered
+flag go without a rule of its own, needs rule 4 to fire on a
+flag-down row while a later block of its kind runs, and a row that
+tracked that block would be skipped by rule 4.
 
 *A lowered flag needs no rule of its own.*  For a row (c, t, v) whose
 flag is down, A[c] holds A[w] and w, w being the write of the latest
@@ -127,6 +147,8 @@ state the step starts from is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import and_, eq
 from typing import Iterable, Optional
 
 from .orders import bits
@@ -150,7 +172,6 @@ class Universe:
         self.symbols: tuple[AnnLabel, ...] = tuple(
             (lab, bit) for lab in self.labels for bit in (False, True)
         )
-        self.sym_index: dict[AnnLabel, int] = {s: i for i, s in enumerate(self.symbols)}
         self.thread_index = {t: i for i, t in enumerate(self.threads)}
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         # extended-dependence rows: the cross-thread row of the symbol's
@@ -162,12 +183,17 @@ class Universe:
             cross[i % span] | ((1 << span) - 1) << i // span * span
             for i in range(len(self.symbols))
         ]
-        # row (c, t, v) is c * stride + t * |variables| + v: a symbol's rows
-        # are one slice, and the offset t * |variables| + v names a pair
-        self.stride = len(self.threads) * len(self.variables)
-        # per offset, the symbol of that pair's annotated write
-        self.block_write = tuple(self.sym_index[(Label(t, WRITE, v), True)]
-                                 for t in self.threads for v in self.variables)
+        # a symbol's first-block rows are packed into one int: the row of
+        # pair (t, v) at offset k = t * |variables| + v is the field of
+        # |symbols| + 1 bits at k * (|symbols| + 1), whose top bit, the
+        # guard, stays clear.  field_low has the low bit of every field,
+        # column_low those of the fields on one variable.
+        nv, width = len(self.variables), len(self.symbols) + 1
+        self.stride = len(self.threads) * nv
+        self.field_low = sum(1 << k * width for k in range(self.stride))
+        self.column_low = tuple(sum(1 << (t * nv + v) * width for t in range(len(self.threads)))
+                                for v in range(nv))
+        self.single = tuple(1 << i for i in range(len(self.symbols)))  # each symbol's own bit
         self.write_mask = sum(1 << i for i, (lab, _) in enumerate(self.symbols) if lab.is_write())
         self.sym_thread = tuple(self.thread_index[lab.thread] for lab, _ in self.symbols)
 
@@ -175,11 +201,16 @@ class Universe:
     def from_run(cls, run: Run) -> "Universe":
         return cls(run.threads, run.variables)
 
-    def row(self, c: int, t: int, v: int) -> int:
-        return c * self.stride + t * len(self.variables) + v
-
-    def nrows(self) -> int:
-        return len(self.symbols) * self.stride
+    def index(self, sym: AnnLabel) -> int:
+        """The position of ``sym`` in ``symbols``, computed from the
+        string-keyed thread and variable tables, as hashing a Label runs
+        Python code; ValueError outside the universe."""
+        lab, marked = sym
+        ti = self.thread_index.get(lab.thread)
+        xi = self.var_index.get(lab.variable)
+        if ti is None or xi is None or marked not in (False, True):
+            raise ValueError("symbol %s outside the universe" % (sym,))
+        return ((2 * ti + (lab.op == WRITE)) * len(self.variables) + xi) * 2 + (1 if marked else 0)
 
 
 @dataclass(frozen=True)
@@ -188,21 +219,20 @@ class SatState:
     blk: tuple[int, ...]      # per variable: mask of running-block symbols
     rf: tuple[int, ...]       # per variable: symbol index of last write, -1 if none
     aft: tuple[int, ...]      # per symbol: after-set mask
-    fba: tuple[int, ...]      # per (symbol, thread, variable) row: mask
-    open_: tuple[bool, ...]   # per row: first tracked block still unique?
+    fba: tuple[int, ...]      # per symbol: its first-block rows, one field per pair
+    open_: tuple[int, ...]    # per symbol: bit k up while row k's first block is unique
 
 
 def sat_initial(universe: Universe) -> SatState:
     """All-empty maps, no last write, every open flag raised."""
-    nv = len(universe.variables)
-    nr = universe.nrows()
+    nv, ns = len(universe.variables), len(universe.symbols)
     return SatState(
         universe,
         blk=(0,) * nv,
         rf=(-1,) * nv,
-        aft=(0,) * len(universe.symbols),
-        fba=(0,) * nr,
-        open_=(True,) * nr,
+        aft=(0,) * ns,
+        fba=(0,) * ns,
+        open_=((1 << universe.stride) - 1,) * ns,
     )
 
 
@@ -224,19 +254,15 @@ def _dep_in(state: SatState, ai: int) -> int:
 def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     """Process one annotated symbol and return the successor state."""
     u = state.universe
-    if sym not in u.sym_index:
-        raise ValueError("symbol %s outside the universe" % (sym,))
-    ai = u.sym_index[sym]
-    lab, marked = sym
-    xi = u.var_index[lab.variable]
-    ti = u.thread_index[lab.thread]
+    ai = u.index(sym)
+    marked = sym[1]
     nX = len(u.variables)
     ns, tx = len(u.symbols), u.stride
-    nr = ns * tx
+    xi, ti = ai // 2 % nX, ai // (4 * nX)
+    is_write = u.write_mask >> ai & 1
     abit = 1 << ai
     notai = ~abit
-    others = [c for c in range(ns) if c != ai]
-    new_block = marked and lab.is_write()
+    new_block = marked and is_write
     kx = ti * nX + xi  # offset of the arriving symbol's own pair
 
     dep_in = _dep_in(state, ai)  # validates reads against rf
@@ -244,20 +270,33 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # running-block and last-write updates
     blk = list(state.blk)
     if marked:
-        blk[xi] = (state.blk[xi] | abit) if lab.is_read() else abit
+        blk[xi] = abit if is_write else state.blk[xi] | abit
     else:
         blk[xi] = 0
     rf = list(state.rf)
-    if lab.is_write():
+    if is_write:
         rf[xi] = ai
 
     # per-variable writer thread of the running block (its one write)
     btheta = [u.sym_thread[(m & u.write_mask).bit_length() - 1] if m & u.write_mask else -1
               for m in blk]
-    if marked and lab.is_read() and btheta[xi] < 0:
+    if marked and not is_write and btheta[xi] < 0:
         raise ValueError(
-            "marked read %s %s observes an unmarked write" % (lab.thread, lab.variable)
+            "marked read %s %s observes an unmarked write" % (sym[0].thread, sym[0].variable)
         )
+
+    # Field arithmetic: FULL is one row's mask, LOW and GUARD hold each
+    # field's low and guard bit, DATA every field's row bits.  Adding
+    # DATA to a packed int whose fields are masked sets the guard bit of
+    # exactly the fields that are non-empty, and no carry crosses a guard.
+    FULL = (1 << ns) - 1
+    LOW = u.field_low
+    GUARD = LOW << ns
+    DATA = GUARD - LOW
+
+    def grown(old: int, new: int) -> int:
+        # guard bits of the fields in which new exceeds old
+        return ((new ^ old) + DATA) & GUARD
 
     # ---- least fixpoint over after rows and first-block rows ----------
     # Blocks on one (writer thread, variable) pair are always ordered
@@ -266,56 +305,53 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # *last* block of its kind exactly when the row's open flag is up, and
     # the flag goes down precisely when a later same-kind block exists.
     old_F = state.fba
-    eff_open = list(state.open_)
+    O = list(state.open_)
 
     # per variable, the symbols whose row at the running block's pair
-    # tracks that block: non-empty rows with their flag up, unless this
-    # symbol replaced the block; rule 2 adds the rows it starts
-    track = [0] * nX
-    for v, th in enumerate(btheta):
-        if th >= 0 and (v != xi or not new_block):
-            col = zip(old_F[th * nX + v::tx], state.open_[th * nX + v::tx])
-            track[v] = sum(1 << c for c, (f, up) in enumerate(col) if f and up)
+    # rule 2 started tracking that block this step
+    started = [0] * nX
 
-    # Change log: a row r of F that grew is logged as r, a symbol c whose A
-    # row grew as nr + c.  Each change-driven section reads the entries
-    # logged since its previous run began.  The log opens with the
-    # non-empty rows of the symbols the previous step's overrides may
+    # Change log: (c, g) when symbol c's fields under guard bits g grew,
+    # (c, 0) when c's A row grew.  Each change-driven section reads the
+    # entries logged since its previous run began.  The log opens with
+    # the non-empty rows of the symbols the previous step's overrides may
     # have rewritten, read by rules 2-4 and 4b only, and rule 1's sweep is
     # not logged (module docstring).
-    seeds = [c for c, a in enumerate(state.aft) if a == 1 << c and c != ai]
-    log = [r for c in seeds for r in range(c * tx, (c + 1) * tx) if old_F[r]]
+    single = u.single
+    seeds = sum(compress(single, map(eq, state.aft, single))) & notai
+    log = [(c, (old_F[c] + DATA) & GUARD) for c in bits(seeds) if old_F[c]]
     since = dict.fromkeys(("5", "flags"), len(log))
     since.update(dict.fromkeys(("24", "4b"), 0))
     closures: list[Optional[int]] = [None] * nX  # rules 2-4: each block's last after set
 
-    # 1. the arriving symbol joins every row it depends into
+    # 1. the arriving symbol joins every row it depends into: a field
+    # meets dep_in iff its masked value carries into the guard bit
     A = [a | abit if a & dep_in else a for a in state.aft]
-    F = [f | abit if f & dep_in else f for f in old_F]
+    spread, down = dep_in * LOW, ns - ai
+    F = [P | g >> down if P and (g := ((P & spread) + DATA) & GUARD) else P for P in old_F]
 
     def changes(pos: int, syms: int = 0,
-                rows: Optional[set[int]] = None) -> tuple[int, set[int]]:
-        # since pos: mask of symbols whose A row grew, F rows that grew;
-        # added to syms and rows when given
-        rows = set() if rows is None else rows
-        for e in log[pos:]:
-            if e >= nr:
-                syms |= 1 << (e - nr)
+                fields: Optional[dict[int, int]] = None) -> tuple[int, dict[int, int]]:
+        # since pos: mask of symbols whose A row grew, and per symbol the
+        # guard bits of its fields that grew; added to syms and fields
+        fields = {} if fields is None else fields
+        for c, g in log[pos:]:
+            if g:
+                fields[c] = fields.get(c, 0) | g
             else:
-                rows.add(e)
-        return syms, rows
+                syms |= 1 << c
+        return syms, fields
 
     def mask_rules() -> bool:
         start = len(log)
 
         # changes since the last run began, caught up as this run logs more
         read, since["24"] = since["24"], len(log)
-        syms24, rows24 = 0, set()
+        syms24, fields24 = 0, {}
         for v in range(nX):
             bv = blk[v]
             if bv == 0:
                 continue
-            th = btheta[v]
             # after set of the running block on v: the members plus
             # everything after any member's latest occurrence.  The
             # arriving symbol's own stored row is stale (it describes the
@@ -333,48 +369,95 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             # run; otherwise those whose rows changed since the last run
             prev, closures[v] = closures[v], closure
             full = closure != prev if prev is not None else v == xi
-            off = th * nX + v
-            opens = new_block and v == xi  # the new block's own pair
-            if full:  # the instances below that can fire
-                cands = [c for c in others if track[v] >> c & 1 or A[c] & bv]
+            k = btheta[v] * nX + v  # the running block's pair
+            sh = k * (ns + 1)
+            field, gbit = FULL << sh, 1 << sh + ns  # its field and guard bit
+            ngbit = ~gbit
+            col = u.column_low[v]
+            # a row that was non-empty at the step's start tracks the
+            # block iff its flag is up and the block is not the arriving
+            # symbol's new one; an empty one iff rule 2 started it
+            opens = new_block and v == xi
+            kept = 0 if opens else 1 << k
+            tv = started[v]
+            if opens and full:
+                # The new block's after set is {a}.  Rule 4 writes nothing
+                # into first-block rows, which hold a wherever they meet
+                # the block, and joins a into the A rows that lack it; no
+                # row tracks the block but those rule 2 starts, in the
+                # empty rows of the symbols whose A row holds a.
+                hits = col << ai
+                for c in range(ns):
+                    if c == ai:
+                        continue
+                    if A[c] & abit:
+                        if not old_F[c] & field:
+                            tv |= 1 << c
+                            P = F[c]
+                            F[c] = P | abit << sh
+                            if P & field and F[c] != P:
+                                log.append((c, gbit))
+                    elif F[c] & hits:
+                        A[c] |= abit
+                        log.append((c, 0))
+                started[v] = tv
+                continue
+            if full:
+                # rules 2-4 for one symbol read and write its own rows and
+                # A row only, so each symbol takes them in turn
+                rows = range(ns)
             else:
-                syms24, rows24 = changes(read, syms24, rows24)
+                syms24, fields24 = changes(read, syms24, fields24)
                 read = len(log)
                 if prev is None:
-                    syms24 |= sum(1 << c for c in seeds)
-                cands = bits(syms24 & notai)
-            for c in cands:
-                r = c * tx + off
-                # 2. start tracking: a running-block member inside an
-                # after row opens first-block tracking for that row
-                if not track[v] >> c & 1 and A[c] & bv and not old_F[r]:
-                    track[v] |= 1 << c
-                    if opens and not F[r]:
-                        F[r] = abit  # settled unlogged (module docstring)
-                        continue
-                # 3. a tracked running block keeps its row in sync with
-                # the block's growing after set
-                if track[v] >> c & 1 and F[r] | closure != F[r]:
-                    F[r] |= closure
-                    log.append(r)
-
-            # 4. block-level step: a first-block row holding a member of
-            # a *different* running block on its variable orders the whole
-            # running block after the tracked block and the row's label
-            if not full:
-                syms24, rows24 = changes(read, syms24, rows24)
-                read = len(log)
-            rows = range(v, nr, nX) if full else sorted(rows24)
-            for r in [r for r in rows if r % nX == v and F[r] & bv and r // tx != ai]:
-                c = r // tx
-                if r % tx == off and track[v] >> c & 1:
-                    continue  # the running block itself
-                if A[c] | closure != A[c]:
+                    syms24 |= seeds
+                rows = sorted(set(bits(syms24)).union(fields24))
+            spread, data, guard = bv * col, (col << ns) - col, col << ns
+            for c in rows:
+                if c == ai:
+                    continue
+                P = F[c]
+                if old_F[c] & field:
+                    tracked = O[c] & kept
+                elif tv >> c & 1:
+                    tracked = True
+                elif A[c] & bv and (full or syms24 >> c & 1):
+                    # 2. start tracking: a running-block member inside an
+                    # after row opens first-block tracking for that row
+                    tv |= 1 << c
+                    tracked = True
+                    if opens and not P & field:
+                        # the row becomes {a}, the closure; settled
+                        # unlogged (module docstring)
+                        F[c] = P = P | closure << sh
+                else:
+                    tracked = False
+                # 4. block-level step: a first-block row holding a member
+                # of a *different* running block on its variable orders the
+                # whole running block after the tracked block and the row's
+                # label.  One guard test finds the symbol's fields on v that
+                # meet the block.
+                hit = P & spread
+                g = hit and (hit + data) & guard
+                if g and not full:
+                    g &= fields24.get(c, 0)
+                if tracked:
+                    g &= ngbit  # the running block itself
+                if g and A[c] | closure != A[c]:
                     A[c] |= closure
-                    log.append(nr + c)
-                if F[r] | closure != F[r]:
-                    F[r] |= closure
-                    log.append(r)
+                    log.append((c, 0))
+                # 3. a tracked running block keeps its row in sync with
+                # the block's growing after set.  Multiplying the low bits
+                # of that field and of rule 4's by the closure writes it
+                # into all of them at once.
+                if tracked and (full or syms24 >> c & 1):
+                    g |= gbit
+                if g:
+                    new = P | (g >> ns) * closure
+                    if new != P:
+                        F[c] = new
+                        log.append((c, grown(P, new)))
+            started[v] = tv
 
         # 4b. transitivity through after rows: a symbol inside a
         # first-block row pins everything after its own last occurrence
@@ -382,55 +465,68 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # stale, but its fresh contribution is exactly the joins rule 1
         # already makes).  Only rows that grew, or hold a symbol whose A
         # row grew, since the last run can gain; equal rows gain alike.
-        syms, rows = changes(since["4b"])
+        # A row that did not grow gains only the A rows that grew, each
+        # joined into every field holding its symbol by one product.
+        syms, fields = changes(since["4b"])
         since["4b"] = len(log)
-        syms &= notai
-        if syms:
-            rows.update(r for r in range(nr) if F[r] & syms)
+        gains: dict[int, int] = {}
         memo: dict[int, int] = {}
-        for r in rows:
-            fr = F[r]
-            out = memo.get(fr)
-            if out is None:
-                out = fr
-                m = fr & notai
-                while m:
-                    low = m & -m
-                    out |= A[low.bit_length() - 1]
-                    m ^= low
-                memo[fr] = out
-            if out != fr:
-                F[r] = out
-                log.append(r)
+        for c, g in fields.items():
+            P, add = F[c], 0
+            while g:
+                low = g & -g
+                g ^= low
+                sh = low.bit_length() - 1 - ns
+                fr = P >> sh & FULL
+                out = memo.get(fr)
+                if out is None:
+                    out = fr
+                    m = fr & notai
+                    while m:
+                        low = m & -m
+                        out |= A[low.bit_length() - 1]
+                        m ^= low
+                    memo[fr] = out
+                add |= out << sh
+            gains[c] = add
+        if syms & notai:
+            joins = [(b, A[b]) for b in bits(syms & notai)]
+            for c, P in enumerate(F):
+                add = 0
+                for b, row in joins:
+                    hit = P >> b & LOW
+                    if hit:
+                        add |= hit * row
+                if add:
+                    gains[c] = gains.get(c, 0) | add
+        for c, add in gains.items():
+            P = F[c]
+            if P | add != P:
+                F[c] = P | add
+                log.append((c, grown(P, P | add)))
 
         # 5. inheritance: anything after the row's label is after every
         # first block that is after that label's last occurrence, and the
         # first blocks per (thread, variable) chain nest downward — so a
         # row absorbs the same-kind rows of every symbol in its after set.
-        # Swept with rho ascending, rho's rows are final when rho is
-        # visited, so each c gains the rows of every symbol in A[c] as they
-        # stand once the lower ones are done: computed per c, lower first.
-        # A pair (rho, c) can add something at an offset only if rho's row
-        # there grew (also earlier in this run) or A[c] changed since the
-        # last run.  Each offset is swept on its own, over its column as
-        # the rows stand now.
-        syms, rows = changes(since["5"])
+        # Same-kind rows sit at the same offset, so a symbol's packed rows
+        # absorb a packed int whole.  Swept with rho ascending, rho's rows
+        # are final when rho is visited, so each c gains the rows of every
+        # symbol in A[c] as they stand once the lower ones are done:
+        # computed per c, lower first.  A pair (rho, c) can add something
+        # only if rho's rows grew (also earlier in this run) or A[c]
+        # changed since the last run.
+        syms, fields = changes(since["5"])
         since["5"] = len(log)
         syms &= notai
-        owners = [0] * tx  # per offset, the symbols whose row there grew
-        for r in rows:
-            owners[r % tx] |= 1 << (r // tx)
-        for k in range(tx):
-            own = owners[k]
-            if not own and not syms:
-                continue
-            col = F[k::tx]
-            grew = 0
+        own = sum(1 << c for c in fields)
+        if own or syms:
+            before: dict[int, int] = {}  # grown symbols: rows at the start
             for above in (False, True):
                 # the symbols c with a pair to examine, lowest first; in
                 # the first sweep a c that grows joins the owners, and
                 # the higher symbols holding it join the sweep
-                todo = syms | sum(1 << c for c in others if A[c] & own)
+                todo = (syms | sum(compress(single, map(and_, A, repeat(own))))) & notai
                 joins: dict[int, int] = {}  # rho mask -> union of their rows
                 while todo:
                     c = (todo & -todo).bit_length() - 1
@@ -438,24 +534,27 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                     m = A[c] & notai & ((-2 << c) if above else ((1 << c) - 1))
                     if not syms >> c & 1:
                         m &= own
+                    if not m:
+                        continue
                     add = joins.get(m)
                     if add is None:
                         add, rest = 0, m
                         while rest:
                             low = rest & -rest
-                            add |= col[low.bit_length() - 1]
+                            add |= F[low.bit_length() - 1]
                             rest ^= low
                         joins[m] = add
-                    if col[c] | add != col[c]:
-                        col[c] |= add
-                        grew |= 1 << c
+                    P = F[c]
+                    if P | add != P:
+                        before.setdefault(c, P)
+                        F[c] = P | add
                         joins.clear()
                         if not above:
                             own |= 1 << c
-                            todo |= sum(1 << d for d in others if d > c and A[d] >> c & 1)
-            for c in bits(grew):
-                F[c * tx + k] = col[c]
-                log.append(c * tx + k)
+                            todo |= sum(compress(single, map(and_, A, repeat(1 << c)))) & (
+                                notai & -2 << c)
+            for c, P in before.items():
+                log.append((c, grown(P, F[c])))
 
         return len(log) != start
 
@@ -469,34 +568,38 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # lowered flag from any symbol in its after set whose row at the same
     # offset is lowered and non-empty (module docstring).
     if new_block:
-        older = sum(1 << c for c in others if F[c * tx + kx] and not A[c] & abit)
-        for c in others:
-            r = c * tx + kx
-            if eff_open[r] and F[r] and (old_F[r] or A[c] & older):
-                eff_open[r] = False
+        field, kb = FULL << kx * (ns + 1), 1 << kx
+        rows = [c for c, P in enumerate(F) if P & field and c != ai]
+        older = sum(1 << c for c in rows if not A[c] & abit)
+        for c in rows:
+            if O[c] & kb and (old_F[c] & field or A[c] & older):
+                O[c] ^= kb
     syms = changes(since["flags"])[0] & notai
     if syms:
-        # per offset, the symbols whose row there is lowered and non-empty
-        lowered = [0] * tx
-        for r in range(nr):
-            if not eff_open[r] and F[r]:
-                lowered[r % tx] |= 1 << (r // tx)
+        up = tuple(O)
+        lowered: dict[int, int] = {}  # per symbol, offsets of its lowered non-empty rows
         for c in bits(syms):
-            a = A[c] & notai
-            for k in range(tx):
-                if eff_open[c * tx + k] and a & lowered[k]:
-                    eff_open[c * tx + k] = False
+            m = A[c] & notai
+            while m:
+                low = m & -m
+                m ^= low
+                d = low.bit_length() - 1
+                drop = lowered.get(d)
+                if drop is None:
+                    g = (F[d] + DATA) & GUARD
+                    drop = lowered[d] = sum(
+                        1 << k for k in range(tx) if g >> k * (ns + 1) + ns & 1) & ~up[d]
+                O[c] &= ~drop
 
     # ---- input-letter overrides ----------------------------------------
     A[ai] = abit
-    base = ai * tx
-    F[base:base + tx] = [0] * tx
-    eff_open[base:base + tx] = [True] * tx
+    O[ai] = (1 << tx) - 1
+    F[ai] = 0
     if marked:
-        r = base + (ti if new_block else btheta[xi]) * nX + xi
-        F[r] = abit if new_block else A[state.rf[xi]] | abit
+        k = (ti if new_block else btheta[xi]) * nX + xi
+        F[ai] = (abit if new_block else A[state.rf[xi]] | abit) << k * (ns + 1)
 
-    return SatState(u, tuple(blk), tuple(rf), tuple(A), tuple(F), tuple(eff_open))
+    return SatState(u, tuple(blk), tuple(rf), tuple(A), tuple(F), tuple(O))
 
 
 # ---- canonical serialization -------------------------------------------
@@ -517,13 +620,15 @@ def canonical_text(state: SatState) -> str:
         lines.append("rf %s %*d" % (var, sw, state.rf[v]))
     for c in range(len(u.symbols)):
         lines.append("aft %0*d %0*x" % (sw, c, width, state.aft[c]))
+    full, span = (1 << len(u.symbols)) - 1, len(u.symbols) + 1
     for c in range(len(u.symbols)):
         for t in range(len(u.threads)):
             for v in range(len(u.variables)):
-                r = u.row(c, t, v)
+                k = t * len(u.variables) + v
                 lines.append(
                     "fba %0*d %d %d %0*x %d"
-                    % (sw, c, t, v, width, state.fba[r], 0 if state.open_[r] else 1)
+                    % (sw, c, t, v, width, state.fba[c] >> k * span & full,
+                       0 if state.open_[c] >> k & 1 else 1)
                 )
     return "\n".join(lines) + "\n"
 

@@ -2,11 +2,14 @@
 
 ``sat_step`` below is the monitor's step as it stood before the step
 became delta-driven: the first pass of each step sweeps every rule
-instance, and only later passes are change-driven.  It is kept verbatim
-as a test reference, on its own state type: ``RefState`` holds the
-monitor's five public fields plus the private ``tir`` bit per row ("the
-tracked first block is the variable's running block"), which the
-reference stores and the library derives per step.
+instance, and only later passes are change-driven.  It is kept as a
+test reference, on its own state type: ``RefState`` holds the monitor's
+five public fields, ``fba`` and ``open_`` one entry per (symbol, thread,
+variable) row, plus the private ``tir`` bit per row ("the tracked first
+block is the variable's running block"), which the reference stores and
+the library derives per step.  The library packs a symbol's rows into
+one int and its flags into one mask; ``library_state`` and
+``row_fields`` convert between the two layouts.
 
 ``test_monitor.py`` walks the reference's states.  From each one it
 builds a library ``SatState`` of the five public fields, steps both, and
@@ -34,10 +37,11 @@ import argparse
 import random
 import sys
 from dataclasses import dataclass
+from operator import lshift
 
 from blockeq.monitor import SatState, Universe, _dep_in, symbols_of
 from blockeq.monitor import sat_step as library_step
-from blockeq.trace import AnnLabel
+from blockeq.trace import WRITE, AnnLabel, Label
 
 import gen
 
@@ -54,7 +58,7 @@ class RefState:
 
 
 def ref_initial(universe: Universe) -> RefState:
-    nv, nr = len(universe.variables), universe.nrows()
+    nv, nr = len(universe.variables), len(universe.symbols) * universe.stride
     return RefState(universe, (0,) * nv, (-1,) * nv, (0,) * len(universe.symbols),
                     (0,) * nr, (True,) * nr, (False,) * nr)
 
@@ -62,9 +66,7 @@ def ref_initial(universe: Universe) -> RefState:
 def sat_step(state: RefState, sym: AnnLabel) -> RefState:
     """Process one annotated symbol and return the successor state."""
     u = state.universe
-    if sym not in u.sym_index:
-        raise ValueError("symbol %s outside the universe" % (sym,))
-    ai = u.sym_index[sym]
+    ai = u.index(sym)
     lab, marked = sym
     xi = u.var_index[lab.variable]
     ti = u.thread_index[lab.thread]
@@ -75,6 +77,8 @@ def sat_step(state: RefState, sym: AnnLabel) -> RefState:
     notai = ~abit
     others = [c for c in range(ns) if c != ai]
     new_block = marked and lab.is_write()
+    # per offset, the symbol of that pair's annotated write
+    block_write = [u.index((Label(t, WRITE, v), True)) for t in u.threads for v in u.variables]
 
     dep_in = _dep_in(state, ai)  # validates reads against rf
 
@@ -286,7 +290,7 @@ def sat_step(state: RefState, sym: AnnLabel) -> RefState:
         for r in range(nr):
             if eff_open[r]:
                 continue
-            w_sym = u.block_write[r % tx]
+            w_sym = block_write[r % tx]
             if not F[r] >> w_sym & 1:
                 continue
             if w_sym != ai:
@@ -374,17 +378,37 @@ PUBLIC_FIELDS = ("blk", "rf", "aft", "fba", "open_")
 
 
 def library_state(q: RefState) -> SatState:
-    """The library state holding a reference state's five public fields."""
-    return SatState(q.universe, *(getattr(q, name) for name in PUBLIC_FIELDS))
+    """The library state holding a reference state's five public fields.
+    The library packs a symbol's first-block rows into one int, the row
+    at offset k in the field of |symbols| + 1 bits at k * (|symbols| +
+    1), and its open flags into one mask, bit k for offset k."""
+    u = q.universe
+    ns, tx = len(u.symbols), u.stride
+    shifts = range(0, tx * (ns + 1), ns + 1)
+    fba = tuple(sum(map(lshift, q.fba[i:i + tx], shifts)) for i in range(0, ns * tx, tx))
+    open_ = tuple(sum(map(lshift, q.open_[i:i + tx], range(tx))) for i in range(0, ns * tx, tx))
+    return SatState(u, q.blk, q.rf, q.aft, fba, open_)
 
 
-def step_mismatch(q: RefState, sym: AnnLabel) -> tuple[RefState, "str | None"]:
-    """Step the reference from q and the library from q's public fields;
-    the reference's successor and the first public field whose values
-    differ, or None."""
-    got, want = library_step(library_state(q), sym), sat_step(q, sym)
-    return want, next((name for name in PUBLIC_FIELDS
-                       if getattr(got, name) != getattr(want, name)), None)
+def row_fields(q: SatState) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """A library state's first-block rows and open flags, one per
+    (symbol, thread, variable) row, as the reference stores them."""
+    u = q.universe
+    full, width = (1 << len(u.symbols)) - 1, len(u.symbols) + 1
+    offsets = range(u.stride)
+    return (tuple(p >> k * width & full for p in q.fba for k in offsets),
+            tuple(bool(m >> k & 1) for m in q.open_ for k in offsets))
+
+
+def step_mismatch(q: RefState, sym: AnnLabel,
+                  lib: SatState) -> tuple[RefState, SatState, "str | None"]:
+    """Step the reference from q and the library from lib, the library
+    state of q's public fields; the reference's successor, its library
+    state, and the first public field whose values differ, or None."""
+    succ = sat_step(q, sym)
+    got, want = library_step(lib, sym), library_state(succ)
+    return succ, want, next((name for name in PUBLIC_FIELDS
+                             if getattr(got, name) != getattr(want, name)), None)
 
 
 def reference_mismatch(universe, syms):
@@ -392,8 +416,9 @@ def reference_mismatch(universe, syms):
     state reached step it and the library (module docstring); the first
     (step, field) whose values differ, or None."""
     q = ref_initial(universe)
+    lib = library_state(q)
     for k, s in enumerate(syms):
-        q, name = step_mismatch(q, s)
+        q, lib, name = step_mismatch(q, s, lib)
         if name:
             return k, name
     return None
@@ -423,7 +448,8 @@ def _pack(q: RefState) -> bytes:
 
 def _unpack(u: Universe, key: bytes) -> RefState:
     w = (len(u.symbols) + 7) // 8
-    nv, ns, nr = len(u.variables), len(u.symbols), u.nrows()
+    nv, ns = len(u.variables), len(u.symbols)
+    nr = ns * u.stride
     end = (2 * nv + ns + nr) * w
     ints = [int.from_bytes(key[i:i + w], "little") for i in range(0, end, w)]
     flags = int.from_bytes(key[end:], "little")
@@ -444,8 +470,9 @@ def walk(n_threads: int, n_vars: int, depth: int, cap: int) -> int:
         for key in level:
             states += 1
             q = _unpack(u, key)
+            lib = library_state(q)
             for sym in valid_symbols(q):
-                succ, name = step_mismatch(q, sym)
+                succ, _, name = step_mismatch(q, sym, lib)
                 steps += 1
                 if name:
                     print("mismatch in field %s after %s" % (name, " / ".join(

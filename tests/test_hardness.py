@@ -91,7 +91,7 @@ def test_monitor_after_rows_on_reduction_trace():
     for e in run.events:
         last[(e.label, False)] = e
     for sym, e in last.items():
-        row = q.aft[universe.sym_index[sym]]
+        row = q.aft[universe.index(sym)]
         assert frozenset(universe.symbols[i] for i in bits(row)) == after_set(run, blocks, e)
 
 

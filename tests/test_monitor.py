@@ -19,8 +19,8 @@ from blockeq.orders import bits, saturate
 from blockeq.trace import Label, READ, WRITE, Run, parse_run
 
 import gen
-from monitor_reference import (library_state, ref_initial, reference_mismatch, step_mismatch,
-                               valid_symbols)
+from monitor_reference import (library_state, ref_initial, reference_mismatch, row_fields,
+                               step_mismatch, valid_symbols)
 from oracles import after_set
 from test_golden import _monitor_streams
 
@@ -39,7 +39,7 @@ def expected_components(run, universe):
     (symbol, thread, variable) row."""
     blocks = blocks_from_annotation(run)
     succ = saturate(run, blocks).order.succ
-    sym = [universe.sym_index[s] for s in symbols_of(run)]
+    sym = [universe.index(s) for s in symbols_of(run)]
     last = {}
     for i, s in enumerate(sym):  # run order: later occurrences overwrite
         last[s] = i
@@ -103,7 +103,7 @@ def compare_state(q, prefix, universe):
     index of a component."""
     k = len(prefix)
     want = expected_components(prefix, universe)
-    got = (q.blk, q.rf, q.aft, q.fba, q.open_)
+    got = (q.blk, q.rf, q.aft) + row_fields(q)
     mismatches = []
     for name, w, g in zip(("blk", "rf", "aft", "fba", "open"), want, got):
         if w != g:
@@ -184,8 +184,8 @@ def test_state_accessors_match_masks():
         last = {s: i for i, s in enumerate(symbols_of(aw))}
         for s, i in last.items():
             want = after_set(aw, bs, aw.events[i], sat)
-            assert want == symbol_set(u, aft[u.sym_index[s]])
-            assert want == symbol_set(u, q.aft[u.sym_index[s]])
+            assert want == symbol_set(u, aft[u.index(s)])
+            assert want == symbol_set(u, q.aft[u.index(s)])
 
 
 @settings(max_examples=150)
@@ -236,15 +236,25 @@ def test_step_matches_full_sweep_block_heavy():
         assert mism is None, "case %d: %s\nfirst mismatch: %r" % (i, describe(aw), mism)
 
 
-def walk_reference(q, depth):
+def test_step_matches_full_sweep_long_stream():
+    # one 1,000-symbol 3x3 stream, the length and alphabet of the
+    # benchmark's streams: states deep into a stream, where most rows are
+    # non-empty and many flags are down, which the shorter streams above
+    # do not reach
+    aw = gen.random_annotated_run(random.Random(4112), 1000)
+    assert reference_mismatch(universe_of(*gen.alphabet(3, 3)), symbols_of(aw)) is None
+
+
+def walk_reference(q, depth, lib=None):
     """Step the reference and the library from reference state q along
     every valid continuation of up to depth symbols, requiring equal
-    public fields; the number of steps."""
+    public fields; the number of steps.  lib is q's library state."""
+    lib = library_state(q) if lib is None else lib
     checked = 0
     for sym in valid_symbols(q) if depth else ():
-        succ, name = step_mismatch(q, sym)
+        succ, succ_lib, name = step_mismatch(q, sym, lib)
         assert name is None, (depth, sym, name)
-        checked += 1 + walk_reference(succ, depth - 1)
+        checked += 1 + walk_reference(succ, depth - 1, succ_lib)
     return checked
 
 
@@ -272,7 +282,7 @@ def test_states_differing_only_in_tir():
     for text in streams:
         q, lib = ref_initial(u), sat_initial(u)
         for s in symbols_of(parse_run(text.replace(" / ", "\n"))):
-            q, lib = step_mismatch(q, s)[0], sat_step(lib, s)
+            q, lib = step_mismatch(q, s, library_state(q))[0], sat_step(lib, s)
         refs.append(q)
         ends.append(lib)
     assert library_state(refs[0]) == library_state(refs[1])
