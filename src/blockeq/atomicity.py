@@ -20,14 +20,21 @@ have been emitted, so ``serial_witness`` is unchanged.  Both the direct
 edges and their quotient have O(n·|Σ|) edges, where the closed quotient
 can be quadratic.  Only the public ``block_graph`` quotients the closed
 block order, because its edge set is what ``atomicity --format dot``
-prints.
+prints; it lists the closed rows' positions and condenses them the same
+way.
 
+Every graph here is given as lists: each position's successor positions
+(``BlockSet._edges``), each node's member positions and successor nodes
+(``_condense``), and ``topological_order`` reads successor lists.
 blocks.py holds ``_condense``, and a ``BlockSet`` builds its direct
 edges and its block graph's Kahn order there once: ``is_liberally_atomic``
 and ``serial_witness`` share that order, and ``saturate`` those edges.
 With no blocks every node is one event and every direct edge points
 forward, so all three decisions answer yes, the witness being the run
-itself, without building either.
+itself, without building either.  ``BlockGraph`` keeps each node's
+successors as a mask over nodes, its public shape, and the streaming
+check keeps its summarized graph as masks and lists them for Kahn on
+every step.
 
 The streaming check keeps a *summarized* conflict graph instead: at most
 one node per variable (the block on that variable that began most
@@ -75,16 +82,32 @@ class BlockGraph:
         return len(self.nodes)
 
 
-def _quotient(run: Run, blocks: BlockSet, succ: Sequence[int]) -> BlockGraph:
-    """``_condense`` with each node listed as its events."""
-    node_mask, node_succ = _condense(blocks, succ)
-    return BlockGraph(tuple(tuple(run.events[i] for i in bits(m)) for m in node_mask), node_succ)
+def _quotient(run: Run, blocks: BlockSet, edges: Sequence[Sequence[int]]) -> BlockGraph:
+    """``_condense`` with each node listed as its events and its
+    successor nodes as a mask."""
+    members, node_succ = _condense(blocks, edges)
+    ev = run.events
+    return BlockGraph(tuple(tuple(ev[i] for i in m) for m in members),
+                      [sum(1 << k for k in set(row)) for row in node_succ])
+
+
+class _ListedRows:
+    """Closed successor masks read as successor lists, one row at a time
+    as ``_condense`` asks for it, so the lists of all rows never exist
+    at once.  Closed rows are dense, so a row is listed from its binary
+    digits in one linear scan rather than bit by bit."""
+
+    def __init__(self, succ: Sequence[int]):
+        self.succ = succ
+
+    def __getitem__(self, i: int) -> list[int]:
+        return [j for j, d in enumerate(bin(self.succ[i])[:1:-1]) if d == "1"]
 
 
 def block_graph(run: Run, blocks: BlockSet) -> BlockGraph:
     """Nodes are the blocks plus singleton unblocked events; edges follow
     the closed block happens-before order between distinct nodes."""
-    return _quotient(run, blocks, block_hb(run, blocks).succ)
+    return _quotient(run, blocks, _ListedRows(block_hb(run, blocks).succ))
 
 
 def is_liberally_atomic(run: Run, blocks: BlockSet) -> bool:
@@ -112,7 +135,7 @@ def serial_witness(run: Run, blocks: BlockSet) -> Run:
     serial = blocks._serial
     if serial is None:
         raise ValueError("blocks are not liberally atomic; no serial witness exists")
-    picked = [i for m in serial for i in bits(m)]
+    picked = [i for members in serial for i in members]
     return Run([run.labels[i] for i in picked], [run.annotations[i] for i in picked])
 
 
@@ -220,6 +243,7 @@ def libat_step(state: LibAtState, sym: AnnLabel) -> LibAtState:
     # the arriving event is a member of the active block on xi; add an
     # edge from every node that reaches it: directly from another block's
     # write, or through that block's recorded witnesses
+    composed = tuple(edges)
     for yi in range(nx):
         if start[yi] < 0:
             continue
@@ -232,8 +256,12 @@ def libat_step(state: LibAtState, sym: AnnLabel) -> LibAtState:
         elif sat.aft[start[yi]] & abit or _witnessed(sat, reach[yi], abit):
             edges[yi] |= 1 << xi
 
-    rejected = topological_order(edges) is None
-    return LibAtState(sat, tuple(edges), tuple(start), tuple(members), tuple(reach), rejected)
+    # the graph was acyclic before this step, and composing a dropped
+    # node's edges keeps it so (a cycle afterwards would map back to one
+    # through that node), so only an edge added just now can close one
+    out = tuple(edges)
+    rejected = out != composed and topological_order([list(bits(m)) for m in out]) is None
+    return LibAtState(sat, out, tuple(start), tuple(members), tuple(reach), rejected)
 
 
 def libat_run(aw: Run) -> bool:

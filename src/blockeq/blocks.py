@@ -18,7 +18,7 @@ Two structural facts this module relies on (both checked by the tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
@@ -75,48 +75,57 @@ class BlockSet:
         return tuple(Block(ev[w], tuple(ev[r] for r in self.run.readers[w])) for w in self.writes)
 
     @cached_property
-    def _edges(self) -> tuple[int, ...]:
-        """Direct edges of the block order: from the previous event of the
-        same thread, from the last earlier occurrence of each other-thread
-        symbol that the event extended-depends on, and from the write it
-        reads from (which covers the pairs inside one block).  Same-thread
-        symbols always depend, and every earlier event of the thread is
-        reached through the previous one.  The annotated symbol of a
-        position is ``2 * code + membership bit``; ``cross[k]`` is the mask
-        of the other-thread symbols that symbol k extended-depends on."""
+    def _edges(self) -> tuple[tuple[int, ...], ...]:
+        """Direct edges that generate the block order, as each position's
+        successor positions, ascending and without repeats.  An event
+        gets an edge from the previous event of its thread, from the last
+        earlier occurrence of each other-thread symbol that it
+        extended-depends on, and from the write it reads from (which
+        covers the pairs inside one block).  Same-thread symbols always
+        depend, and every earlier event of the thread is reached through
+        the previous one.  An edge is left out when an earlier event of
+        the same thread already has one from that occurrence, since the
+        thread's order reaches on from there; that drops every repeat
+        too.  So an event has at most |Σ| + 2 predecessors, and the one
+        pass in run order appends each row's entries in ascending order.
+        The annotated symbol of a position is ``2 * code + membership
+        bit``; ``deps[k]`` lists the other-thread symbols that symbol k
+        extended-depends on, and ``fed[t][k]`` is the occurrence of
+        symbol k that thread t last got an edge from."""
         run = self.run
         sym = [2 * k + (b >= 0) for k, b in zip(run.code, self.owner)]
-        rows = cross_dep_rows(run.threads, run.variables)
-        span = len(rows)  # symbols per thread
-        cross = {k: rows[k % span] & ~(((1 << span) - 1) << k // span * span) for k in set(sym)}
-        tid = run.tid
-        last: dict[int, int] = {}  # symbol -> its latest position so far
-        seen = 0
+        deps = _cross_deps(run.threads, run.variables)
+        last = [-1] * len(deps)  # each symbol's latest position so far
+        fed = [[-1] * len(deps) for _ in run.threads]
         prev = [-1] * len(run.threads)
-        edges = [0] * len(run)
-        rf = run.rf_pos
+        edges: list[list[int]] = [[] for _ in sym]
+        tid, rf = run.tid, run.rf_pos
         for j, (k, t) in enumerate(zip(sym, tid)):
-            bit = 1 << j
-            hit = cross[k] & seen
-            while hit:
-                low = hit & -hit
-                edges[last[low.bit_length() - 1]] |= bit
-                hit ^= low
+            into = fed[t]
+            for k2 in deps[k]:
+                i = last[k2]
+                if i != into[k2]:
+                    edges[i].append(j)
+                    into[k2] = i
             if prev[t] >= 0:
-                edges[prev[t]] |= bit
+                edges[prev[t]].append(j)
             if j in rf:
-                edges[rf[j]] |= bit
+                # a write of the same thread precedes j in program order
+                i = rf[j]
+                if tid[i] != t and into[sym[i]] != i:
+                    edges[i].append(j)
+                    into[sym[i]] = i
             prev[t] = last[k] = j
-            seen |= 1 << k
-        return tuple(edges)
+        return tuple(map(tuple, edges))
 
     @cached_property
-    def _serial(self) -> Optional[list[int]]:
-        """The node masks of the block graph of ``_edges`` in Kahn order
-        (see ``_condense``); None when the graph has a cycle."""
-        node_mask, node_succ = _condense(self, self._edges)
+    def _serial(self) -> Optional[list[list[int]]]:
+        """The member positions of each node of the block graph of
+        ``_edges``, nodes in Kahn order (see ``_condense``); None when
+        the graph has a cycle."""
+        members, node_succ = _condense(self, self._edges)
         order = topological_order(node_succ)
-        return None if order is None else [node_mask[k] for k in order]
+        return None if order is None else [members[k] for k in order]
 
     def __len__(self):
         return len(self.writes)
@@ -134,61 +143,64 @@ class BlockSet:
         return "[" + "; ".join(str(b) for b in self.blocks) + "]"
 
 
-def _condense(blocks: BlockSet, succ: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Each node's position mask, and its successor mask over nodes, of
-    ``succ`` collapsed onto the blocks plus one singleton per unblocked
-    event.  Nodes are numbered by their first position (a block's write
-    precedes its reads), so one pass in run order numbers every
-    position's node and gathers its reach."""
-    owner, masks, writes = blocks.owner, blocks.masks, blocks.writes
+@lru_cache(maxsize=16)
+def _cross_deps(threads: tuple[str, ...], variables: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """For each annotated symbol ``2 * code + membership bit`` of the
+    alphabet, the other-thread symbols it extended-depends on, ascending:
+    the rows of ``cross_dep_rows`` without the symbol's own thread."""
+    rows = cross_dep_rows(threads, variables)
+    span = len(rows)  # symbols per thread
+    nsym = span * len(threads)
+    out = []
+    for k in range(nsym):
+        row = rows[k % span] & ~(((1 << span) - 1) << k // span * span)
+        out.append(tuple(k2 for k2 in range(nsym) if row >> k2 & 1))
+    return tuple(out)
+
+
+def _condense(blocks: BlockSet, edges: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Each node's member positions, ascending, and its successor nodes
+    (a node may be listed more than once, which Kahn's counts absorb)
+    of the position graph ``edges``, each position's successor
+    positions, collapsed onto the blocks plus one singleton per
+    unblocked event.  Nodes are numbered by their first position (a
+    block's write precedes its reads), so one pass in run order numbers
+    every position's node and lists its members."""
+    owner, writes = blocks.owner, blocks.writes
     node_of: list[int] = []
-    node_mask: list[int] = []
-    reach: list[int] = []
+    members: list[list[int]] = []
     for i, b in enumerate(owner):
         if b < 0 or writes[b] == i:
-            node_of.append(len(node_mask))
-            node_mask.append(1 << i if b < 0 else masks[b])
-            reach.append(succ[i])
+            node_of.append(len(members))
+            members.append([i])
         else:
             k = node_of[writes[b]]
             node_of.append(k)
-            reach[k] |= succ[i]
-    node_succ = []
-    for m, r in zip(node_mask, reach):
-        r &= ~m
-        out = 0
-        while r:
-            k = node_of[(r & -r).bit_length() - 1]
-            out |= 1 << k
-            r &= ~node_mask[k]
-        node_succ.append(out)
-    return node_mask, node_succ
+            members[k].append(i)
+    node_succ = [[m for i in nodes for j in edges[i] if (m := node_of[j]) != k]
+                 for k, nodes in enumerate(members)]
+    return members, node_succ
 
 
-def topological_order(edges: Sequence[int]) -> Optional[list[int]]:
-    """Kahn order of a direct-edge table (``edges[i]`` is the mask of the
-    direct successors of i), lowest ready index first; None on a cycle.
-    For graphs whose edges may point backward, such as block graphs;
-    orders over a run are already sorted by run order."""
+def topological_order(edges: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """Kahn order of a graph given as each node's list of successor
+    nodes, lowest ready index first; None on a cycle.  A successor
+    listed twice is counted twice on both sides, so repeats change
+    nothing.  For graphs whose edges may point backward, such as block
+    graphs; orders over a run are already sorted by run order."""
     indeg = [0] * len(edges)
-    for mask in edges:
-        while mask:
-            low = mask & -mask
-            indeg[low.bit_length() - 1] += 1
-            mask ^= low
+    for row in edges:
+        for j in row:
+            indeg[j] += 1
     ready = [i for i, d in enumerate(indeg) if d == 0]
     order = []
     while ready:
         i = heappop(ready)
         order.append(i)
-        mask = edges[i]
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
+        for j in edges[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 heappush(ready, j)
-            mask ^= low
     return order if len(order) == len(edges) else None
 
 

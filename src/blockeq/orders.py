@@ -11,36 +11,42 @@ Three orders, coarsest to finest:
   ordering: a same-variable ordered pair between two blocks orders the
   blocks, and ordered blocks order all their members crosswise.
 
-Every order is one table indexed by run position: ``succ[i]`` is the
-bitmask of the positions ordered after position i.  Every edge of every
-order here points forward in run order, so the run itself linearizes
-each of them and run order is a topological order of each.  That is why
-``transitive_closure`` needs no sort: one pass from the last position
-to the first finds every successor row already closed.  ``PartialOrder``
-refuses a table with a backward edge or a self loop, which also rules
-out every cycle; the edges ``saturate`` adds pass the same check.
+Orders are built from direct edges and kept closed.  The direct edges
+are one list per run position of its successor positions, ascending;
+an event has at most |Σ| + 2 predecessors, so the table has O(n·|Σ|)
+entries.  A closed order is one table indexed by run position:
+``succ[i]`` is the bitmask of the positions ordered after position i.
+Every edge of every order here points forward in run order, so the run
+itself linearizes each of them and run order is a topological order of
+each.  That is why ``transitive_closure`` needs no sort: one pass from
+the last position to the first finds every successor row already
+closed.  ``PartialOrder`` refuses an edge list or a seed mask with a
+backward edge or a self loop, which also rules out every cycle; the
+edges ``saturate`` adds pass the same check.
 
-The direct edges of the two base orders take O(n·|Σ|) to build.  The
-annotated symbols of the run are numbered once, with one mask per
-symbol of the other-thread symbols it extended-depends on.  Each event
-gets an edge from the previous event of its thread (same-thread symbols
-always depend), from the last earlier occurrence of every other-thread
-symbol it depends on (occurrences of one symbol share a thread, so
-earlier ones are reached through the last), and from the write it reads
-from.  Block membership comes from the block set's owner table.  They
-depend only on the run and the block set, so ``BlockSet._edges``
-(blocks.py) builds them on first use and keeps them: ``block_hb`` and
-``saturate`` close that one copy, and the atomicity checks, which need
-only reachability, read it without closing it.  ``mazurkiewicz_hb``
-reads the edges of an empty block set.
+The direct edges of the two base orders are built in one pass in run
+order.  The annotated symbols of the run are numbered once, with a list
+per symbol of the other-thread symbols it extended-depends on.  Each
+event gets an edge from the previous event of its thread (same-thread
+symbols always depend), from the last earlier occurrence of every
+other-thread symbol it depends on (occurrences of one symbol share a
+thread, so earlier ones are reached through the last), and from the
+write it reads from; an edge that an earlier event of the same thread
+already has is left out.  Block membership comes from the block set's
+owner table.  The edges depend only on the run and the block set, so
+``BlockSet._edges`` (blocks.py) builds them on first use and keeps
+them: ``block_hb`` and ``saturate`` close that one copy, and the
+atomicity checks, which need only reachability, read it without
+closing it.  ``mazurkiewicz_hb`` reads the edges of an empty block set.
 
 ``saturate`` computes only the order.  Rule 2 reads each block's reach
 off its write's row, since the write precedes every member, and maps
 the bits that fall in other same-variable blocks to blocks through the
 block set's owner table, so a round costs one step per new block pair.
 Rule 3 ORs each block's new targets into its members' rows of a copy of
-the closed table, and a new ``PartialOrder`` closes it.  ``block_pairs``
-and ``overlay`` are read off the saturated order when first asked for.
+the closed table, and a new ``PartialOrder`` closes those rows as its
+seed.  ``block_pairs`` and ``overlay`` are read off the saturated order
+when first asked for.
 
 Everything here is offline; the constant-space streaming counterpart
 lives in monitor.py.
@@ -77,14 +83,22 @@ def rows_union(succ: Sequence[int], mask: int) -> int:
     return acc
 
 
-def transitive_closure(edges: Sequence[int]) -> list[int]:
+def transitive_closure(edges: Sequence[Sequence[int]], seed: Sequence[int] = ()) -> list[int]:
     """Successor masks of the transitive closure of a direct-edge table
-    whose edges all point forward (every bit j of ``edges[i]`` has
-    j > i), in one pass in reverse run order: each successor's row is
-    closed before it is merged."""
-    succ = list(edges)
+    (``edges[i]`` lists the direct successors of i) together with the
+    optional ``seed`` masks of further successors, where every edge
+    points forward (j > i).  One pass in reverse run order, so each
+    successor's row is closed before it is merged: a seed row merges the
+    rows of its positions through ``rows_union``, and a listed successor
+    merges its own row and itself."""
+    succ = list(seed) if seed else [0] * len(edges)
     for i in range(len(succ) - 1, -1, -1):
-        succ[i] |= rows_union(succ, succ[i])
+        acc = succ[i]
+        if acc:
+            acc |= rows_union(succ, acc)
+        for j in edges[i]:
+            acc |= succ[j] | 1 << j
+        succ[i] = acc
     return succ
 
 
@@ -92,16 +106,23 @@ class PartialOrder:
     """A strict partial order over the events of one run.
 
     ``succ[i]`` is the mask of the positions ordered after position i of
-    ``run``.  Built from a table of direct edges, which it closes.  Every
-    edge must point forward in run order; a backward edge or a self loop
-    raises ValueError, and so does any cycle."""
+    ``run``.  Built from a table of direct edges, each position's list
+    of successor positions, and optionally from ``seed`` masks of
+    further successors, which it closes.  Every edge must point forward
+    in run order; a backward edge or a self loop in either table raises
+    ValueError, and so does any cycle."""
 
-    def __init__(self, run: Run, edges: Sequence[int]):
-        for i, mask in enumerate(edges):
+    def __init__(self, run: Run, edges: Sequence[Sequence[int]], seed: Sequence[int] = ()):
+        if seed and len(seed) != len(edges):
+            raise ValueError("the seed table has %d rows, not %d" % (len(seed), len(edges)))
+        for i, row in enumerate(edges):
+            if row and min(row) <= i:
+                raise ValueError("an edge from position %d does not point forward" % i)
+        for i, mask in enumerate(seed):
             if mask & ((2 << i) - 1):
                 raise ValueError("an edge from position %d does not point forward" % i)
         self.run = run
-        self.succ: tuple[int, ...] = tuple(transitive_closure(edges))
+        self.succ: tuple[int, ...] = tuple(transitive_closure(edges, seed))
 
     def ordered(self, e: Event, f: Event) -> bool:
         """True iff e strictly before f."""
@@ -206,15 +227,16 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
     ever false, ``PartialOrder`` would raise ValueError on the backward
     edge instead of returning a table that is not a partial order."""
     order = PartialOrder(run, blocks._edges)
-    masks, owner, vid = blocks.masks, blocks.owner, run.vid
-    rivals = [blocks.by_variable[vid[w]] & ~mask for w, mask in zip(blocks.writes, masks)]
-    clear = [~mask for mask in masks]
+    unlisted = ((),) * len(run)  # later rounds close seed rows only
+    writes, readers, owner = blocks.writes, run.readers, blocks.owner
+    rivals = [blocks.by_variable[run.vid[w]] & ~mask for w, mask in zip(writes, blocks.masks)]
+    clear = [~mask for mask in blocks.masks]
     while True:
         succ = list(order.succ)
         grew = False
-        for a, mask in enumerate(masks):
+        for a, w in enumerate(writes):
             rest = rivals[a]
-            fresh = succ[blocks.writes[a]] & rest
+            fresh = succ[w] & rest
             if not fresh:
                 continue
             while fresh:
@@ -224,10 +246,9 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
             targets = rivals[a] ^ rest
             rivals[a] = rest
             grew = True
-            while mask:
-                low = mask & -mask
-                succ[low.bit_length() - 1] |= targets
-                mask ^= low
+            succ[w] |= targets
+            for i in readers[w]:
+                succ[i] |= targets
         if not grew:
             return SaturationResult(run, blocks, order)
-        order = PartialOrder(run, succ)
+        order = PartialOrder(run, unlisted, succ)

@@ -159,11 +159,12 @@ class Run:
         self.code: tuple[int, ...] = tuple([(t * 2 + w) * nv + v for t, w, v in codes])
 
         self.rf_pos: dict[int, int] = {}
-        readers: list[list[int]] = [[] for _ in self.labels]
+        readers: list = [()] * len(self.labels)  # a list per write
         last_write = [-1] * nv
         for i, (w, x) in enumerate(zip(self.is_write, self.vid)):
             if w:
                 last_write[x] = i
+                readers[i] = []
             elif last_write[x] < 0:
                 raise TraceError(
                     "read of %r by %s at position %d has no preceding write"

@@ -1,7 +1,9 @@
 """Reference code the tests compare the library against.
 
 Brute-force searches and order queries that no part of ``blockeq``
-calls: the proper-linearization search over ``block_hb`` and the scope
+calls: the bitmask direct-edge builder and closure that the order
+tables were once built with, the proper-linearization search over
+``block_hb`` and the scope
 check built on it, the common order of an enumerated class and its
 linear-extension count, the proper-linearization predicate, after sets
 read off the saturated order, the window-disjointness check of a block
@@ -17,7 +19,50 @@ from typing import Iterable, Optional, Sequence
 from blockeq.blocks import BlockSet, _position_of
 from blockeq.oracle import SWAP_BOUND, EquivClass, _busy, _check_bound
 from blockeq.orders import PartialOrder, SaturationResult, bits, block_hb, rows_union, saturate
-from blockeq.trace import AnnLabel, Event, Label, Run
+from blockeq.trace import AnnLabel, Event, Label, Run, cross_dep_rows
+
+
+# ---- the bitmask order tables -----------------------------------------------
+
+def mask_edges(run: Run, blocks: BlockSet) -> list[int]:
+    """Direct edges of the block order as each position's mask of direct
+    successors: from the previous event of the thread, from the last
+    earlier occurrence of every other-thread symbol the event
+    extended-depends on, and from the write it reads from."""
+    sym = [2 * k + (b >= 0) for k, b in zip(run.code, blocks.owner)]
+    rows = cross_dep_rows(run.threads, run.variables)
+    span = len(rows)  # symbols per thread
+    cross = {k: rows[k % span] & ~(((1 << span) - 1) << k // span * span) for k in set(sym)}
+    last: dict[int, int] = {}
+    seen = 0
+    prev = [-1] * len(run.threads)
+    edges = [0] * len(run)
+    for j, (k, t) in enumerate(zip(sym, run.tid)):
+        for k2 in bits(cross[k] & seen):
+            edges[last[k2]] |= 1 << j
+        if prev[t] >= 0:
+            edges[prev[t]] |= 1 << j
+        if j in run.rf_pos:
+            edges[run.rf_pos[j]] |= 1 << j
+        prev[t] = last[k] = j
+        seen |= 1 << k
+    return edges
+
+
+def mask_closure(edges: Sequence[int]) -> list[int]:
+    """Successor masks of the transitive closure of forward mask edges,
+    closed in reverse run order."""
+    succ = list(edges)
+    for i in range(len(succ) - 1, -1, -1):
+        succ[i] |= rows_union(succ, succ[i])
+    return succ
+
+
+def transitive_reduction(succ: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (i, j) of a closed order with no k between them, in
+    row order."""
+    return [(i, j) for i, m in enumerate(succ) for j in bits(m)
+            if not any(succ[k] >> j & 1 for k in bits(m))]
 
 
 # ---- proper linearizations --------------------------------------------------
@@ -142,7 +187,7 @@ def intersection_order(cls: EquivClass) -> PartialOrder:
         for p in reversed(w):
             keep[p] &= later
             later |= 1 << p
-    return PartialOrder(cls.representative, keep)
+    return PartialOrder(cls.representative, [()] * n, keep)
 
 
 def count_linear_extensions(order: PartialOrder) -> int:

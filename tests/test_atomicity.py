@@ -27,7 +27,7 @@ from blockeq.atomicity import (
 from blockeq.blocks import BlockSet, blocks_from_annotation, topological_order
 from blockeq.monitor import Universe, symbols_of
 from blockeq.oracle import enum_block_class, proper_topological_sort
-from blockeq.orders import block_hb, mazurkiewicz_hb
+from blockeq.orders import bits, block_hb, mazurkiewicz_hb
 from blockeq.trace import Run, parse_run
 
 import gen
@@ -223,14 +223,19 @@ def test_streaming_matches_offline_longer_runs(drawn):
 
 # ---- the decisions quotient direct edges; the closed order agrees ----------
 
+def rows(succ):
+    """Each row's successors, listed, of a table of successor masks."""
+    return [list(bits(m)) for m in succ]
+
+
 def closed_route(aw, blocks):
     """Reference answers from the closed orders: the Kahn order of the
     closed block order's quotient (None when cyclic), whether the closed
     commutation order's quotient is acyclic, and the serial witness read
     off the first."""
-    g = _quotient(aw, blocks, block_hb(aw, blocks).succ)
-    kahn = topological_order(g.succ)
-    serializable = topological_order(_quotient(aw, blocks, mazurkiewicz_hb(aw).succ).succ) is not None
+    g = _quotient(aw, blocks, rows(block_hb(aw, blocks).succ))
+    kahn = topological_order(rows(g.succ))
+    serializable = topological_order(rows(_quotient(aw, blocks, rows(mazurkiewicz_hb(aw).succ)).succ)) is not None
     if kahn is None:
         return False, serializable, None
     events = [e for k in kahn for e in g.nodes[k]]
@@ -298,7 +303,7 @@ def test_sparse_route_matches_closed_route(drawn):
 
 
 def test_decisions_close_no_order(monkeypatch):
-    def refuse(edges):
+    def refuse(*tables):
         raise AssertionError("an atomicity decision closed an order")
 
     monkeypatch.setattr(orders, "transitive_closure", refuse)

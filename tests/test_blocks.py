@@ -7,6 +7,7 @@ of such a choice.
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from blockeq.blocks import (
 )
 from blockeq.trace import TraceError, parse_run
 from oracles import blocks_in_run_order_disjoint
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_candidate_blocks_cover_reads():
@@ -134,3 +137,18 @@ def test_same_variable_windows_never_interleave():
         run = gen.random_run(rng, rng.randint(1, 9))
         for bs in all_block_sets(run):
             assert blocks_in_run_order_disjoint(run, bs)
+
+
+def test_edge_rows_ascend_and_point_forward():
+    """Each row of a block set's direct edges lists its successors in
+    ascending order, once each, all after the position itself."""
+    runs = [parse_run(path.read_text()) for path in sorted(CORPUS.glob("*.trace"))]
+    rng = random.Random(14)
+    runs += [gen.random_annotated_run(rng, rng.randint(1, 60)) for _ in range(300)]
+    for run in runs:
+        for bs in (BlockSet(run, ()), blocks_from_annotation(run)):
+            edges = bs._edges
+            assert len(edges) == len(run)
+            for i, row in enumerate(edges):
+                assert list(row) == sorted(set(row)), (run, i)
+                assert all(j > i for j in row), (run, i)

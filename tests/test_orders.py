@@ -25,7 +25,10 @@ from oracles import (
     interleave_threads,
     is_proper_linearization,
     linearized_by,
+    mask_closure,
+    mask_edges,
     proper_linearizations,
+    transitive_reduction,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -107,12 +110,58 @@ def test_partial_order_basics():
     assert linearized_by(po.succ, [2, 0, 1])
     assert not linearized_by(po.succ, [1, 0, 2])
     with pytest.raises(ValueError):
-        PartialOrder(run, [0b010, 0b001, 0b000])  # e0 -> e1 -> e0
+        PartialOrder(run, [[1], [0], []])  # e0 -> e1 -> e0
     # every edge must point forward in run order, even when acyclic
     with pytest.raises(ValueError):
-        PartialOrder(run, [0, 0b001, 0])  # e1 -> e0
+        PartialOrder(run, [[], [0], []])  # e1 -> e0
     with pytest.raises(ValueError):
-        PartialOrder(run, [0b001, 0, 0])  # e0 -> e0
+        PartialOrder(run, [[0], [], []])  # e0 -> e0
+    with pytest.raises(ValueError):
+        PartialOrder(run, [[], [2, 0], []])  # e1 -> e2, and e1 -> e0 listed last
+    # and so must the seed rows saturation closes each round
+    edges = [[1], [], []]
+    assert PartialOrder(run, edges, [0b100, 0b100, 0]).succ == (0b110, 0b100, 0)
+    with pytest.raises(ValueError):
+        PartialOrder(run, edges, [0b010, 0b001, 0])  # e0 -> e1 -> e0
+    with pytest.raises(ValueError):
+        PartialOrder(run, edges, [0, 0b001, 0])  # e1 -> e0
+    with pytest.raises(ValueError):
+        PartialOrder(run, edges, [0, 0b010, 0])  # e1 -> e1
+    with pytest.raises(ValueError):
+        PartialOrder(run, edges, [0b010, 0])  # a row short
+
+
+def seeded_runs():
+    """Every corpus trace and 300 seeded random annotated runs."""
+    runs = [parse_run(path.read_text()) for path in sorted(CORPUS.glob("*.trace"))]
+    rng = random.Random(28)
+    return runs + [gen.random_annotated_run(rng, rng.randint(1, 60)) for _ in range(300)]
+
+
+def check_closure(aw):
+    """Both base orders equal the closure of the bitmask edge table."""
+    bs = blocks_from_annotation(aw)
+    empty = BlockSet(aw, ())
+    assert block_hb(aw, bs).succ == tuple(mask_closure(mask_edges(aw, bs))), aw
+    assert mazurkiewicz_hb(aw).succ == tuple(mask_closure(mask_edges(aw, empty))), aw
+
+
+def test_closure_matches_mask_tables_small():
+    for aw in seeded_runs():
+        check_closure(aw)
+
+
+@settings(max_examples=150)
+@given(gen.annotated_runs())
+def test_closure_matches_mask_tables(drawn):
+    check_closure(drawn[2])
+
+
+def test_covering_positions_match_naive_reduction():
+    for aw in seeded_runs():
+        bs = blocks_from_annotation(aw)
+        for order in (mazurkiewicz_hb(aw), block_hb(aw, bs), saturate(aw, bs).order):
+            assert order.covering_positions() == transitive_reduction(order.succ), aw
 
 
 def test_saturation_contains_block_order_and_stays_forward():
@@ -187,9 +236,9 @@ def test_saturate_closes_once_per_round(monkeypatch):
     calls = []
     closure = orders.transitive_closure
 
-    def counting(edges):
-        calls.append(len(edges))
-        return closure(edges)
+    def counting(*tables):
+        calls.append(len(tables[0]))
+        return closure(*tables)
 
     monkeypatch.setattr(orders, "transitive_closure", counting)
     run = corpus("saturation_chain.trace")
