@@ -43,7 +43,7 @@ from .concurrency import (
     inner_pair_positions,
 )
 from .hardness import EqualityInstance, check_reduction, gen_equality_trace, ordered_in_class
-from .monitor import SatState, Universe, sat_initial, sat_step, symbols_of
+from .monitor import SatState, sat_initial, sat_step, symbols_of
 from .oracle import (
     RF_BOUND,
     SWAP_BOUND,
@@ -63,6 +63,7 @@ from .trace import (
     Label,
     Run,
     TraceError,
+    Universe,
     conflicting,
     parse_run,
     parse_symbol,

@@ -56,9 +56,9 @@ from typing import Sequence
 
 from . import monitor
 from .blocks import BlockSet, _condense, blocks_from_annotation, topological_order
-from .monitor import SatState, Universe, sat_initial, sat_step, symbols_of
+from .monitor import SatState, sat_initial, sat_step, symbols_of
 from .orders import bits, block_hb
-from .trace import AnnLabel, Event, Run
+from .trace import AnnLabel, Event, Run, Universe
 
 
 class BlockGraph:
@@ -268,7 +268,7 @@ def libat_run(aw: Run) -> bool:
     """Feed a well-annotated run through the streaming check; True means
     the annotated blocks are liberally atomic."""
     blocks_from_annotation(aw)  # validates the annotation, raises otherwise
-    q = libat_initial(Universe.from_run(aw))
+    q = libat_initial(aw.universe)
     for s in symbols_of(aw):
         q = libat_step(q, s)
     return q.accepting()

@@ -18,11 +18,11 @@ Two structural facts this module relies on (both checked by the tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
-from .trace import Event, Run, TraceError, cross_dep_rows
+from .trace import Event, Run, TraceError
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,13 @@ class BlockSet:
         thread's order reaches on from there; that drops every repeat
         too.  So an event has at most |Σ| + 2 predecessors, and the one
         pass in run order appends each row's entries in ascending order.
-        The annotated symbol of a position is ``2 * code + membership
-        bit``; ``deps[k]`` lists the other-thread symbols that symbol k
-        extended-depends on, and ``fed[t][k]`` is the occurrence of
-        symbol k that thread t last got an edge from."""
+        A position's symbol is numbered by the run's universe with the
+        block set's membership bit, ``deps[k]`` lists the other-thread
+        symbols that symbol k extended-depends on, and ``fed[t][k]`` is
+        the occurrence of symbol k that thread t last got an edge from."""
         run = self.run
-        sym = [2 * k + (b >= 0) for k, b in zip(run.code, self.owner)]
-        deps = _cross_deps(run.threads, run.variables)
+        sym = run.universe.indexes(run.code, (b >= 0 for b in self.owner))
+        deps = run.universe.cross
         last = [-1] * len(deps)  # each symbol's latest position so far
         fed = [[-1] * len(deps) for _ in run.threads]
         prev = [-1] * len(run.threads)
@@ -141,21 +141,6 @@ class BlockSet:
 
     def __str__(self):
         return "[" + "; ".join(str(b) for b in self.blocks) + "]"
-
-
-@lru_cache(maxsize=16)
-def _cross_deps(threads: tuple[str, ...], variables: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
-    """For each annotated symbol ``2 * code + membership bit`` of the
-    alphabet, the other-thread symbols it extended-depends on, ascending:
-    the rows of ``cross_dep_rows`` without the symbol's own thread."""
-    rows = cross_dep_rows(threads, variables)
-    span = len(rows)  # symbols per thread
-    nsym = span * len(threads)
-    out = []
-    for k in range(nsym):
-        row = rows[k % span] & ~(((1 << span) - 1) << k // span * span)
-        out.append(tuple(k2 for k2 in range(nsym) if row >> k2 & 1))
-    return tuple(out)
 
 
 def _condense(blocks: BlockSet, edges: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:

@@ -44,7 +44,7 @@ from .concurrency import (
     conc_symbols_maz,
 )
 from .hardness import EqualityInstance, check_reduction, gen_equality_trace
-from .monitor import Universe, canonical_text, sat_initial, sat_step, symbols_of
+from .monitor import canonical_text, sat_initial, sat_step, symbols_of
 from .oracle import (
     RF_BOUND,
     SWAP_BOUND,
@@ -279,8 +279,7 @@ def cmd_sat(args) -> int:
         return _fail("--dump-state-every needs a positive count")
     run = _load(args.trace)
     aw = annotate(run, _blocks_for(run, args.blocks))
-    universe = Universe.from_run(aw)
-    state = sat_initial(universe)
+    state = sat_initial(aw.universe)
     every = args.dump_state_every
     dumped_last = False
     for count, sym in enumerate(symbols_of(aw), start=1):

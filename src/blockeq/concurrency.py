@@ -47,9 +47,8 @@ from typing import Iterable, Iterator, Union
 
 from .atomicity import LibAtState, is_liberally_atomic, libat_initial, libat_step
 from .blocks import _position_of, all_block_sets, annotate, blocks_from_annotation
-from .monitor import Universe
 from .orders import PartialOrder, mazurkiewicz_hb, saturate
-from .trace import AnnLabel, Event, Label, Run
+from .trace import AnnLabel, Event, Label, Run, Universe
 
 MAZURKIEWICZ = "maz"
 GIVEN_BLOCKS = "blocks"
@@ -112,9 +111,9 @@ def inner_pair_positions(run: Run, c_hat: AnnLabel, d_hat: AnnLabel) -> list[tup
     """Positions (i, j) pairing each c-occurrence with the first
     d-occurrence after it; occurrences with no later d drop out."""
     (c, c_on), (d, d_on) = c_hat, d_hat
-    d_pos = [j for j in run.by_code[run.code_of(d)] if run.annotations[j] == d_on]
+    d_pos = [j for j in run.by_code[run.universe.code(d)] if run.annotations[j] == d_on]
     out = []
-    for i in run.by_code[run.code_of(c)]:
+    for i in run.by_code[run.universe.code(c)]:
         k = bisect_right(d_pos, i)
         if run.annotations[i] == c_on and k < len(d_pos):
             out.append((i, d_pos[k]))
@@ -210,7 +209,7 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
     reject atomicity are dropped — rejection is absorbing.  Acceptance:
     some branch ends accepting with some combination's witness bit set.
     """
-    universe = Universe.from_run(run)
+    universe = run.universe
     pair_idx = [
         (universe.index(ch), universe.index(dh))
         for ch, dh in _query_combos(c, d)

@@ -5,7 +5,8 @@ label plus its block-membership bit) and maintains, per annotated label,
 the after set of that label's most recent occurrence — together with
 enough block-tracking bookkeeping to stay exact under block-level
 saturation.  Its state size depends only on the alphabet (threads and
-variables), never on the length of the stream.
+variables), never on the length of the stream.  The alphabet's
+``Universe`` (trace.py) numbers the symbols and holds the step's tables.
 
 State components (all keyed by the fixed alphabet):
 
@@ -149,68 +150,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import and_, eq
-from typing import Iterable, Optional
+from typing import Optional
 
 from .orders import bits
-from .trace import READ, WRITE, AnnLabel, Label, Run, cross_dep_rows
-
-
-class Universe:
-    """Fixed alphabet for a family of runs: every label over the given
-    threads and variables, with index tables and dependence rows
-    precomputed."""
-
-    def __init__(self, threads: Iterable[str], variables: Iterable[str]):
-        self.threads: tuple[str, ...] = tuple(sorted(set(threads)))
-        self.variables: tuple[str, ...] = tuple(sorted(set(variables)))
-        self.labels: tuple[Label, ...] = tuple(
-            Label(t, op, v)
-            for t in self.threads
-            for op in (READ, WRITE)
-            for v in self.variables
-        )
-        self.symbols: tuple[AnnLabel, ...] = tuple(
-            (lab, bit) for lab in self.labels for bit in (False, True)
-        )
-        self.thread_index = {t: i for i, t in enumerate(self.threads)}
-        self.var_index = {v: i for i, v in enumerate(self.variables)}
-        # extended-dependence rows: the cross-thread row of the symbol's
-        # place in its thread's block, plus that whole block (same-thread
-        # symbols always depend)
-        cross = cross_dep_rows(self.threads, self.variables)
-        span = len(cross)  # symbols per thread
-        self.dep_mask: list[int] = [
-            cross[i % span] | ((1 << span) - 1) << i // span * span
-            for i in range(len(self.symbols))
-        ]
-        # a symbol's first-block rows are packed into one int: the row of
-        # pair (t, v) at offset k = t * |variables| + v is the field of
-        # |symbols| + 1 bits at k * (|symbols| + 1), whose top bit, the
-        # guard, stays clear.  field_low has the low bit of every field,
-        # column_low those of the fields on one variable.
-        nv, width = len(self.variables), len(self.symbols) + 1
-        self.stride = len(self.threads) * nv
-        self.field_low = sum(1 << k * width for k in range(self.stride))
-        self.column_low = tuple(sum(1 << (t * nv + v) * width for t in range(len(self.threads)))
-                                for v in range(nv))
-        self.single = tuple(1 << i for i in range(len(self.symbols)))  # each symbol's own bit
-        self.write_mask = sum(1 << i for i, (lab, _) in enumerate(self.symbols) if lab.is_write())
-        self.sym_thread = tuple(self.thread_index[lab.thread] for lab, _ in self.symbols)
-
-    @classmethod
-    def from_run(cls, run: Run) -> "Universe":
-        return cls(run.threads, run.variables)
-
-    def index(self, sym: AnnLabel) -> int:
-        """The position of ``sym`` in ``symbols``, computed from the
-        string-keyed thread and variable tables, as hashing a Label runs
-        Python code; ValueError outside the universe."""
-        lab, marked = sym
-        ti = self.thread_index.get(lab.thread)
-        xi = self.var_index.get(lab.variable)
-        if ti is None or xi is None or marked not in (False, True):
-            raise ValueError("symbol %s outside the universe" % (sym,))
-        return ((2 * ti + (lab.op == WRITE)) * len(self.variables) + xi) * 2 + (1 if marked else 0)
+from .trace import AnnLabel, Run, Universe
 
 
 @dataclass(frozen=True)
@@ -258,7 +201,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     marked = sym[1]
     nX = len(u.variables)
     ns, tx = len(u.symbols), u.stride
-    xi, ti = ai // 2 % nX, ai // (4 * nX)
+    xi, ti = u.var_index[sym[0].variable], u.sym_thread[ai]
     is_write = u.write_mask >> ai & 1
     abit = 1 << ai
     notai = ~abit

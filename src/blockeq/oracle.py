@@ -73,7 +73,7 @@ class EquivClass:
         rep = self.representative
         slots = [list(reversed(s)) for s in rep.by_code]  # each code's positions, last first
         try:
-            return bytes(slots[rep.code_of(lab)].pop() for lab in labels) in self.words
+            return bytes(slots[rep.universe.code(lab)].pop() for lab in labels) in self.words
         except IndexError:
             return False  # a label the representative lacks, or too many of one
 

@@ -25,8 +25,8 @@ backward edge or a self loop, which also rules out every cycle; the
 edges ``saturate`` adds pass the same check.
 
 The direct edges of the two base orders are built in one pass in run
-order.  The annotated symbols of the run are numbered once, with a list
-per symbol of the other-thread symbols it extended-depends on.  Each
+order.  The run's ``Universe`` (trace.py) numbers the annotated symbols
+and lists the other-thread symbols each extended-depends on.  Each
 event gets an edge from the previous event of its thread (same-thread
 symbols always depend), from the last earlier occurrence of every
 other-thread symbol it depends on (occurrences of one symbol share a

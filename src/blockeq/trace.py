@@ -4,6 +4,12 @@ A run is a finite sequence of labels ``<thread, r|w, variable>``.  Runs are
 immutable after construction; they are held as integer tables over their
 positions, and ``Event`` objects are built only when asked for.
 
+``Universe`` is the alphabet of a run's threads and variables and the one
+place that numbers it: label codes, symbol indexes (a symbol is a label
+plus its block-membership bit) and each symbol's cross-thread dependence
+list, in O(|Σ|·|threads|).  The offline orders and the streaming monitors
+both read their numbering from it.
+
 The trace file format is line based::
 
     T1 w x
@@ -72,34 +78,108 @@ def extended_dep(a: AnnLabel, b: AnnLabel) -> bool:
     return la.thread == lb.thread or not (ba and bb)
 
 
-@lru_cache(maxsize=16)
-def cross_dep_rows(threads: tuple[str, ...], variables: tuple[str, ...]) -> tuple[int, ...]:
-    """The cross-thread extended-dependence rows of the alphabet over the
-    sorted ``threads`` and ``variables``, built once per alphabet.  Its
-    symbols are numbered ``2 * code + bit`` (the label's code as in
-    ``Run.code``, then the membership bit), so each thread's symbols
-    form one block of ``4 * len(variables)``, in the same order on every
-    thread.  Entry ``k`` is the mask of the symbols that the ``k``-th
-    symbol of a block extended-depends on across threads; it spans every
-    thread's block, so a caller masks off the symbol's own.  One row per
-    place in a block suffices: labels of two threads conflict only on a
-    shared variable, and then their ops and bits alone decide."""
-    nv = len(variables)
-    if len(threads) < 2:
-        return (0,) * (4 * nv)
-    every_thread = sum(1 << t * 4 * nv for t in range(len(threads)))
-    t0, t1 = threads[:2]
-    rows = []
-    for op in (READ, WRITE):
-        for v, var in enumerate(variables):
-            for bit in (False, True):
-                row = 0
-                for w2, op2 in enumerate((READ, WRITE)):
-                    for bit2 in (False, True):
-                        if extended_dep((Label(t0, op, var), bit), (Label(t1, op2, var), bit2)):
-                            row |= every_thread << 2 * (w2 * nv + v) + bit2
-                rows.append(row)
-    return tuple(rows)
+class Universe:
+    """The alphabet Σ over the given threads and variables, and the one
+    place that numbers it: a label's code is its position in the sorted
+    ``labels``, looked up by its strings (hashing a Label runs Python
+    code), and a symbol's index is ``2 * code + mark bit``, its position
+    in ``symbols``.  Runs over the same threads and variables share one
+    universe, ``run.universe``; the tables below it build on first use."""
+
+    def __init__(self, threads: Iterable[str], variables: Iterable[str]):
+        self.threads: tuple[str, ...] = tuple(sorted(set(threads)))
+        self.variables: tuple[str, ...] = tuple(sorted(set(variables)))
+        self.thread_index = {t: i for i, t in enumerate(self.threads)}
+        self.var_index = {v: i for i, v in enumerate(self.variables)}
+        self.labels: tuple[Label, ...] = tuple(
+            Label(t, op, v) for t in self.threads for op in (READ, WRITE) for v in self.variables
+        )
+        self.symbols: tuple[AnnLabel, ...] = tuple((lab, bit) for lab in self.labels for bit in (False, True))
+        self._code = {(l.thread, l.op, l.variable): k for k, l in enumerate(self.labels)}
+
+    @classmethod
+    def from_run(cls, run: "Run") -> "Universe":
+        return run.universe
+
+    def code(self, lab: Label) -> int:
+        """The code of a label; -1 when its thread or variable is not the universe's."""
+        return self._code.get((lab.thread, lab.op, lab.variable), -1)
+
+    def codes(self, labels: Iterable[Label]) -> tuple[int, ...]:
+        """The code of each label, every one inside the universe."""
+        code = self._code
+        return tuple([code[l.thread, l.op, l.variable] for l in labels])
+
+    def index(self, sym: AnnLabel) -> int:
+        """The position of ``sym`` in ``symbols``; ValueError outside the universe."""
+        lab, marked = sym
+        k = self.code(lab)
+        if k < 0 or marked not in (False, True):
+            raise ValueError("symbol %s outside the universe" % (sym,))
+        return 2 * k + (1 if marked else 0)
+
+    def indexes(self, codes: Iterable[int], marks: Iterable[bool]) -> list[int]:
+        """The index of each symbol given as its label code and mark bit."""
+        return [2 * k + m for k, m in zip(codes, marks)]
+
+    @cached_property
+    def cross(self) -> tuple[tuple[int, ...], ...]:
+        """For each symbol, the other-thread symbols it extended-depends
+        on, ascending.  Labels of two threads conflict only on a shared
+        variable, so each list takes at most 4 * (|threads| - 1)
+        ``extended_dep`` calls, one per other-thread symbol on it."""
+        syms, on_var = self.symbols, {v: [] for v in self.variables}
+        for k, (lab, _) in enumerate(syms):
+            on_var[lab.variable].append(k)
+        return tuple(tuple(j for j in on_var[a[0].variable]
+                           if syms[j][0].thread != a[0].thread and extended_dep(a, syms[j]))
+                     for a in syms)
+
+    # The streaming monitor's tables.  dep_mask adds to a symbol's cross
+    # list its whole thread, as same-thread symbols always depend.  The
+    # monitor packs a symbol's rows into one int: the row of pair (t, v),
+    # at offset k = t * |variables| + v of ``stride``, is the field of
+    # |symbols| + 1 bits at k * (|symbols| + 1), whose top (guard) bit
+    # stays clear.  field_low has the low bit of every field, column_low
+    # those of the fields on one variable, single each symbol's own bit.
+
+    @cached_property
+    def sym_thread(self) -> tuple[int, ...]:
+        return tuple(self.thread_index[lab.thread] for lab, _ in self.symbols)
+
+    @cached_property
+    def single(self) -> tuple[int, ...]:
+        return tuple(1 << i for i in range(len(self.symbols)))
+
+    @cached_property
+    def write_mask(self) -> int:
+        return sum(1 << i for i, (lab, _) in enumerate(self.symbols) if lab.is_write())
+
+    @cached_property
+    def dep_mask(self) -> tuple[int, ...]:
+        own = [0] * len(self.threads)
+        for k, t in enumerate(self.sym_thread):
+            own[t] |= 1 << k
+        return tuple(sum(1 << j for j in js) | own[t] for js, t in zip(self.cross, self.sym_thread))
+
+    @cached_property
+    def stride(self) -> int:
+        return len(self.threads) * len(self.variables)
+
+    @cached_property
+    def field_low(self) -> int:
+        width = len(self.symbols) + 1
+        return sum(1 << k * width for k in range(self.stride))
+
+    @cached_property
+    def column_low(self) -> tuple[int, ...]:
+        nv, width = len(self.variables), len(self.symbols) + 1
+        return tuple(sum(1 << (t * nv + v) * width for t in range(len(self.threads)))
+                     for v in range(nv))
+
+
+# the universe shared by every run over the same sorted threads and variables
+_universe = lru_cache(maxsize=64)(Universe)
 
 
 @dataclass(frozen=True, order=True)
@@ -133,10 +213,10 @@ class Run:
     """A validated concurrent run, held as integer tables over its
     0-based positions: ``tid``/``vid`` index ``threads``/``variables``,
     ``is_write``/``annotations`` are the write and mark bits, ``code``
-    is ``(tid * 2 + is_write) * len(variables) + vid`` (codes sort like
-    labels), ``rf_pos`` maps each read to the write it observes (a read
-    needs one) and ``readers`` lists each write's readers.  ``Event``
-    objects are built only when ``events`` is read."""
+    holds the label codes of ``universe``, the run's alphabet,
+    ``rf_pos`` maps each read to the write it observes (a read needs
+    one) and ``readers`` lists each write's readers.  ``Event`` objects
+    are built only when ``events`` is read."""
 
     def __init__(self, labels: Iterable[Label], annotations: Optional[Iterable[bool]] = None):
         self.labels: tuple[Label, ...] = tuple(labels)
@@ -147,20 +227,17 @@ class Run:
             if len(self.annotations) != len(self.labels):
                 raise ValueError("annotation list length does not match run length")
 
-        self.threads: tuple[str, ...] = tuple(sorted({l.thread for l in self.labels}))
-        self.variables: tuple[str, ...] = tuple(sorted({l.variable for l in self.labels}))
-        self._tix = {t: i for i, t in enumerate(self.threads)}
-        self._vix = {v: i for i, v in enumerate(self.variables)}
-        self.tid: tuple[int, ...] = tuple([self._tix[l.thread] for l in self.labels])
-        self.vid: tuple[int, ...] = tuple([self._vix[l.variable] for l in self.labels])
+        threads, variables = {l.thread for l in self.labels}, {l.variable for l in self.labels}
+        u = self.universe = _universe(tuple(sorted(threads)), tuple(sorted(variables)))
+        self.threads, self.variables = u.threads, u.variables
+        self.tid: tuple[int, ...] = tuple([u.thread_index[l.thread] for l in self.labels])
+        self.vid: tuple[int, ...] = tuple([u.var_index[l.variable] for l in self.labels])
         self.is_write: tuple[bool, ...] = tuple([l.op == WRITE for l in self.labels])
-        nv = len(self.variables)
-        codes = zip(self.tid, self.is_write, self.vid)
-        self.code: tuple[int, ...] = tuple([(t * 2 + w) * nv + v for t, w, v in codes])
+        self.code: tuple[int, ...] = u.codes(self.labels)
 
         self.rf_pos: dict[int, int] = {}
         readers: list = [()] * len(self.labels)  # a list per write
-        last_write = [-1] * nv
+        last_write = [-1] * len(self.variables)
         for i, (w, x) in enumerate(zip(self.is_write, self.vid)):
             if w:
                 last_write[x] = i
@@ -179,7 +256,7 @@ class Run:
     def by_code(self) -> tuple[tuple[int, ...], ...]:
         """The positions of each label code, in run order: the k-th
         holds occurrence k + 1.  The last entry, for code -1, is empty."""
-        return _positions(self.code, 2 * len(self.threads) * len(self.variables) + 1)
+        return _positions(self.code, len(self.universe.labels) + 1)
 
     @cached_property
     def by_thread(self) -> tuple[tuple[int, ...], ...]:
@@ -190,11 +267,6 @@ class Run:
     def events(self) -> tuple[Event, ...]:
         placed = sorted((i, n) for slots in self.by_code for n, i in enumerate(slots, start=1))
         return tuple(Event(self.labels[i], n) for i, n in placed)
-
-    def code_of(self, lab: Label) -> int:
-        """The code of a label; -1 when its thread or variable is not the run's."""
-        t, v = self._tix.get(lab.thread, -1), self._vix.get(lab.variable, -1)
-        return -1 if t < 0 or v < 0 else (t * 2 + (lab.op == WRITE)) * len(self.variables) + v
 
     # -- basic indexing -------------------------------------------------
 
@@ -212,7 +284,7 @@ class Run:
 
     def position(self, e: Event) -> int:
         """The position of an event; KeyError when the run has none."""
-        slots = self.by_code[self.code_of(e.label)]
+        slots = self.by_code[self.universe.code(e.label)]
         if not 0 < e.occurrence <= len(slots):
             raise KeyError(e)
         return slots[e.occurrence - 1]

@@ -39,9 +39,9 @@ import sys
 from dataclasses import dataclass
 from operator import lshift
 
-from blockeq.monitor import SatState, Universe, _dep_in, symbols_of
+from blockeq.monitor import SatState, _dep_in, symbols_of
 from blockeq.monitor import sat_step as library_step
-from blockeq.trace import WRITE, AnnLabel, Label
+from blockeq.trace import WRITE, AnnLabel, Label, Universe
 
 import gen
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from blockeq.blocks import BlockSet, _position_of
 from blockeq.oracle import SWAP_BOUND, EquivClass, _busy, _check_bound
 from blockeq.orders import PartialOrder, SaturationResult, bits, block_hb, rows_union, saturate
-from blockeq.trace import AnnLabel, Event, Label, Run, cross_dep_rows
+from blockeq.trace import AnnLabel, Event, Label, Run, extended_dep
 
 
 # ---- the bitmask order tables -----------------------------------------------
@@ -28,24 +28,22 @@ def mask_edges(run: Run, blocks: BlockSet) -> list[int]:
     """Direct edges of the block order as each position's mask of direct
     successors: from the previous event of the thread, from the last
     earlier occurrence of every other-thread symbol the event
-    extended-depends on, and from the write it reads from."""
-    sym = [2 * k + (b >= 0) for k, b in zip(run.code, blocks.owner)]
-    rows = cross_dep_rows(run.threads, run.variables)
-    span = len(rows)  # symbols per thread
-    cross = {k: rows[k % span] & ~(((1 << span) - 1) << k // span * span) for k in set(sym)}
-    last: dict[int, int] = {}
-    seen = 0
-    prev = [-1] * len(run.threads)
+    extended-depends on (tested with ``extended_dep`` on the symbols
+    themselves), and from the write it reads from."""
+    syms = list(zip(run.labels, (b >= 0 for b in blocks.owner)))
+    last: dict[AnnLabel, int] = {}  # each symbol's latest position so far
+    prev: dict[str, int] = {}
     edges = [0] * len(run)
-    for j, (k, t) in enumerate(zip(sym, run.tid)):
-        for k2 in bits(cross[k] & seen):
-            edges[last[k2]] |= 1 << j
-        if prev[t] >= 0:
-            edges[prev[t]] |= 1 << j
+    for j, a in enumerate(syms):
+        thread = a[0].thread
+        for b, i in last.items():
+            if b[0].thread != thread and extended_dep(a, b):
+                edges[i] |= 1 << j
+        if thread in prev:
+            edges[prev[thread]] |= 1 << j
         if j in run.rf_pos:
             edges[run.rf_pos[j]] |= 1 << j
-        prev[t] = last[k] = j
-        seen |= 1 << k
+        prev[thread] = last[a] = j
     return edges
 
 

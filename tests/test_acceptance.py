@@ -33,12 +33,11 @@ from blockeq.blocks import (
 )
 from blockeq.concurrency import conc_symbols_blocks, conc_symbols_general
 from blockeq.hardness import EqualityInstance, check_reduction
-from blockeq.monitor import Universe
 from blockeq.monitor import canonical_text as sat_text
 from blockeq.monitor import sat_initial, sat_step, symbols_of
 from blockeq.oracle import enum_block_class, enum_maz_class, enum_rf_class
 from blockeq.orders import block_hb, saturate
-from blockeq.trace import Label, Run, parse_run
+from blockeq.trace import Label, Run, Universe, parse_run
 from oracles import (
     count_linear_extensions,
     intersection_order,

@@ -25,10 +25,10 @@ from blockeq.atomicity import (
     serial_witness,
 )
 from blockeq.blocks import BlockSet, blocks_from_annotation, topological_order
-from blockeq.monitor import Universe, symbols_of
+from blockeq.monitor import symbols_of
 from blockeq.oracle import enum_block_class, proper_topological_sort
 from blockeq.orders import bits, block_hb, mazurkiewicz_hb
-from blockeq.trace import Run, parse_run
+from blockeq.trace import Run, Universe, parse_run
 
 import gen
 from oracles import is_proper_linearization, proper_linearizations

@@ -73,6 +73,23 @@ def test_hb_and_bhb_edges(capsys):
     assert out == "e1 -> e2\ne3 -> e4\n"
 
 
+def test_hb_on_a_wide_alphabet(tmp_path, capsys):
+    """300 variables, each written by T1 and read by T2 right after: the
+    covering edges are the reads-from pairs e(2i+1) -> e(2i+2) and each
+    thread's program order, nothing across variables."""
+    n = 300
+    path = tmp_path / "wide.trace"
+    path.write_text("".join("T1 w v%d\nT2 r v%d\n" % (i, i) for i in range(n)))
+    code, out, _ = run_cli(capsys, "hb", str(path))
+    assert code == 0
+    want = []
+    for i in range(1, 2 * n, 2):  # e(i) is T1's write, e(i + 1) T2's read of it
+        want.append("e%d -> e%d" % (i, i + 1))
+        if i + 2 < 2 * n:
+            want += ["e%d -> e%d" % (i, i + 2), "e%d -> e%d" % (i + 1, i + 3)]
+    assert out.splitlines() == want
+
+
 def test_hb_dot_output(capsys):
     code, out, _ = run_cli(capsys, "hb", trace("two_wr_pairs.trace"), "--format", "dot")
     assert code == 0

@@ -29,10 +29,10 @@ from blockeq.concurrency import (
     conc_symbols_maz,
     inner_pair_positions,
 )
-from blockeq.monitor import Universe, symbols_of
+from blockeq.monitor import symbols_of
 from blockeq.oracle import enum_block_class
 from blockeq.orders import mazurkiewicz_hb, saturate
-from blockeq.trace import Label, TraceError, parse_run
+from blockeq.trace import Label, TraceError, Universe, parse_run
 from oracles import same_equiv_rf
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"

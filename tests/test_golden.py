@@ -30,8 +30,8 @@ import pytest
 
 from blockeq.atomicity import libat_initial, libat_step
 from blockeq.cli import main
-from blockeq.monitor import Universe, canonical_text, symbols_of
-from blockeq.trace import parse_run
+from blockeq.monitor import canonical_text, symbols_of
+from blockeq.trace import Universe, parse_run
 
 import gen
 

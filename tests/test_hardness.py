@@ -19,9 +19,9 @@ from blockeq.hardness import (
     gen_equality_trace,
     ordered_in_class,
 )
-from blockeq.monitor import Universe, sat_initial, sat_step, symbols_of
+from blockeq.monitor import sat_initial, sat_step, symbols_of
 from blockeq.orders import bits
-from blockeq.trace import parse_run
+from blockeq.trace import Universe, parse_run
 from oracles import after_set
 
 

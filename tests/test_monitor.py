@@ -14,9 +14,9 @@ from hypothesis import given, settings
 
 from blockeq.blocks import blocks_from_annotation
 from blockeq.atomicity import libat_initial, libat_step
-from blockeq.monitor import Universe, canonical_text, sat_initial, sat_step, symbols_of
+from blockeq.monitor import canonical_text, sat_initial, sat_step, symbols_of
 from blockeq.orders import bits, saturate
-from blockeq.trace import Label, READ, WRITE, Run, parse_run
+from blockeq.trace import Label, READ, WRITE, Run, Universe, parse_run
 
 import gen
 from monitor_reference import (library_state, ref_initial, reference_mismatch, row_fields,

@@ -12,8 +12,8 @@ from blockeq.trace import (
     Label,
     Run,
     TraceError,
+    Universe,
     conflicting,
-    cross_dep_rows,
     extended_dep,
     parse_run,
     parse_symbol,
@@ -144,17 +144,63 @@ def test_conflicting_ignores_marks():
 
 @pytest.mark.parametrize("n_threads, n_vars", [(1, 1), (2, 1), (3, 3), (4, 2), (2, 5)])
 def test_cross_dep_rows_match_extended_dep(n_threads, n_vars):
+    """The universe's cross lists and monitor dependence masks, against
+    ``extended_dep`` on every pair of symbols."""
     threads = tuple("T%d" % (i + 1) for i in range(n_threads))
     variables = tuple("v%d" % i for i in range(n_vars))
+    u = Universe(threads, variables)
     symbols = [(Label(t, op, v), bit)
                for t in threads for op in ("r", "w") for v in variables for bit in (False, True)]
-    rows = cross_dep_rows(threads, variables)
-    span = 4 * n_vars
+    assert list(u.symbols) == symbols
     for i, a in enumerate(symbols):
-        own = ((1 << span) - 1) << i // span * span
-        want = sum(1 << j for j, b in enumerate(symbols)
-                   if a[0].thread != b[0].thread and extended_dep(a, b))
-        assert rows[i % span] & ~own == want, a
+        cross = [j for j, b in enumerate(symbols)
+                 if a[0].thread != b[0].thread and extended_dep(a, b)]
+        own = [j for j, b in enumerate(symbols) if a[0].thread == b[0].thread]
+        assert list(u.cross[i]) == cross, a
+        assert u.dep_mask[i] == sum(1 << j for j in cross + own), a
+
+
+def numbered_runs():
+    runs = [parse_run(path.read_text()) for path in sorted(CORPUS.glob("*.trace"))]
+    rng = random.Random(17)
+    for n in range(40):
+        runs.append(gen.random_annotated_run(rng, rng.randint(1, 30), 1 + n % 4, 1 + n // 4 % 4))
+    return runs
+
+
+def test_universe_numbers_every_run_it_holds():
+    outside = Label("T9", "w", "nowhere")
+    for run in numbered_runs():
+        u = run.universe
+        assert Universe.from_run(run) is u
+        assert (u.threads, u.variables) == (run.threads, run.variables)
+        for i, (lab, mark) in enumerate(zip(run.labels, run.annotations)):
+            k = run.code[i]
+            assert u.labels[k] == lab and u.code(lab) == k
+            assert u.index((lab, mark)) == 2 * k + mark
+            assert u.symbols[2 * k + mark] == (lab, mark)
+        assert run.core().universe is u
+        assert u.code(outside) == -1
+        with pytest.raises(ValueError, match="outside the universe"):
+            u.index((outside, False))
+
+
+def test_runs_over_one_alphabet_share_one_universe():
+    a = parse_run("T1 w x\nT2 r x\nT2 w y\n")
+    b = parse_run("T2 w y\nT2 w x @\nT1 r y\nT1 r x @\n")
+    assert a.universe is b.universe is Universe.from_run(b)
+    assert parse_run("T1 w x\n").universe is not a.universe
+
+
+def test_wide_alphabet_cross_lists_stay_on_their_variable():
+    n = 300
+    text = "".join("T1 w v%d\nT2 r v%d\n" % (i, i) for i in range(n))
+    run = parse_run(text)
+    u = run.universe
+    assert len(u.symbols) == 2 * 2 * 2 * n
+    for (lab, _), cross in zip(u.symbols, u.cross):
+        assert len(cross) <= 4 * (len(u.threads) - 1)
+        assert all(u.symbols[j][0].variable == lab.variable for j in cross)
 
 
 def test_run_accessors():
