@@ -53,6 +53,7 @@ from .oracle import (
     enum_maz_class,
     enum_rf_class,
     proper_topological_sort,
+    rf_unordered,
 )
 from .orders import PartialOrder, SaturationResult, block_hb, mazurkiewicz_hb, saturate
 from .trace import (

@@ -20,8 +20,8 @@ have been emitted, so ``serial_witness`` is unchanged.  Both the direct
 edges and their quotient have O(n·|Σ|) edges, where the closed quotient
 can be quadratic.  Only the public ``block_graph`` quotients the closed
 block order, because its edge set is what ``atomicity --format dot``
-prints; it lists the closed rows' positions and condenses them the same
-way.
+prints; ``_quotient`` folds each node's closed rows into one mask and
+maps that mask's positions to nodes.
 
 Every graph here is given as lists: each position's successor positions
 (``BlockSet._edges``), each node's member positions and successor nodes
@@ -52,10 +52,11 @@ into every predecessor, so the paths it stood for survive the removal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from . import monitor
-from .blocks import BlockSet, _condense, blocks_from_annotation, topological_order
+from .blocks import BlockSet, _condense, _nodes, blocks_from_annotation, topological_order
 from .monitor import SatState, sat_initial, sat_step, symbols_of
 from .orders import bits, block_hb
 from .trace import AnnLabel, Event, Run, Universe
@@ -82,32 +83,33 @@ class BlockGraph:
         return len(self.nodes)
 
 
-def _quotient(run: Run, blocks: BlockSet, edges: Sequence[Sequence[int]]) -> BlockGraph:
-    """``_condense`` with each node listed as its events and its
-    successor nodes as a mask."""
-    members, node_succ = _condense(blocks, edges)
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _quotient(run: Run, blocks: BlockSet, succ: Sequence[int]) -> BlockGraph:
+    """The order given by the successor masks ``succ`` collapsed onto the
+    nodes of ``_nodes``.  Each node's rows are folded into one mask
+    before its positions are mapped to nodes, so a position is looked
+    up once per node, not once per member, and only one folded row is
+    listed at a time.  Closed rows are dense, so a row is listed from
+    its binary digits in one linear scan rather than bit by bit."""
+    node_of, members = _nodes(blocks)
+    node_succ = []
+    for k, nodes in enumerate(members):
+        row = 0
+        for i in nodes:
+            row |= succ[i]
+        hit = set(compress(node_of, bin(row)[:1:-1].encode().translate(_DIGITS)))
+        hit.discard(k)
+        node_succ.append(sum(1 << m for m in hit))
     ev = run.events
-    return BlockGraph(tuple(tuple(ev[i] for i in m) for m in members),
-                      [sum(1 << k for k in set(row)) for row in node_succ])
-
-
-class _ListedRows:
-    """Closed successor masks read as successor lists, one row at a time
-    as ``_condense`` asks for it, so the lists of all rows never exist
-    at once.  Closed rows are dense, so a row is listed from its binary
-    digits in one linear scan rather than bit by bit."""
-
-    def __init__(self, succ: Sequence[int]):
-        self.succ = succ
-
-    def __getitem__(self, i: int) -> list[int]:
-        return [j for j, d in enumerate(bin(self.succ[i])[:1:-1]) if d == "1"]
+    return BlockGraph(tuple(tuple(ev[i] for i in m) for m in members), node_succ)
 
 
 def block_graph(run: Run, blocks: BlockSet) -> BlockGraph:
     """Nodes are the blocks plus singleton unblocked events; edges follow
     the closed block happens-before order between distinct nodes."""
-    return _quotient(run, blocks, _ListedRows(block_hb(run, blocks).succ))
+    return _quotient(run, blocks, block_hb(run, blocks).succ)
 
 
 def is_liberally_atomic(run: Run, blocks: BlockSet) -> bool:

@@ -143,14 +143,12 @@ class BlockSet:
         return "[" + "; ".join(str(b) for b in self.blocks) + "]"
 
 
-def _condense(blocks: BlockSet, edges: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Each node's member positions, ascending, and its successor nodes
-    (a node may be listed more than once, which Kahn's counts absorb)
-    of the position graph ``edges``, each position's successor
-    positions, collapsed onto the blocks plus one singleton per
-    unblocked event.  Nodes are numbered by their first position (a
-    block's write precedes its reads), so one pass in run order numbers
-    every position's node and lists its members."""
+def _nodes(blocks: BlockSet) -> tuple[list[int], list[list[int]]]:
+    """Each position's node and each node's member positions, ascending,
+    for the blocks plus one singleton per unblocked event.  Nodes are
+    numbered by their first position (a block's write precedes its
+    reads), so one pass in run order numbers every position's node and
+    lists its members."""
     owner, writes = blocks.owner, blocks.writes
     node_of: list[int] = []
     members: list[list[int]] = []
@@ -162,6 +160,15 @@ def _condense(blocks: BlockSet, edges: Sequence[Sequence[int]]) -> tuple[list[li
             k = node_of[writes[b]]
             node_of.append(k)
             members[k].append(i)
+    return node_of, members
+
+
+def _condense(blocks: BlockSet, edges: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Each node's member positions (see ``_nodes``) and its successor
+    nodes (a node may be listed more than once, which Kahn's counts
+    absorb) of the position graph ``edges``, each position's successor
+    positions, collapsed onto the nodes."""
+    node_of, members = _nodes(blocks)
     node_succ = [[m for i in nodes for j in edges[i] if (m := node_of[j]) != k]
                  for k, nodes in enumerate(members)]
     return members, node_succ

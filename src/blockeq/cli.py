@@ -54,7 +54,7 @@ from .oracle import (
     enum_maz_class,
     enum_rf_class,
 )
-from .orders import block_hb, mazurkiewicz_hb
+from .orders import bits, block_hb, mazurkiewicz_hb
 from .trace import Run, TraceError, parse_run, parse_symbol
 
 EXIT_OK = 0
@@ -148,16 +148,18 @@ def cmd_bhb(args) -> int:
 
 # ---- atomicity -------------------------------------------------------------
 
-def _dot_block_graph(run: Run, blocks: BlockSet) -> str:
+def _write_dot_block_graph(run: Run, blocks: BlockSet) -> None:
+    """Print the block graph in DOT, its edges in row order, one row's
+    lines at a time."""
     g = block_graph(run, blocks)
-    lines = ["digraph blocks {"]
+    out = sys.stdout.write
+    out("digraph blocks {\n")
     for i, node in enumerate(g.nodes):
         text = "; ".join(_label_text(run, run.position(e)) for e in node)
-        lines.append('  n%d [label="%s"];' % (i, text))
-    for i, j in sorted(g.edges):
-        lines.append("  n%d -> n%d;" % (i, j))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        out('  n%d [label="%s"];\n' % (i, text))
+    for i, m in enumerate(g.succ):
+        out("".join(["  n%d -> n%d;\n" % (i, j) for j in bits(m)]))
+    out("}\n")
 
 
 def cmd_atomicity(args) -> int:
@@ -167,7 +169,7 @@ def cmd_atomicity(args) -> int:
     if args.format == "dot":
         if args.witness:
             _warn("--witness is ignored with --format dot")
-        sys.stdout.write(_dot_block_graph(run, blocks))
+        _write_dot_block_graph(run, blocks)
         return EXIT_OK if atomic else EXIT_NO
     print("liberally-atomic: %s" % ("yes" if atomic else "no"))
     print(

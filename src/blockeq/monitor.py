@@ -316,7 +316,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             sh = k * (ns + 1)
             field, gbit = FULL << sh, 1 << sh + ns  # its field and guard bit
             ngbit = ~gbit
-            col = u.column_low[v]
+            col = u.column_low << v * (ns + 1)
             # a row that was non-empty at the step's start tracks the
             # block iff its flag is up and the block is not the arriving
             # symbol's new one; an empty one iff rule 2 started it

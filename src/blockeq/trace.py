@@ -141,7 +141,8 @@ class Universe:
     # at offset k = t * |variables| + v of ``stride``, is the field of
     # |symbols| + 1 bits at k * (|symbols| + 1), whose top (guard) bit
     # stays clear.  field_low has the low bit of every field, column_low
-    # those of the fields on one variable, single each symbol's own bit.
+    # those of the fields on variable 0 (shifted left by v * (|symbols| + 1)
+    # it has those on variable v), single each symbol's own bit.
 
     @cached_property
     def sym_thread(self) -> tuple[int, ...]:
@@ -172,10 +173,9 @@ class Universe:
         return sum(1 << k * width for k in range(self.stride))
 
     @cached_property
-    def column_low(self) -> tuple[int, ...]:
+    def column_low(self) -> int:
         nv, width = len(self.variables), len(self.symbols) + 1
-        return tuple(sum(1 << (t * nv + v) * width for t in range(len(self.threads)))
-                     for v in range(nv))
+        return sum(1 << t * nv * width for t in range(len(self.threads)))
 
 
 # the universe shared by every run over the same sorted threads and variables

@@ -2,7 +2,8 @@
 
 Brute-force searches and order queries that no part of ``blockeq``
 calls: the bitmask direct-edge builder and closure that the order
-tables were once built with, the proper-linearization search over
+tables were once built with, the word-by-word class searches that the
+frontier enumeration replaced, the proper-linearization search over
 ``block_hb`` and the scope
 check built on it, the common order of an enumerated class and its
 linear-extension count, the proper-linearization predicate, after sets
@@ -14,12 +15,12 @@ them in.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from blockeq.blocks import BlockSet, _position_of
 from blockeq.oracle import SWAP_BOUND, EquivClass, _busy, _check_bound
 from blockeq.orders import PartialOrder, SaturationResult, bits, block_hb, rows_union, saturate
-from blockeq.trace import AnnLabel, Event, Label, Run, extended_dep
+from blockeq.trace import AnnLabel, Event, Label, Run, conflicting, extended_dep
 
 
 # ---- the bitmask order tables -----------------------------------------------
@@ -61,6 +62,95 @@ def transitive_reduction(succ: Sequence[int]) -> list[tuple[int, int]]:
     row order."""
     return [(i, j) for i, m in enumerate(succ) for j in bits(m)
             if not any(succ[k] >> j & 1 for k in bits(m))]
+
+
+# ---- word-by-word class searches -------------------------------------------
+
+def swap_closure_words(run: Run, blocks: Optional[BlockSet]) -> set[bytes]:
+    """Breadth-first closure of the run under adjacent independent event
+    swaps and, with blocks, swaps of two adjacent, contiguous,
+    thread-disjoint blocks, re-derived from each word as it is reached."""
+    n = len(run)
+    code, tid = run.code, run.tid
+    # indep[k] >> k2 & 1: label codes k and k2 commute
+    reps = dict(zip(code, run.labels))
+    indep = {}
+    for k, lab in reps.items():
+        indep[k] = sum(1 << k2 for k2, l2 in reps.items() if not conflicting(lab, l2))
+    masks = blocks.masks if blocks is not None else ()
+    block = blocks.owner if masks else None  # block index per position
+    threads = [sum({1 << tid[p] for p in bits(m)}) for m in masks]  # thread mask per block
+
+    start = bytes(range(n))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            found = []
+            for i in range(n - 1):
+                if indep[code[w[i]]] >> code[w[i + 1]] & 1:
+                    found.append(w[:i] + w[i + 1:i + 2] + w[i:i + 1] + w[i + 2:])
+            if masks:
+                # (start, end, thread mask) of each contiguous block, in word order
+                spans = []
+                i = 0
+                while i < n:
+                    k = block[w[i]]
+                    j = i + 1
+                    if k >= 0:
+                        while j < n and block[w[j]] == k:
+                            j += 1
+                        if j - i == masks[k].bit_count():
+                            spans.append((i, j, threads[k]))
+                    i = j
+                for (f1, l1, t1), (f2, l2, t2) in zip(spans, spans[1:]):
+                    if l1 == f2 and not t1 & t2:
+                        found.append(w[:f1] + w[f2:l2] + w[f1:l1] + w[l2:])
+            for v in found:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+
+def rf_words_dfs(run: Run) -> Iterator[bytes]:
+    """Position words of the reads-from class, one at a time, depth
+    first: each thread's next event is tried in turn, and a read only
+    when its variable's last placed write is the one it reads from."""
+    n = len(run)
+    var = run.vid
+    writer = [run.rf_pos.get(p, -1) for p in range(n)]  # -1: a write
+    seqs = run.by_thread
+    ptrs = [0] * len(seqs)
+    acc = bytearray()
+    last_write = [-1] * len(run.variables)
+
+    def rec():
+        if len(acc) == n:
+            yield bytes(acc)
+            return
+        for k, seq in enumerate(seqs):
+            i = ptrs[k]
+            if i == len(seq):
+                continue
+            p = seq[i]
+            x = var[p]
+            prev = last_write[x]
+            if writer[p] < 0:
+                last_write[x] = p
+            elif prev != writer[p]:
+                continue
+            ptrs[k] = i + 1
+            acc.append(p)
+            yield from rec()
+            acc.pop()
+            ptrs[k] = i
+            last_write[x] = prev
+
+    return rec()
 
 
 # ---- proper linearizations --------------------------------------------------

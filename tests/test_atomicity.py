@@ -233,9 +233,9 @@ def closed_route(aw, blocks):
     closed block order's quotient (None when cyclic), whether the closed
     commutation order's quotient is acyclic, and the serial witness read
     off the first."""
-    g = _quotient(aw, blocks, rows(block_hb(aw, blocks).succ))
+    g = _quotient(aw, blocks, block_hb(aw, blocks).succ)
     kahn = topological_order(rows(g.succ))
-    serializable = topological_order(rows(_quotient(aw, blocks, rows(mazurkiewicz_hb(aw).succ)).succ)) is not None
+    serializable = topological_order(rows(_quotient(aw, blocks, mazurkiewicz_hb(aw).succ).succ)) is not None
     if kahn is None:
         return False, serializable, None
     events = [e for k in kahn for e in g.nodes[k]]

@@ -2,9 +2,8 @@
 
 The load-bearing fact — the two query events are ordered under
 reads-from equivalence exactly when the bit vectors are equal — is
-checked exhaustively for one- and two-bit vectors against the class
-enumeration, with three-bit spot checks kept light here (the acceptance
-sweep samples more).
+checked exhaustively for vectors of up to three bits, and on one
+388-event instance, through the memoised search of ``rf_unordered``.
 """
 
 import itertools
@@ -20,6 +19,7 @@ from blockeq.hardness import (
     ordered_in_class,
 )
 from blockeq.monitor import sat_initial, sat_step, symbols_of
+from blockeq.oracle import BoundExceeded, rf_unordered
 from blockeq.orders import bits
 from blockeq.trace import Universe, parse_run
 from oracles import after_set
@@ -57,7 +57,7 @@ def test_trace_shape():
 
 
 def test_ordered_iff_equal_exhaustive():
-    for n in (1, 2):
+    for n in (1, 2, 3):
         for bits in itertools.product((0, 1), repeat=2 * n):
             inst = EqualityInstance(bits[:n], bits[n:])
             assert check_reduction(inst), inst
@@ -99,3 +99,19 @@ def test_ordered_in_class_needs_distinct_labels():
     run = parse_run("T1 w x\nT2 r x\nT1 w x\n")
     with pytest.raises(ValueError, match="distinct labels"):
         ordered_in_class(run, run.event_at(0), run.event_at(2))
+
+
+def test_rf_unordered_decides_a_long_instance():
+    # 388 events: deeper than the recursion limit allows a recursive
+    # search, and past the 255 events of a position word
+    a = "10" * 32
+    for b, ordered in ((a, True), (a[:-1] + "1", False), ("0" + a[1:], False)):
+        run, t1, t2 = gen_equality_trace(EqualityInstance.from_strings(a, b))
+        assert len(run) == 388
+        assert rf_unordered(run, run.position(t1), run.position(t2)) == (not ordered), b
+
+
+def test_ordered_in_class_keeps_its_bound():
+    run, t1, t2 = gen_equality_trace(EqualityInstance.from_strings("1010", "1010"))
+    with pytest.raises(BoundExceeded, match="limited to 22 events, got 28"):
+        ordered_in_class(run, t1, t2)

@@ -23,6 +23,7 @@ from blockeq.oracle import (
     enum_maz_class,
     enum_rf_class,
     proper_topological_sort,
+    rf_unordered,
 )
 from blockeq.orders import block_hb, mazurkiewicz_hb, saturate
 from blockeq.trace import Label, Run, conflicting, parse_run
@@ -274,3 +275,29 @@ def test_class_excludes_runs_with_foreign_labels():
     assert parse_run("T2 w y\nT1 w x\n") in cls
     assert parse_run("T1 w x\nT2 w z\n") not in cls
     assert parse_run("T1 w x\nT2 w y\nT2 w y\n") not in cls
+
+
+# ---- the reads-from order decision -------------------------------------------
+
+def _rf_decisions_match_class_scan(run):
+    """rf_unordered on every pair of positions, both ways round, against
+    the pairs that some word of the enumerated class inverts."""
+    common = intersection_order(enum_rf_class(run)).succ  # bit j of row i: i before j in every word
+    for i, j in itertools.combinations(range(len(run)), 2):
+        want = not common[i] >> j & 1
+        assert rf_unordered(run, i, j) == rf_unordered(run, j, i) == want, (run, i, j)
+
+
+def test_rf_unordered_matches_class_scan_corpus():
+    for path in sorted(CORPUS.glob("*.trace")):
+        _rf_decisions_match_class_scan(parse_run(path.read_text()))
+
+
+def test_rf_unordered_matches_class_scan_random():
+    rng = random.Random(46)
+    inverted = 0
+    for k in range(200):
+        run = gen.random_run(rng, rng.randint(2, 9), n_threads=2 + k % 3)
+        _rf_decisions_match_class_scan(run)
+        inverted += any(rf_unordered(run, i, j) for i, j in itertools.combinations(range(len(run)), 2))
+    assert inverted > 100

@@ -6,18 +6,22 @@ each member event to its ``Block``: the straightforward form of the commutation 
 block classes.  The reads-from class is checked against a filter of
 every permutation of the run through ``same_equiv_rf``, which uses no
 search at all.  Both references are slow and kept here only as test
-oracles.
+oracles.  The frontier enumerations are also compared word for word
+with the searches they replaced, kept in ``oracles.py``.
 """
 
 import itertools
 import random
+from pathlib import Path
 
 from blockeq.blocks import blocks_from_annotation
-from blockeq.oracle import enum_block_class, enum_maz_class, enum_rf_class
-from blockeq.trace import Run, TraceError, conflicting
+from blockeq.oracle import SWAP_BOUND, enum_block_class, enum_maz_class, enum_rf_class, rf_class_words
+from blockeq.trace import Run, TraceError, conflicting, parse_run
 
 import gen
-from oracles import same_equiv_rf
+from oracles import rf_words_dfs, same_equiv_rf, swap_closure_words
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _contiguous_spans(word, block_of):
@@ -123,3 +127,40 @@ def test_rf_classes_match_permutation_filter():
         assert len(cls) == len(cls.members)
         sizes.add(len(cls))
     assert max(sizes) > 20
+
+
+def _matches_word_by_word_search(run, blocks, rf=True):
+    """The frontier classes of the run equal the word-by-word ones, and
+    the reads-from words come once each; returns the commutation and
+    block class sizes."""
+    maz, blk = enum_maz_class(run).words, enum_block_class(run, blocks).words
+    assert maz == swap_closure_words(run, None), run
+    assert blk == swap_closure_words(run, blocks), run
+    if rf:
+        words = list(rf_class_words(run))
+        assert len(words) == len(set(words)), run
+        assert set(words) == set(rf_words_dfs(run)), run
+    return len(maz), len(blk)
+
+
+def test_frontier_classes_match_word_by_word_search_corpus():
+    for path in sorted(CORPUS.glob("*.trace")):
+        run = parse_run(path.read_text())
+        assert len(run) <= SWAP_BOUND, path.name
+        _matches_word_by_word_search(run, blocks_from_annotation(run))
+
+
+def test_frontier_classes_match_word_by_word_search_random():
+    # Runs of 10-12 events, where the middle split has states to share
+    # and marked runs join several commutation classes.  The reads-from
+    # classes are compared on the runs of 3 and 4 threads only: on 5 and
+    # 6 threads they reach millions of words, which the word-by-word
+    # reference takes tens of seconds to list.
+    rng = random.Random(53)
+    joined = 0
+    for k in range(200):
+        n_threads = 3 + k % 4
+        aw = gen.random_annotated_run(rng, rng.randint(10, 12), n_threads=n_threads)
+        maz, blk = _matches_word_by_word_search(aw, blocks_from_annotation(aw), rf=n_threads <= 4)
+        joined += maz < blk
+    assert joined > 20

@@ -160,6 +160,19 @@ def test_cross_dep_rows_match_extended_dep(n_threads, n_vars):
         assert u.dep_mask[i] == sum(1 << j for j in cross + own), a
 
 
+@pytest.mark.parametrize("n_threads,n_vars", [(1, 1), (2, 3), (3, 7), (2, 100), (4, 50)])
+def test_column_table_is_linear_in_the_alphabet(n_threads, n_vars):
+    """The monitor's column table is one int of at most |T|·|V|·(|Σ| + 1)
+    bits, and shifted by v fields it holds the low bit of every field on
+    variable v."""
+    u = Universe(tuple("T%d" % i for i in range(n_threads)), tuple("v%d" % i for i in range(n_vars)))
+    width = len(u.symbols) + 1
+    assert u.column_low.bit_length() <= n_threads * n_vars * width
+    for v in range(n_vars):
+        column = sum(1 << (t * n_vars + v) * width for t in range(n_threads))
+        assert u.column_low << v * width == column
+
+
 def numbered_runs():
     runs = [parse_run(path.read_text()) for path in sorted(CORPUS.glob("*.trace"))]
     rng = random.Random(17)
