@@ -290,13 +290,15 @@ def _rf_inversion(run: Run, i: int, j: int) -> tuple[bool, int]:
     """Whether some word of the reads-from class places the later of
     positions i and j first, and the number of failing states the search
     remembered on the way."""
+    n = len(run)
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError("positions %d and %d, but the run has %d events" % (i, j, n))
     i, j = sorted((i, j))
     tid = run.tid
     if i == j or tid[i] == tid[j]:
         return False, 0
     start, moves = _rf_moves(run)
     tj, kj = tid[j], run.by_thread[tid[j]].index(j)  # j is placed once tj's count passes kj
-    n = len(run)
     failed: set[tuple] = set()
     states, pending = [start], [iter(moves(start))]
     while pending:

@@ -301,3 +301,10 @@ def test_rf_unordered_matches_class_scan_random():
         _rf_decisions_match_class_scan(run)
         inverted += any(rf_unordered(run, i, j) for i, j in itertools.combinations(range(len(run)), 2))
     assert inverted > 100
+
+
+def test_rf_unordered_rejects_positions_outside_the_run():
+    run = corpus("two_wr_pairs.trace")
+    for i, j in ((-1, 0), (0, len(run)), (len(run), len(run))):
+        with pytest.raises(IndexError, match="the run has 4 events"):
+            rf_unordered(run, i, j)
