@@ -286,36 +286,6 @@ def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
 
 # ---- reads-from order decision ---------------------------------------------
 
-def _rf_inversion(run: Run, i: int, j: int) -> tuple[bool, int]:
-    """Whether some word of the reads-from class places the later of
-    positions i and j first, and the number of failing states the search
-    remembered on the way."""
-    n = len(run)
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError("positions %d and %d, but the run has %d events" % (i, j, n))
-    i, j = sorted((i, j))
-    tid = run.tid
-    if i == j or tid[i] == tid[j]:
-        return False, 0
-    start, moves = _rf_moves(run)
-    tj, kj = tid[j], run.by_thread[tid[j]].index(j)  # j is placed once tj's count passes kj
-    failed: set[tuple] = set()
-    states, pending = [start], [iter(moves(start))]
-    while pending:
-        for p, t in pending[-1]:
-            if p == i and t[tj] <= kj or t in failed:
-                continue  # i before j, or a state known to fail
-            if len(pending) == n:
-                return True, len(failed)
-            states.append(t)
-            pending.append(iter(moves(t)))
-            break
-        else:
-            pending.pop()
-            failed.add(states.pop())
-    return False, len(failed)
-
-
 def rf_unordered(run: Run, i: int, j: int) -> bool:
     """Do positions i and j occur in both orders among the words of the
     run's reads-from class?  The run itself has them in run order, so
@@ -326,7 +296,30 @@ def rf_unordered(run: Run, i: int, j: int) -> bool:
     threads' lengths plus one and of the variables' writes plus one, so
     the search is polynomial for a fixed alphabet; it runs on an explicit
     stack, with no bound on the run's length."""
-    return _rf_inversion(run, i, j)[0]
+    n = len(run)
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError("positions %d and %d, but the run has %d events" % (i, j, n))
+    i, j = sorted((i, j))
+    tid = run.tid
+    if i == j or tid[i] == tid[j]:
+        return False
+    start, moves = _rf_moves(run)
+    tj, kj = tid[j], run.by_thread[tid[j]].index(j)  # j is placed once tj's count passes kj
+    failed: set[tuple] = set()
+    states, pending = [start], [iter(moves(start))]
+    while pending:
+        for p, t in pending[-1]:
+            if p == i and t[tj] <= kj or t in failed:
+                continue  # i before j, or a state known to fail
+            if len(pending) == n:
+                return True
+            states.append(t)
+            pending.append(iter(moves(t)))
+            break
+        else:
+            pending.pop()
+            failed.add(states.pop())
+    return False
 
 
 # ---- proper topological sort -----------------------------------------------

@@ -115,7 +115,6 @@ def swap_closure_words(run: Run, blocks: Optional[BlockSet]) -> set[bytes]:
     return seen
 
 
-
 def rf_words_dfs(run: Run) -> Iterator[bytes]:
     """Position words of the reads-from class, one at a time, depth
     first: each thread's next event is tried in turn, and a read only
