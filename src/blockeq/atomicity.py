@@ -75,10 +75,6 @@ class BlockGraph:
         self.nodes = nodes
         self.succ = succ
 
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i, m in enumerate(self.succ) for j in bits(m))
-
     def __len__(self):
         return len(self.nodes)
 

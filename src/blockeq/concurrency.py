@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .atomicity import LibAtState, is_liberally_atomic, libat_initial, libat_step
-from .blocks import _position_of, all_block_sets, annotate, blocks_from_annotation
+from .blocks import _position_of, all_block_sets, blocks_from_annotation
 from .orders import PartialOrder, mazurkiewicz_hb, saturate
 from .trace import AnnLabel, Event, Label, Run, Universe
 
@@ -135,8 +135,10 @@ def _query_combos(c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> list[
 
 def _orders(run: Run, mode: str) -> Iterator[tuple[Run, PartialOrder]]:
     """The orders a mode ranges over, each with the annotated run whose
-    symbols it orders.  Raises TraceError in blocks mode when the marking
-    is not a valid block set."""
+    symbols it orders.  General mode pairs every order with the input
+    run: its queries are labels, and by the module docstring's inner-pair
+    argument the marks do not change their answer.  Raises TraceError in blocks mode
+    when the marking is not a valid block set."""
     if mode == MAZURKIEWICZ:
         base = run.core() if any(run.annotations) else run
         yield base, mazurkiewicz_hb(base)
@@ -147,7 +149,7 @@ def _orders(run: Run, mode: str) -> Iterator[tuple[Run, PartialOrder]]:
     elif mode == MOST_GENERAL:
         for bs in all_block_sets(run):
             if is_liberally_atomic(run, bs):
-                yield annotate(run, bs), saturate(run, bs).order
+                yield run, saturate(run, bs).order
     else:
         raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), mode))
 
@@ -198,7 +200,7 @@ def conc_symbols_general(run: Run, c: Label, d: Label, strategy: str = "enumerat
         return False  # no occurrence pair, whatever the block set
     if strategy == "enumerate":
         return _symbols_unordered(run, MOST_GENERAL, c, d)
-    return _general_stream(run.core(), c, d)
+    return _general_stream(run, c, d)
 
 
 def _general_stream(run: Run, c: Label, d: Label) -> bool:

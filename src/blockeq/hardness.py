@@ -23,7 +23,7 @@ doubles, while the streaming monitor's state is fixed by the alphabet.
 
 from dataclasses import dataclass
 
-from .oracle import RF_BOUND, _check_bound, rf_unordered
+from .oracle import rf_unordered
 from .trace import Event, Label, Run
 
 
@@ -103,11 +103,9 @@ def gen_equality_trace(inst: EqualityInstance) -> tuple[Run, Event, Event]:
 def ordered_in_class(run: Run, theta1: Event, theta2: Event) -> bool:
     """Does theta1 stay before theta2 in every reads-from-equivalent
     word?  Decided by ``rf_unordered``; the run itself is a member, so
-    theta1 must also come first in it.  Raises BoundExceeded on runs
-    longer than ``RF_BOUND``, the reads-from enumeration's bound."""
+    theta1 must also come first in it."""
     if theta1.label == theta2.label:
         raise ValueError("need two events with distinct labels")
-    _check_bound(run, None, RF_BOUND, "reads-from class")
     p1, p2 = run.position(theta1), run.position(theta2)
     return p1 < p2 and not rf_unordered(run, p1, p2)
 

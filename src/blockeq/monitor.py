@@ -38,13 +38,16 @@ whole.
 
 The transition is a least-fixpoint computation per input symbol: passes
 of the mask rules 1-5, in a fixed order, until one changes nothing, then
-one pass of the flags, which no mask rule reads.  Each pass
-re-examines, in the same order, only the rule instances whose inputs
-changed since their rule last ran, and only instances that cannot fire
-are skipped, so every pass leaves the state a sweep of every instance
-would (``tests/monitor_reference.py`` keeps such a step and the tests
-compare the two from every state they reach).  Sets are bitmasks over
-the symbol universe, so each step costs time polynomial in the alphabet
+one pass of the flags, which no mask rule reads.  Each rule reads the
+changes logged since it last ran and re-examines only the instances
+whose inputs they touch; only instances that cannot fire are skipped.
+A rule's changes are logged (the two exceptions below need no reader)
+and read in the next pass at the latest, and the loop stops only after
+a pass that logs nothing.  Every rule is monotone, so the step ends at
+the least fixpoint that repeated sweeps of every instance reach
+(``tests/monitor_reference.py`` keeps such a step and the tests compare
+the two from every state they reach).  Sets are bitmasks over the
+symbol universe, so each step costs time polynomial in the alphabet
 size and constant in the stream length; two arguments let the first
 pass, too, do work in proportion to what the step changes.
 
@@ -273,11 +276,10 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     spread, down = dep_in * LOW, ns - ai
     F = [P | g >> down if P and (g := ((P & spread) + DATA) & GUARD) else P for P in old_F]
 
-    def changes(pos: int, syms: int = 0,
-                fields: Optional[dict[int, int]] = None) -> tuple[int, dict[int, int]]:
+    def changes(pos: int) -> tuple[int, dict[int, int]]:
         # since pos: mask of symbols whose A row grew, and per symbol the
-        # guard bits of its fields that grew; added to syms and fields
-        fields = {} if fields is None else fields
+        # guard bits of its fields that grew
+        syms, fields = 0, {}
         for c, g in log[pos:]:
             if g:
                 fields[c] = fields.get(c, 0) | g
@@ -288,9 +290,10 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     def mask_rules() -> bool:
         start = len(log)
 
-        # changes since the last run began, caught up as this run logs more
-        read, since["24"] = since["24"], len(log)
-        syms24, fields24 = 0, {}
+        # changes since the last run began; what this run logs is read by
+        # the next pass
+        syms24, fields24 = changes(since["24"])
+        since["24"] = len(log)
         for v in range(nX):
             bv = blk[v]
             if bv == 0:
@@ -350,8 +353,6 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 # A row only, so each symbol takes them in turn
                 rows = range(ns)
             else:
-                syms24, fields24 = changes(read, syms24, fields24)
-                read = len(log)
                 if prev is None:
                     syms24 |= seeds
                 rows = sorted(set(bits(syms24)).union(fields24))
@@ -453,51 +454,30 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # first blocks per (thread, variable) chain nest downward — so a
         # row absorbs the same-kind rows of every symbol in its after set.
         # Same-kind rows sit at the same offset, so a symbol's packed rows
-        # absorb a packed int whole.  Swept with rho ascending, rho's rows
-        # are final when rho is visited, so each c gains the rows of every
-        # symbol in A[c] as they stand once the lower ones are done:
-        # computed per c, lower first.  A pair (rho, c) can add something
-        # only if rho's rows grew (also earlier in this run) or A[c]
-        # changed since the last run.
+        # absorb a packed int whole.  A pair (rho, c) can add something
+        # only if rho's rows grew or A[c] changed since the last run; a
+        # row that grows here is logged and passed on in the next pass.
         syms, fields = changes(since["5"])
         since["5"] = len(log)
         syms &= notai
         own = sum(1 << c for c in fields)
-        if own or syms:
-            before: dict[int, int] = {}  # grown symbols: rows at the start
-            for above in (False, True):
-                # the symbols c with a pair to examine, lowest first; in
-                # the first sweep a c that grows joins the owners, and
-                # the higher symbols holding it join the sweep
-                todo = (syms | sum(compress(single, map(and_, A, repeat(own))))) & notai
-                joins: dict[int, int] = {}  # rho mask -> union of their rows
-                while todo:
-                    c = (todo & -todo).bit_length() - 1
-                    todo &= todo - 1
-                    m = A[c] & notai & ((-2 << c) if above else ((1 << c) - 1))
-                    if not syms >> c & 1:
-                        m &= own
-                    if not m:
-                        continue
-                    add = joins.get(m)
-                    if add is None:
-                        add, rest = 0, m
-                        while rest:
-                            low = rest & -rest
-                            add |= F[low.bit_length() - 1]
-                            rest ^= low
-                        joins[m] = add
-                    P = F[c]
-                    if P | add != P:
-                        before.setdefault(c, P)
-                        F[c] = P | add
-                        joins.clear()
-                        if not above:
-                            own |= 1 << c
-                            todo |= sum(compress(single, map(and_, A, repeat(1 << c)))) & (
-                                notai & -2 << c)
-            for c, P in before.items():
-                log.append((c, grown(P, F[c])))
+        holders = sum(compress(single, map(and_, A, repeat(own)))) if own else 0
+        todo = (syms | holders) & notai
+        while todo:
+            c = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            m = A[c] & notai
+            if not syms >> c & 1:
+                m &= own
+            add = 0
+            while m:
+                low = m & -m
+                add |= F[low.bit_length() - 1]
+                m ^= low
+            P = F[c]
+            if P | add != P:
+                F[c] = P | add
+                log.append((c, grown(P, P | add)))
 
         return len(log) != start
 

@@ -449,11 +449,13 @@ def test_gen_hardness_golden_n1(capsys):
     assert len(parse_run(out)) == 10
 
 
-def test_gen_hardness_check_skipped_beyond_n3(capsys):
-    code, out, err = run_cli(capsys, "gen-hardness", "--a", "1010", "--b", "1010", "--check")
-    assert code == 0
-    assert err.startswith("warning:")
-    assert len(parse_run(out)) == 6 * 4 + 4
+def test_gen_hardness_check_beyond_n3(capsys):
+    for b in ("1010", "1011"):
+        code, out, err = run_cli(capsys, "gen-hardness", "--a", "1010", "--b", b, "--check")
+        assert code == 0 and err == ""
+        assert out.endswith(
+            "# check: markers ordered in every equivalent run iff the strings are equal\n")
+        assert len(parse_run(out)) == 6 * 4 + 4
 
 
 def test_gen_hardness_rejects_bad_bits(capsys):

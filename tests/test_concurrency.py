@@ -32,7 +32,7 @@ from blockeq.concurrency import (
 from blockeq.monitor import symbols_of
 from blockeq.oracle import enum_block_class
 from blockeq.orders import mazurkiewicz_hb, saturate
-from blockeq.trace import Label, TraceError, Universe, parse_run
+from blockeq.trace import Label, Run, TraceError, Universe, parse_run
 from oracles import same_equiv_rf
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -393,6 +393,24 @@ def test_general_absent_symbol_answers_without_enumerating(monkeypatch):
     absent, present = Label("T9", "w", "q"), run.labels[0]
     assert not conc_symbols_general(run, absent, present)
     assert not conc_symbols_general(run, present, absent)
+
+
+def test_general_builds_no_run(monkeypatch):
+    # label queries read the input run's positions under every block set
+    run = corpus("block_vs_rf_gap.trace")
+    c, d = run.labels[0], run.labels[-1]
+    expect = {s: conc_symbols_general(run, c, d, strategy=s) for s in ("enumerate", "stream")}
+    built = []
+    init = Run.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Run, "__init__", counting)
+    for strategy, answer in expect.items():
+        assert conc_symbols_general(run, c, d, strategy=strategy) == answer
+    assert built == []
 
 
 @pytest.mark.parametrize("mode", ("maz", "blocks"))
