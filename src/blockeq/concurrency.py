@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .atomicity import LibAtState, is_liberally_atomic, libat_initial, libat_step
 from .blocks import _position_of, all_block_sets, blocks_from_annotation
@@ -156,13 +156,21 @@ def _orders(run: Run, mode: str) -> Iterator[tuple[Run, PartialOrder]]:
 
 def _symbols_unordered(run: Run, mode: str, c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> bool:
     """True iff some order of the mode leaves some inner (c, d)-pair, in
-    either orientation, unordered."""
-    combos = _query_combos(c, d)
+    either orientation, unordered.  Every order of a mode pairs with the
+    same run, so the pairs are listed once, at the first order, one
+    combination at a time: a mode with one order stops listing at the
+    first unordered pair."""
+    pairs: Optional[list[tuple[int, int]]] = None
     for aw, order in _orders(run, mode):
-        for c_hat, d_hat in combos:
-            for i, j in inner_pair_positions(aw, c_hat, d_hat):
-                if not order.succ[i] >> j & 1:
+        if pairs is None:
+            pairs = []
+            for c_hat, d_hat in _query_combos(c, d):
+                found = inner_pair_positions(aw, c_hat, d_hat)
+                if any(not order.succ[i] >> j & 1 for i, j in found):
                     return True
+                pairs += found
+        elif any(not order.succ[i] >> j & 1 for i, j in pairs):
+            return True
     return False
 
 
@@ -189,10 +197,11 @@ def conc_symbols_general(run: Run, c: Label, d: Label, strategy: str = "enumerat
     block sets of a run are exactly the subsets of its writes.
 
     ``enumerate`` (the default) tries every block set and is exact.
-    ``stream`` tracks the reachable states of the nondeterministic
-    mark-guessing automaton in one pass; its per-branch witness bit is
-    the arrival-time approximation, so it can answer true where
-    enumeration answers false (never the reverse).
+    ``stream`` searches the branches of the nondeterministic
+    mark-guessing automaton depth first, stopping at the first accepting
+    one and remembering the states from which none accepts; its
+    per-branch witness bit is the arrival-time approximation, so it can
+    answer true where enumeration answers false (never the reverse).
     """
     if strategy not in ("enumerate", "stream"):
         raise ValueError("strategy must be 'enumerate' or 'stream', got %r" % (strategy,))
@@ -204,39 +213,60 @@ def conc_symbols_general(run: Run, c: Label, d: Label, strategy: str = "enumerat
 
 
 def _general_stream(run: Run, c: Label, d: Label) -> bool:
-    """Reachable-state-set pass of the mark-guessing automaton.
+    """Depth-first search of the mark-guessing automaton.
 
-    Writes branch on their membership bit; a read's bit is forced to its
-    writer's (any other choice is not a valid marking).  Branches that
-    reject atomicity are dropped — rejection is absorbing.  Acceptance:
-    some branch ends accepting with some combination's witness bit set.
+    A node is a position, the block monitor's state before it and one
+    witness bit.  Writes branch on their membership bit, marked first; a
+    read's bit is forced to its writer's (any other choice is not a
+    valid marking).  Branches that reject atomicity are dropped, since
+    rejection is absorbing, and so are branches still unwitnessed after
+    the last occurrence of c or d, since only the arrival of one of them
+    can witness.  The bit latches when some combination of
+    ``_query_combos`` is witnessed on arrival and is never cleared.  The
+    search accepts at the first branch that reaches the end, and
+    remembers every node from which no branch does, so that a node is
+    expanded at most once.  It runs on an explicit stack, as
+    ``oracle.rf_unordered`` does.
     """
     universe = run.universe
-    pair_idx = [
-        (universe.index(ch), universe.index(dh))
-        for ch, dh in _query_combos(c, d)
-    ]
-    branches: set[tuple[LibAtState, int]] = {(libat_initial(universe), 0)}
-    for lab in run.labels:
-        nxt: set[tuple[LibAtState, int]] = set()
-        for q, fnd in branches:
-            if lab.is_write():
-                bits: Iterable[bool] = (False, True)
-            else:
-                wi = q.sat.rf[universe.var_index[lab.variable]]
-                bits = (universe.symbols[wi][1],)
-            for bit in bits:
-                q2 = libat_step(q, (lab, bit))
-                if q2.rejected:
-                    continue
-                ai = universe.index((lab, bit))
-                f2 = fnd
-                for k, (ci, di) in enumerate(pair_idx):
-                    if not f2 >> k & 1 and _pair_witnessed(q2.sat.aft, ci, di, ai):
-                        f2 |= 1 << k
-                nxt.add((q2, f2))
-        branches = nxt
-    return any(fnd != 0 for _, fnd in branches)
+    labels, codes, n = run.labels, run.code, len(run)
+    pairs: dict[int, list[int]] = {}  # each tracked d's symbol index: the c's
+    for ch, dh in _query_combos(c, d):
+        pairs.setdefault(universe.index(dh), []).append(universe.index(ch))
+    last = max(run.by_code[universe.code(c)][-1], run.by_code[universe.code(d)][-1])
+
+    def moves(node: tuple[int, LibAtState, bool]) -> Iterator[tuple[int, LibAtState, bool]]:
+        k, q, seen = node
+        lab = labels[k]
+        if lab.is_write():
+            bits: Iterable[bool] = (True, False)
+        else:  # the writer's symbol index carries its mark in the low bit
+            bits = (bool(q.sat.rf[universe.var_index[lab.variable]] & 1),)
+        for bit in bits:
+            q2 = libat_step(q, (lab, bit))
+            if q2.rejected:
+                continue
+            ai = 2 * codes[k] + bit
+            hit = seen or any(_pair_witnessed(q2.sat.aft, ci, ai, ai) for ci in pairs.get(ai, ()))
+            if hit or k < last:
+                yield k + 1, q2, hit
+
+    failed: set[tuple[int, LibAtState, bool]] = set()
+    nodes = [(0, libat_initial(universe), False)]
+    pending = [moves(nodes[0])]
+    while pending:
+        for node in pending[-1]:
+            if node in failed:
+                continue
+            if node[0] == n:  # witnessed, since unwitnessed branches end at last
+                return True
+            nodes.append(node)
+            pending.append(moves(node))
+            break
+        else:
+            pending.pop()
+            failed.add(nodes.pop())
+    return False
 
 
 # ---- event-level queries ----------------------------------------------------

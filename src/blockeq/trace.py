@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 READ = "r"
@@ -84,18 +85,24 @@ class Universe:
     ``labels``, looked up by its strings (hashing a Label runs Python
     code), and a symbol's index is ``2 * code + mark bit``, its position
     in ``symbols``.  Runs over the same threads and variables share one
-    universe, ``run.universe``; the tables below it build on first use."""
+    universe, ``run.universe``; the code table is built from the name
+    strings, and ``labels``, ``symbols`` and the tables below them build
+    on first use."""
 
     def __init__(self, threads: Iterable[str], variables: Iterable[str]):
         self.threads: tuple[str, ...] = tuple(sorted(set(threads)))
         self.variables: tuple[str, ...] = tuple(sorted(set(variables)))
         self.thread_index = {t: i for i, t in enumerate(self.threads)}
         self.var_index = {v: i for i, v in enumerate(self.variables)}
-        self.labels: tuple[Label, ...] = tuple(
-            Label(t, op, v) for t in self.threads for op in (READ, WRITE) for v in self.variables
-        )
-        self.symbols: tuple[AnnLabel, ...] = tuple((lab, bit) for lab in self.labels for bit in (False, True))
-        self._code = {(l.thread, l.op, l.variable): k for k, l in enumerate(self.labels)}
+        self._code = {key: k for k, key in enumerate(product(self.threads, (READ, WRITE), self.variables))}
+
+    @cached_property
+    def labels(self) -> tuple[Label, ...]:
+        return tuple(Label(*key) for key in self._code)
+
+    @cached_property
+    def symbols(self) -> tuple[AnnLabel, ...]:
+        return tuple((lab, bit) for lab in self.labels for bit in (False, True))
 
     @classmethod
     def from_run(cls, run: "Run") -> "Universe":
@@ -256,7 +263,7 @@ class Run:
     def by_code(self) -> tuple[tuple[int, ...], ...]:
         """The positions of each label code, in run order: the k-th
         holds occurrence k + 1.  The last entry, for code -1, is empty."""
-        return _positions(self.code, len(self.universe.labels) + 1)
+        return _positions(self.code, len(self.universe._code) + 1)
 
     @cached_property
     def by_thread(self) -> tuple[tuple[int, ...], ...]:

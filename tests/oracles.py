@@ -8,7 +8,9 @@ frontier enumeration replaced, the proper-linearization search over
 check built on it, the common order of an enumerated class and its
 linear-extension count, the proper-linearization predicate, after sets
 read off the saturated order, the window-disjointness check of a block
-set, and reads-from equivalence of two runs.  All of them read the
+set, reads-from equivalence of two runs, and the layered pass over
+the mark-guessing automaton that general-mode ``stream`` queries once
+made.  All of them read the
 library's position tables; events appear only where a caller passes
 them in.
 """
@@ -17,7 +19,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
+from blockeq.atomicity import LibAtState, libat_initial, libat_step
 from blockeq.blocks import BlockSet, _position_of
+from blockeq.concurrency import _pair_witnessed, _query_combos
 from blockeq.oracle import SWAP_BOUND, EquivClass, _busy, _check_bound
 from blockeq.orders import PartialOrder, SaturationResult, bits, block_hb, rows_union, saturate
 from blockeq.trace import AnnLabel, Event, Label, Run, conflicting, extended_dep
@@ -388,3 +392,41 @@ def interleave_threads(per_thread: dict[str, list[Label]]) -> Iterable[tuple[Lab
                     yield (s[p],) + rest
 
     return rec(tuple(0 for _ in seqs))
+
+
+# ---- the layered stream pass -------------------------------------------------
+
+def reference_general_stream(run: Run, c: Label, d: Label) -> bool:
+    """``conc_symbols_general(run, c, d, strategy="stream")`` as a
+    reachable-state-set pass of the mark-guessing automaton: every
+    branch of every layer is built before the answer is read.
+
+    Writes branch on their membership bit; a read's bit is forced to
+    its writer's.  Branches that reject atomicity are dropped.  Each
+    branch carries one witness bit per combination of ``_query_combos``,
+    and the pass accepts when some branch ends with some bit set."""
+    if c not in run.labels or d not in run.labels:
+        return False
+    universe = run.universe
+    pair_idx = [(universe.index(ch), universe.index(dh)) for ch, dh in _query_combos(c, d)]
+    branches: set[tuple[LibAtState, int]] = {(libat_initial(universe), 0)}
+    for lab in run.labels:
+        nxt: set[tuple[LibAtState, int]] = set()
+        for q, fnd in branches:
+            if lab.is_write():
+                marks: Iterable[bool] = (False, True)
+            else:
+                wi = q.sat.rf[universe.var_index[lab.variable]]
+                marks = (universe.symbols[wi][1],)
+            for bit in marks:
+                q2 = libat_step(q, (lab, bit))
+                if q2.rejected:
+                    continue
+                ai = universe.index((lab, bit))
+                f2 = fnd
+                for k, (ci, di) in enumerate(pair_idx):
+                    if not f2 >> k & 1 and _pair_witnessed(q2.sat.aft, ci, di, ai):
+                        f2 |= 1 << k
+                nxt.add((q2, f2))
+        branches = nxt
+    return any(fnd != 0 for _, fnd in branches)

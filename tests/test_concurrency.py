@@ -3,8 +3,10 @@
 Each decision procedure is checked against an answer computed another
 way: the streaming pair automaton against the offline commutation
 order, the fixed-block decision against brute-force class enumeration
-(does any member execute the pair in the other order?), and the
-existential decision against the mode hierarchy.  The known gap of the
+(does any member execute the pair in the other order?), the
+existential decision against the mode hierarchy, and the ``stream``
+strategy's depth-first search against the layered pass of
+``oracles.reference_general_stream``.  The known gap of the
 arrival-time witness bit is pinned by regressions.
 """
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 import gen
-from blockeq import concurrency
+from blockeq import atomicity, concurrency
 from blockeq.atomicity import is_liberally_atomic
 from blockeq.blocks import all_block_sets, annotate, blocks_from_annotation
 from blockeq.concurrency import (
@@ -33,7 +35,8 @@ from blockeq.monitor import symbols_of
 from blockeq.oracle import enum_block_class
 from blockeq.orders import mazurkiewicz_hb, saturate
 from blockeq.trace import Label, Run, TraceError, Universe, parse_run
-from oracles import same_equiv_rf
+import oracles
+from oracles import reference_general_stream, same_equiv_rf
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -307,6 +310,73 @@ def test_general_stream_strictly_looser():
     assert conc_symbols_general(run, c, d, strategy="stream")
     with pytest.raises(ValueError):
         conc_symbols_general(run, c, d, strategy="guess")
+
+
+def share_transitions(monkeypatch):
+    """Route both searches' ``libat_step`` calls through one table of
+    transitions.  The step is a pure function of its state and symbol,
+    so the answers stay the same; the table is cleared per run by
+    calling the returned function."""
+    table = {}
+
+    def step(q, sym):
+        key = q, sym
+        got = table.get(key)
+        if got is None:
+            got = table[key] = atomicity.libat_step(q, sym)
+        return got
+
+    monkeypatch.setattr(concurrency, "libat_step", step)
+    monkeypatch.setattr(oracles, "libat_step", step)
+    return table.clear
+
+
+def check_stream_against_layered_pass(run):
+    """The depth-first search against the layered pass on every ordered
+    label pair, equal labels included; returns the number of pairs.  A
+    query covers both orientations of its pair, so the layered pass is
+    asked once per unordered pair."""
+    labs = sorted(set(run.labels))
+    for c, d in itertools.combinations_with_replacement(labs, 2):
+        want = reference_general_stream(run, c, d)
+        assert conc_symbols_general(run, c, d, strategy="stream") == want, (run, c, d)
+        assert conc_symbols_general(run, d, c, strategy="stream") == want, (run, d, c)
+    return len(labs) ** 2
+
+
+def test_general_stream_matches_layered_pass(monkeypatch):
+    clear = share_transitions(monkeypatch)
+    rng = random.Random(2020)
+    checked = 0
+    for _ in range(100):
+        clear()
+        run = gen.random_run(rng, rng.randint(1, 10), rng.randint(1, 3), rng.randint(1, 3))
+        checked += check_stream_against_layered_pass(run)
+    assert checked > 1000
+
+
+@settings(max_examples=40, deadline=None)
+@given(gen.annotated_runs(max_threads=3, max_vars=3, min_events=1, max_events=8))
+def test_general_stream_matches_layered_pass_drawn(drawn):
+    # the drawn marks are ignored: general mode guesses its own
+    check_stream_against_layered_pass(drawn[2])
+
+
+def test_general_stream_stops_at_first_accepting_branch(monkeypatch):
+    # a "yes" that the first branch settles: writes are tried marked
+    # first, and that branch is witnessed and never rejected, so the
+    # search makes one step per event, where the layered pass of
+    # reference_general_stream makes 34,526
+    calls = []
+
+    def counting(q, sym):
+        calls.append(sym)
+        return atomicity.libat_step(q, sym)
+
+    monkeypatch.setattr(concurrency, "libat_step", counting)
+    run = gen.random_run(random.Random(3), 16, 2, 2)
+    assert conc_symbols_general(run, run.labels[0], run.labels[-1], strategy="stream")
+    assert len(calls) <= 2 * len(run)
 
 
 # ---- event-level queries ---------------------------------------------------------

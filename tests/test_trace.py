@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import gen
+from blockeq.atomicity import is_liberally_atomic
+from blockeq.blocks import blocks_from_annotation
 from blockeq.trace import (
     Event,
     Label,
@@ -203,6 +205,19 @@ def test_runs_over_one_alphabet_share_one_universe():
     b = parse_run("T2 w y\nT2 w x @\nT1 r y\nT1 r x @\n")
     assert a.universe is b.universe is Universe.from_run(b)
     assert parse_run("T1 w x\n").universe is not a.universe
+
+
+def test_unmarked_atomicity_builds_no_label_table():
+    # a wide unmarked trace is parsed and found atomic from the name
+    # strings and codes alone; the alphabet's Label and symbol tuples
+    # are built only when something reads them
+    text = "".join("T1 w lazy%d\nT2 r lazy%d\n" % (i, i) for i in range(1000))
+    run = parse_run(text)
+    assert is_liberally_atomic(run, blocks_from_annotation(run))
+    u = run.universe
+    assert "labels" not in vars(u) and "symbols" not in vars(u)
+    assert u.code(run.labels[1]) == run.code[1]
+    assert u.labels[run.code[1]] == run.labels[1]
 
 
 def test_wide_alphabet_cross_lists_stay_on_their_variable():
