@@ -14,11 +14,12 @@ individual events, under three equivalences:
 Trace equivalence is block equivalence with no blocks, and under either
 two events can be reordered exactly when the (saturated) order leaves
 them unordered.  So every run-level decision asks whether some order
-the mode ranges over leaves some pair unordered: ``mazurkiewicz_hb`` of
-the unannotated run, the saturation of the run's own blocks, or the
-saturation of every liberally atomic block set.  Every edge points
-forward in run order, so positions i < j are unordered exactly when bit
-j of ``succ[i]`` is clear.
+the mode ranges over leaves some pair unordered (``_orders``):
+``mazurkiewicz_hb``, which reads no marks, the saturation of the run's
+own blocks, or the saturation of every liberally atomic block set, each
+over the input run.  Every edge points forward in run order, so
+positions i < j are unordered exactly when bit j of ``succ[i]`` is
+clear.
 
 Symbol queries examine occurrence pairs in both relative orders, and
 within one orientation only *inner* pairs: a c-occurrence with the
@@ -26,7 +27,10 @@ first d-occurrence after it.  Occurrences of one symbol share a thread,
 so they chain in program order; if any (c, d)-occurrence pair is
 unordered, the inner pair obtained by moving the c-occurrence forward to
 the last one before that d-occurrence — and the d-occurrence backward to
-the first one after it — is unordered too.
+the first one after it — is unordered too.  A label query takes both
+marks of each side, so on a marked run each unordered occurrence pair
+still has an unordered inner pair among those listed, and the answer is
+that of the unmarked run.
 
 The streaming automaton (``ConcState``/``conc_step``) serves callers
 that see the run one symbol at a time.  It carries the block monitor,
@@ -36,7 +40,9 @@ marked events the pair's order is settled when the d-occurrence
 arrives, so the bit is exact.  With blocks a later read can order two
 whole blocks retroactively, so the arrival-time bit over-approximates
 concurrency; a regression test pins the gap, and the ``stream``
-strategy of ``conc_symbols_general`` inherits it.
+strategy of ``conc_symbols_general`` inherits it.  That strategy
+searches the automaton's mark guesses with ``oracle._completes``, the
+memoised path search that also decides reads-from order.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .atomicity import LibAtState, is_liberally_atomic, libat_initial, libat_step
 from .blocks import _position_of, all_block_sets, blocks_from_annotation
+from .oracle import _completes
 from .orders import PartialOrder, mazurkiewicz_hb, saturate
 from .trace import AnnLabel, Event, Label, Run, Universe
 
@@ -84,12 +91,12 @@ def conc_initial(universe: Universe, c_hat: AnnLabel, d_hat: AnnLabel) -> ConcSt
     return ConcState(libat_initial(universe), c_hat, d_hat, False)
 
 
-def _pair_witnessed(sat_aft: tuple[int, ...], ci: int, di: int, ai: int) -> bool:
-    """Arrival-time witness check, on the post-step after rows: the
-    arriving symbol is the tracked d, some c-occurrence precedes it, and
-    the after set of the last one does not contain the arrival.  Equal c
-    and d never witness (their occurrences share a thread)."""
-    if ai != di or ci == di:
+def _pair_witnessed(sat_aft: tuple[int, ...], ci: int, di: int) -> bool:
+    """Arrival-time witness check for an arrival of the tracked d, on
+    the post-step after rows: some c-occurrence precedes it, and the
+    after set of the last one does not contain the arrival.  Equal c and
+    d never witness (their occurrences share a thread)."""
+    if ci == di:
         return False
     row = sat_aft[ci]
     return row != 0 and not row >> di & 1
@@ -100,8 +107,7 @@ def conc_step(state: ConcState, sym: AnnLabel) -> ConcState:
     found = state.found
     if not found and sym == state.d_hat:  # only a d-occurrence can witness
         u = libat.sat.universe
-        di = u.index(sym)
-        found = _pair_witnessed(libat.sat.aft, u.index(state.c_hat), di, di)
+        found = _pair_witnessed(libat.sat.aft, u.index(state.c_hat), u.index(sym))
     return ConcState(libat, state.c_hat, state.d_hat, found)
 
 
@@ -133,39 +139,37 @@ def _query_combos(c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> list[
 
 # ---- run-level decisions ---------------------------------------------------
 
-def _orders(run: Run, mode: str) -> Iterator[tuple[Run, PartialOrder]]:
-    """The orders a mode ranges over, each with the annotated run whose
-    symbols it orders.  General mode pairs every order with the input
-    run: its queries are labels, and by the module docstring's inner-pair
-    argument the marks do not change their answer.  Raises TraceError in blocks mode
-    when the marking is not a valid block set."""
+def _orders(run: Run, mode: str) -> Iterator[PartialOrder]:
+    """The orders a mode ranges over, all over the input run.  Maz and
+    general queries are labels, so by the module docstring's inner-pair
+    argument the run's marks do not change their answer; the maz order
+    reads no marks.  Raises TraceError in blocks mode when the marking
+    is not a valid block set."""
     if mode == MAZURKIEWICZ:
-        base = run.core() if any(run.annotations) else run
-        yield base, mazurkiewicz_hb(base)
+        yield mazurkiewicz_hb(run)
     elif mode == GIVEN_BLOCKS:
         bs = blocks_from_annotation(run)
         if is_liberally_atomic(run, bs):
-            yield run, saturate(run, bs).order
+            yield saturate(run, bs).order
     elif mode == MOST_GENERAL:
         for bs in all_block_sets(run):
             if is_liberally_atomic(run, bs):
-                yield run, saturate(run, bs).order
+                yield saturate(run, bs).order
     else:
         raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), mode))
 
 
 def _symbols_unordered(run: Run, mode: str, c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> bool:
     """True iff some order of the mode leaves some inner (c, d)-pair, in
-    either orientation, unordered.  Every order of a mode pairs with the
-    same run, so the pairs are listed once, at the first order, one
-    combination at a time: a mode with one order stops listing at the
-    first unordered pair."""
+    either orientation, unordered.  The pairs are listed once, at the
+    first order, one combination at a time: a mode with one order stops
+    listing at the first unordered pair."""
     pairs: Optional[list[tuple[int, int]]] = None
-    for aw, order in _orders(run, mode):
+    for order in _orders(run, mode):
         if pairs is None:
             pairs = []
             for c_hat, d_hat in _query_combos(c, d):
-                found = inner_pair_positions(aw, c_hat, d_hat)
+                found = inner_pair_positions(run, c_hat, d_hat)
                 if any(not order.succ[i] >> j & 1 for i, j in found):
                     return True
                 pairs += found
@@ -223,10 +227,8 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
     the last occurrence of c or d, since only the arrival of one of them
     can witness.  The bit latches when some combination of
     ``_query_combos`` is witnessed on arrival and is never cleared.  The
-    search accepts at the first branch that reaches the end, and
-    remembers every node from which no branch does, so that a node is
-    expanded at most once.  It runs on an explicit stack, as
-    ``oracle.rf_unordered`` does.
+    search is ``oracle._completes``: it accepts at the first branch that
+    reaches the end and expands each node at most once.
     """
     universe = run.universe
     labels, codes, n = run.labels, run.code, len(run)
@@ -247,26 +249,12 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
             if q2.rejected:
                 continue
             ai = 2 * codes[k] + bit
-            hit = seen or any(_pair_witnessed(q2.sat.aft, ci, ai, ai) for ci in pairs.get(ai, ()))
+            hit = seen or any(_pair_witnessed(q2.sat.aft, ci, ai) for ci in pairs.get(ai, ()))
             if hit or k < last:
                 yield k + 1, q2, hit
 
-    failed: set[tuple[int, LibAtState, bool]] = set()
-    nodes = [(0, libat_initial(universe), False)]
-    pending = [moves(nodes[0])]
-    while pending:
-        for node in pending[-1]:
-            if node in failed:
-                continue
-            if node[0] == n:  # witnessed, since unwitnessed branches end at last
-                return True
-            nodes.append(node)
-            pending.append(moves(node))
-            break
-        else:
-            pending.pop()
-            failed.add(nodes.pop())
-    return False
+    # a path of n moves ends witnessed, since unwitnessed branches end at last
+    return _completes(n, (0, libat_initial(universe), False), moves)
 
 
 # ---- event-level queries ----------------------------------------------------
@@ -280,4 +268,4 @@ def conc_events(run: Run, e: Event, f: Event, mode: str = GIVEN_BLOCKS) -> bool:
         raise ValueError("need two distinct events")
     if j < i:
         i, j = j, i
-    return any(not order.succ[i] >> j & 1 for _, order in _orders(run, mode))
+    return any(not order.succ[i] >> j & 1 for order in _orders(run, mode))

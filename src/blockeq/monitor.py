@@ -339,10 +339,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                     if A[c] & abit:
                         if not old_F[c] & field:
                             tv |= 1 << c
-                            P = F[c]
-                            F[c] = P | abit << sh
-                            if P & field and F[c] != P:
-                                log.append((c, gbit))
+                            F[c] |= abit << sh
                     elif F[c] & hits:
                         A[c] |= abit
                         log.append((c, 0))

@@ -17,8 +17,10 @@ and Viswanathan (LICS 2020).  The block class is a union of commutation
 classes, since both of its swaps keep each thread's order: only the
 block-swap scan runs per word, and a swapped word not yet seen brings
 in its whole commutation class.  ``rf_unordered`` decides one pair's
-order under reads-from equivalence by the same states, remembering the
-failing ones, with no length cap.
+order under reads-from equivalence by the same states, with no length
+cap, through ``_completes``: a depth-first path search that remembers
+the failing states.  The general-mode ``stream`` strategy of
+``concurrency`` runs the same search over the mark-guessing automaton.
 
 Class members are *position words*: ``bytes`` whose k-th byte is the
 run position of the k-th event, so extending a word is a byte splice
@@ -286,31 +288,18 @@ def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
 
 # ---- reads-from order decision ---------------------------------------------
 
-def rf_unordered(run: Run, i: int, j: int) -> bool:
-    """Do positions i and j occur in both orders among the words of the
-    run's reads-from class?  The run itself has them in run order, so
-    this asks for a word that inverts them: a depth-first search over
-    the states of ``rf_class_words`` that never places the earlier one
-    while the later one is pending, remembering every state from which
-    no word completes.  The states number at most the product of the
-    threads' lengths plus one and of the variables' writes plus one, so
-    the search is polynomial for a fixed alphabet; it runs on an explicit
-    stack, with no bound on the run's length."""
-    n = len(run)
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError("positions %d and %d, but the run has %d events" % (i, j, n))
-    i, j = sorted((i, j))
-    tid = run.tid
-    if i == j or tid[i] == tid[j]:
-        return False
-    start, moves = _rf_moves(run)
-    tj, kj = tid[j], run.by_thread[tid[j]].index(j)  # j is placed once tj's count passes kj
-    failed: set[tuple] = set()
+def _completes(n: int, start: Hashable, moves: Callable[[Hashable], Iterable[Hashable]]) -> bool:
+    """Is there a path of n >= 1 moves from ``start``?  A depth-first
+    search on an explicit stack that stops at the first path found and
+    remembers every state from which none completes, so that each state
+    is expanded at most once.  The memo is sound because every state
+    fixes the number of moves that reach it."""
+    failed: set[Hashable] = set()
     states, pending = [start], [iter(moves(start))]
     while pending:
-        for p, t in pending[-1]:
-            if p == i and t[tj] <= kj or t in failed:
-                continue  # i before j, or a state known to fail
+        for t in pending[-1]:
+            if t in failed:
+                continue
             if len(pending) == n:
                 return True
             states.append(t)
@@ -320,6 +309,27 @@ def rf_unordered(run: Run, i: int, j: int) -> bool:
             pending.pop()
             failed.add(states.pop())
     return False
+
+
+def rf_unordered(run: Run, i: int, j: int) -> bool:
+    """Do positions i and j occur in both orders among the words of the
+    run's reads-from class?  The run itself has them in run order, so
+    this asks for a word that inverts them: a ``_completes`` search over
+    the states of ``rf_class_words`` whose moves never place the earlier
+    one while the later one is pending.  The states number at most the
+    product of the threads' lengths plus one and of the variables'
+    writes plus one, so the search is polynomial for a fixed alphabet,
+    with no bound on the run's length."""
+    n = len(run)
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError("positions %d and %d, but the run has %d events" % (i, j, n))
+    i, j = sorted((i, j))
+    tid = run.tid
+    if i == j or tid[i] == tid[j]:
+        return False
+    start, moves = _rf_moves(run)
+    tj, kj = tid[j], run.by_thread[tid[j]].index(j)  # j is placed once tj's count passes kj
+    return _completes(n, start, lambda s: (t for p, t in moves(s) if p != i or t[tj] > kj))
 
 
 # ---- proper topological sort -----------------------------------------------

@@ -304,10 +304,6 @@ class Run:
     def with_annotations(self, annotations: Iterable[bool]) -> "Run":
         return Run(self.labels, annotations)
 
-    def core(self) -> "Run":
-        """The same run with all annotations dropped."""
-        return Run(self.labels)
-
     def to_text(self) -> str:
         out = []
         for lab, on in zip(self.labels, self.annotations):

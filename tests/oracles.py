@@ -425,7 +425,7 @@ def reference_general_stream(run: Run, c: Label, d: Label) -> bool:
                 ai = universe.index((lab, bit))
                 f2 = fnd
                 for k, (ci, di) in enumerate(pair_idx):
-                    if not f2 >> k & 1 and _pair_witnessed(q2.sat.aft, ci, di, ai):
+                    if not f2 >> k & 1 and ai == di and _pair_witnessed(q2.sat.aft, ci, di):
                         f2 |= 1 << k
                 nxt.add((q2, f2))
         branches = nxt

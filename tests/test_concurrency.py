@@ -79,7 +79,7 @@ def latch_both_orientations(run, c, d):
     found = False
     for c_hat, d_hat in (((c, False), (d, False)), ((d, False), (c, False))):
         q = conc_initial(u, c_hat, d_hat)
-        for s in symbols_of(run.core()):
+        for s in symbols_of(Run(run.labels)):
             q = conc_step(q, s)
         found = found or q.accepting()
     return found
@@ -99,6 +99,26 @@ def test_maz_matches_offline_order():
             want = offline_unordered_pair(run, c, d)
             assert latch_both_orientations(run, c, d) == want
             assert conc_symbols_maz(run, c, d) == want
+
+
+def test_maz_ignores_marks():
+    # commutation reads no marks: on a marked run, every label pair and
+    # every event pair gets the answer of the same run unmarked
+    rng = random.Random(2121)
+    runs = [corpus(p.name) for p in sorted(CORPUS.glob("*.trace"))]
+    runs += [gen.random_annotated_run(rng, rng.randint(2, 12)) for _ in range(200)]
+    marked = concurrent = 0
+    for aw in runs:
+        bare = Run(aw.labels)
+        marked += any(aw.annotations)
+        labs = sorted(set(aw.labels), key=str)
+        for c, d in itertools.product(labs, repeat=2):
+            want = conc_symbols_maz(bare, c, d)
+            assert conc_symbols_maz(aw, c, d) == want, (aw, c, d)
+            concurrent += want
+        for e, f in itertools.combinations(aw.events, 2):
+            assert conc_events(aw, e, f, "maz") == conc_events(bare, e, f, "maz"), (aw, e, f)
+    assert marked > 150 and concurrent > 1000
 
 
 def test_maz_edge_cases():

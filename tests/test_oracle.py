@@ -19,6 +19,7 @@ from blockeq.atomicity import is_liberally_atomic
 from blockeq.blocks import BlockSet, all_block_sets, blocks_from_annotation
 from blockeq.oracle import (
     BoundExceeded,
+    _completes,
     enum_block_class,
     enum_maz_class,
     enum_rf_class,
@@ -308,3 +309,27 @@ def test_rf_unordered_rejects_positions_outside_the_run():
     for i, j in ((-1, 0), (0, len(run)), (len(run), len(run))):
         with pytest.raises(IndexError, match="the run has 4 events"):
             rf_unordered(run, i, j)
+
+
+def test_completes_expands_each_state_once():
+    # (a, b) on a 6x6 grid, each move adding 1 to one coordinate: the
+    # longest path has 10 moves, so one of 11 exists only once (5, 5)
+    # gets a way out.  A search without the memo would expand a state
+    # once per path that reaches it.
+    def grid(exit_from=None):
+        expanded = []
+
+        def moves(s):
+            expanded.append(s)
+            a, b = s
+            out = [(a + 1, b)] if a < 5 else []
+            out += [(a, b + 1)] if b < 5 else []
+            return out + ([(6, 6)] if s == exit_from else [])
+
+        return moves, expanded
+
+    moves, expanded = grid()
+    assert not _completes(11, (0, 0), moves)
+    assert sorted(expanded) == sorted(itertools.product(range(6), repeat=2))
+    moves, expanded = grid(exit_from=(5, 5))
+    assert _completes(11, (0, 0), moves)

@@ -93,8 +93,9 @@ def test_block_order_drops_exactly_cross_block_pairs():
                     base.add((i, j))
         assert pairs(block_hb(aw, bs)) == closure_by_hand(aw, base)
         # without blocks the two orders coincide
-        empty = blocks_from_annotation(aw.core())
-        assert pairs(block_hb(aw.core(), empty)) == pairs(mazurkiewicz_hb(aw))
+        bare = Run(aw.labels)
+        empty = blocks_from_annotation(bare)
+        assert pairs(block_hb(bare, empty)) == pairs(mazurkiewicz_hb(aw))
 
 
 def test_partial_order_basics():

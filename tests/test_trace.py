@@ -194,7 +194,7 @@ def test_universe_numbers_every_run_it_holds():
             assert u.labels[k] == lab and u.code(lab) == k
             assert u.index((lab, mark)) == 2 * k + mark
             assert u.symbols[2 * k + mark] == (lab, mark)
-        assert run.core().universe is u
+        assert Run(run.labels).universe is u
         assert u.code(outside) == -1
         with pytest.raises(ValueError, match="outside the universe"):
             u.index((outside, False))
@@ -240,7 +240,7 @@ def test_run_accessors():
     missing = Event(Label("T9", "w", "z"), 1)
     with pytest.raises(KeyError):
         run.position(missing)
-    core = run.with_annotations([True, True, False]).core()
+    core = Run(run.with_annotations([True, True, False]).labels)
     assert core.annotations == (False, False, False)
     assert core.labels == run.labels
 
@@ -322,7 +322,7 @@ def analyses(text):
     pairs = [(c, d) for c in labels for d in labels if c < d]
     return [
         run.labels, run.annotations, bs.masks,
-        annotate(run.core(), bs).annotations,
+        annotate(Run(run.labels), bs).annotations,
         [b.masks for b in all_block_sets(run)],
         mazurkiewicz_hb(run).succ, block_hb(run, bs).succ,
         sat.order.succ, sorted(sat.block_pairs),
