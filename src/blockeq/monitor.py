@@ -37,14 +37,15 @@ and rule 5, which joins rows at the same offset, joins packed ints
 whole.
 
 The transition is a least-fixpoint computation per input symbol: passes
-of the mask rules 1-5, in a fixed order, until one changes nothing, then
+of the mask rules 1-5, in a fixed order, until one logs nothing, then
 one pass of the flags, which no mask rule reads.  Each rule reads the
 changes logged since it last ran and re-examines only the instances
 whose inputs they touch; only instances that cannot fire are skipped.
-A rule's changes are logged (the two exceptions below need no reader)
-and read in the next pass at the latest, and the loop stops only after
-a pass that logs nothing.  Every rule is monotone, so the step ends at
-the least fixpoint that repeated sweeps of every instance reach
+The log opens empty.  A rule's changes are logged and read in the next
+pass at the latest, but for three kinds that no reader needs, each
+argued below: rule 1's sweep, a block opener's own rows and rule 5's
+joins.  Every rule is monotone, so the step ends at the least fixpoint
+that repeated sweeps of every instance reach
 (``tests/monitor_reference.py`` keeps such a step and the tests compare
 the two from every state they reach).  Sets are bitmasks over the
 symbol universe, so each step costs time polynomial in the alphabet
@@ -76,7 +77,7 @@ Such a row is not logged, as no reader needs it:
 * rules 2-4 sweep x in full on the first pass; the running block's
   after set is {a} all step, so rule 3 has nothing to add, and rule 4
   skips the row, the running block's own;
-* rule 4b masks a out of the rows it reads;
+* rule 4b joins only the A rows of other symbols (a's is stale);
 * rule 5 passes c's row only to a symbol d with c in A[d].  In the
   step's fixpoint a is in A[d] as well (d's last occurrence precedes
   c's, which precedes a), so d's row at (t, x) holds a: rule 2 opened it
@@ -88,20 +89,44 @@ Such a row is not logged, as no reader needs it:
 *The previous fixpoint carries over.*  A step starts from a state that
 was closed under every rule, with the previous arrival p masked out,
 before the overrides at the end of that step rewrote p's rows: A[p] =
-{p}, p's flags up, p's first-block rows empty but one, r0, which tracks
-p's running block.  Masking out a instead of p drops the constraints on
-a and adds those on p, so only what involves p can fail to hold:
+{p}, p's flags up, p's first-block rows empty but one, r0, at the pair
+of p's running block.  Masking out a instead of p drops the constraints
+on a and adds those on p, which hold already:
 
-* rules 2-4 and 4b may fire on r0, so the log they read opens with the
-  non-empty rows of every symbol whose after row is just its own bit (p
-  is one of them; the state does not name p), and rules 2-4 sweep a's
-  variable, whose running block changed;
-* rule 5 needs nothing: for each c with p in A[c], row (c, r0's pair)
-  already held r0.  Rule 2 made such a row track p's running block if it
-  was empty, and a non-empty row holds the bit of its pair's block write,
-  a member of that block; either way rule 3 or 4 put the block's after
-  set, which contains r0, into it;
+* r0 is A[w] | p, w the block's write ({p} if p is that write): exactly
+  the block's after set at that fixpoint.  Rule 1 joins a into r0
+  whenever it joins a into a member's A row, so the two stay equal:
+  rule 3 has nothing to sync, and rule 4 skips r0, the block's own row.
+  A[p] meets no running block but p's own, so rule 2 starts no row of p;
+* rule 5 adds nothing to p's rows, as A[p] holds only p.  For each c
+  with p in A[c], row (c, r0's pair) already held r0.  Rule 2 made such
+  a row track p's running block if it was empty, and a non-empty row
+  holds the bit of its pair's block write, a member of that block;
+  either way rule 3 or 4 put the block's after set, r0, into it;
 * the flags need nothing: p's rows are all open.
+
+*Rule 4b joins only A rows that grew.*  Call a set closed when it holds
+A[b] for each b in it but a.  Every first-block row is closed at the
+step's start (r0 too), and every rule writes into one only closed sets:
+rule 1 adds a alone; rules 2-4 a running block's after set, its members
+and their A rows; rule 4b A rows; rule 5 rows of other symbols.  So a
+row stops being closed only when the A row of a symbol b in it grows.
+Rule 1's growth, a, reached the row in the same sweep (above); any
+other is logged, and rule 4b joins A[b] into every row holding b.  A
+set may be written while the A row of a symbol b in it lags behind
+that of a symbol d in A[b]; A rows are closed at the fixpoint (the
+order is transitive), so A[b] grows, logged, to hold A[d] later.
+
+*Rule 5's joins are not logged.*  Rule 5 joins the rows of the symbols
+b in A[c] into c's, for a logged growth of F[b] or of A[c].  Rule 4b
+and the flags read only A rows' growth.  Rule 5 needs no entry: a
+symbol d with c in A[d] has b in A[d] by the fixpoint, so d takes F[b]
+itself, for the same logged growth or for that of A[d] that brings b
+in.  Rules 2-4 need none: a running block's member that F[b] brings
+into c's row was in b's row at that pair already.  Either rule 4 joined
+the block's after set into that row, which c's row now holds, and into
+A[b], which A[c] holds; or b's row tracks the block and holds no more
+than its after set, which rule 3 or 4 puts into c's row as well.
 
 *Which rows track the running block is derived, not stored.*  Rules 2-4
 treat a row r = (c, t, v) as tracking v's running block B when rule 2
@@ -152,7 +177,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import and_, eq
+from operator import and_
 from typing import Optional
 
 from .orders import bits
@@ -259,15 +284,10 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
 
     # Change log: (c, g) when symbol c's fields under guard bits g grew,
     # (c, 0) when c's A row grew.  Each change-driven section reads the
-    # entries logged since its previous run began.  The log opens with
-    # the non-empty rows of the symbols the previous step's overrides may
-    # have rewritten, read by rules 2-4 and 4b only, and rule 1's sweep is
-    # not logged (module docstring).
-    single = u.single
-    seeds = sum(compress(single, map(eq, state.aft, single))) & notai
-    log = [(c, (old_F[c] + DATA) & GUARD) for c in bits(seeds) if old_F[c]]
-    since = dict.fromkeys(("5", "flags"), len(log))
-    since.update(dict.fromkeys(("24", "4b"), 0))
+    # entries logged since its previous run began.  The log opens empty;
+    # rule 1's sweep and rule 5's joins are not logged (module docstring).
+    log: list[tuple[int, int]] = []
+    since = dict.fromkeys(("24", "4b", "5", "flags"), 0)
     closures: list[Optional[int]] = [None] * nX  # rules 2-4: each block's last after set
 
     # 1. the arriving symbol joins every row it depends into: a field
@@ -350,8 +370,6 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 # A row only, so each symbol takes them in turn
                 rows = range(ns)
             else:
-                if prev is None:
-                    syms24 |= seeds
                 rows = sorted(set(bits(syms24)).union(fields24))
             spread, data, guard = bv * col, (col << ns) - col, col << ns
             for c in rows:
@@ -404,47 +422,22 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # first-block row pins everything after its own last occurrence
         # into that row as well (the arriving symbol's stored after row is
         # stale, but its fresh contribution is exactly the joins rule 1
-        # already makes).  Only rows that grew, or hold a symbol whose A
-        # row grew, since the last run can gain; equal rows gain alike.
-        # A row that did not grow gains only the A rows that grew, each
+        # already makes).  Rows stay closed under A rows but for the A
+        # rows that grew since the last run (module docstring), each
         # joined into every field holding its symbol by one product.
-        syms, fields = changes(since["4b"])
+        syms = changes(since["4b"])[0] & notai
         since["4b"] = len(log)
-        gains: dict[int, int] = {}
-        memo: dict[int, int] = {}
-        for c, g in fields.items():
-            P, add = F[c], 0
-            while g:
-                low = g & -g
-                g ^= low
-                sh = low.bit_length() - 1 - ns
-                fr = P >> sh & FULL
-                out = memo.get(fr)
-                if out is None:
-                    out = fr
-                    m = fr & notai
-                    while m:
-                        low = m & -m
-                        out |= A[low.bit_length() - 1]
-                        m ^= low
-                    memo[fr] = out
-                add |= out << sh
-            gains[c] = add
-        if syms & notai:
-            joins = [(b, A[b]) for b in bits(syms & notai)]
+        if syms:
+            joins = [(b, A[b]) for b in bits(syms)]
             for c, P in enumerate(F):
                 add = 0
                 for b, row in joins:
                     hit = P >> b & LOW
                     if hit:
                         add |= hit * row
-                if add:
-                    gains[c] = gains.get(c, 0) | add
-        for c, add in gains.items():
-            P = F[c]
-            if P | add != P:
-                F[c] = P | add
-                log.append((c, grown(P, P | add)))
+                if P | add != P:
+                    F[c] = P | add
+                    log.append((c, grown(P, P | add)))
 
         # 5. inheritance: anything after the row's label is after every
         # first block that is after that label's last occurrence, and the
@@ -453,12 +446,12 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # Same-kind rows sit at the same offset, so a symbol's packed rows
         # absorb a packed int whole.  A pair (rho, c) can add something
         # only if rho's rows grew or A[c] changed since the last run; a
-        # row that grows here is logged and passed on in the next pass.
+        # row that grows here is not logged (module docstring).
         syms, fields = changes(since["5"])
         since["5"] = len(log)
         syms &= notai
         own = sum(1 << c for c in fields)
-        holders = sum(compress(single, map(and_, A, repeat(own)))) if own else 0
+        holders = sum(compress(u.single, map(and_, A, repeat(own)))) if own else 0
         todo = (syms | holders) & notai
         while todo:
             c = (todo & -todo).bit_length() - 1
@@ -471,10 +464,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 low = m & -m
                 add |= F[low.bit_length() - 1]
                 m ^= low
-            P = F[c]
-            if P | add != P:
-                F[c] = P | add
-                log.append((c, grown(P, P | add)))
+            F[c] |= add
 
         return len(log) != start
 

@@ -458,6 +458,17 @@ def test_gen_hardness_check_beyond_n3(capsys):
         assert len(parse_run(out)) == 6 * 4 + 4
 
 
+def test_gen_hardness_check_failure(monkeypatch, capsys):
+    # a failed check exits 1 with one error line, after the trace
+    monkeypatch.setattr("blockeq.cli.check_reduction", lambda inst: False)
+    code, out, err = run_cli(capsys, "gen-hardness", "--a", "1", "--b", "1", "--check")
+    assert code == 1
+    assert err == "error: reduction check failed\n"
+    assert out.startswith("T1 w x0\n")
+    assert out.endswith("# first marker: position 6, second marker: position 7\n")
+    assert len(parse_run(out)) == 10
+
+
 def test_gen_hardness_rejects_bad_bits(capsys):
     code, _, err = run_cli(capsys, "gen-hardness", "--a", "10", "--b", "1x")
     assert code == 2 and err.startswith("error:")

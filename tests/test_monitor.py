@@ -245,6 +245,63 @@ def test_step_matches_full_sweep_long_stream():
     assert reference_mismatch(universe_of(*gen.alphabet(3, 3)), symbols_of(aw)) is None
 
 
+@pytest.mark.parametrize("shape", [(6, 6), (2, 20), (8, 2)], ids="{0[0]}x{0[1]}".format)
+def test_step_matches_full_sweep_wide(shape):
+    # the comparisons above stop at 4x4; seeded streams of 80 symbols
+    # over wider alphabets, one mostly marked and one half marked
+    rng = random.Random(4120 + 100 * shape[0] + shape[1])
+    universe = universe_of(*gen.alphabet(*shape))
+    for p in (0.9, 0.5):
+        aw = gen.random_annotated_run(rng, 80, *shape, p=p)
+        mism = reference_mismatch(universe, symbols_of(aw))
+        assert mism is None, "p=%s: %s\nfirst mismatch: %r" % (p, describe(aw), mism)
+
+
+def closure_violation(q):
+    """The first (c, b) such that b lies in c's after row or in one of
+    c's first-block rows but aft[b] is not inside that row; None if
+    there is none."""
+    aft, LOW = q.aft, q.universe.field_low
+    fba = row_fields(q)[0]
+    tx = q.universe.stride
+    for c, (a, P) in enumerate(zip(aft, q.fba)):
+        held = a
+        for row in fba[c * tx:(c + 1) * tx]:
+            held |= row
+        for b in bits(held):
+            if a >> b & 1 and aft[b] & ~a:
+                return c, b
+            hit = P >> b & LOW  # low bits of c's rows that hold b
+            if hit and hit * aft[b] & ~P:
+                return c, b
+    return None
+
+
+def test_rows_closed_under_after_rows():
+    # the invariant rule 4b's argument rests on (monitor.py's module
+    # docstring): after every step, each after row and each first-block
+    # row holds the after row of every symbol in it
+    streams = list(_monitor_streams().values())
+    rng = random.Random(4115)
+    for n_threads in range(1, 5):
+        for n_vars in range(1, 5):
+            aw = gen.random_annotated_run(rng, rng.randint(40, 120), n_threads, n_vars,
+                                          p=(0.5, 0.8)[(n_threads + n_vars) % 2])
+            streams.append((universe_of(*gen.alphabet(n_threads, n_vars)), aw))
+    for shape in ((6, 6), (2, 20)):
+        streams.append((universe_of(*gen.alphabet(*shape)),
+                        gen.random_annotated_run(rng, 80, *shape, p=0.7)))
+    steps = 0
+    for universe, aw in streams:
+        q = sat_initial(universe)
+        for k, s in enumerate(symbols_of(aw)):
+            q = sat_step(q, s)
+            bad = closure_violation(q)
+            assert bad is None, "step %d: %s\n(c, b) = %r" % (k, describe(aw), bad)
+        steps += len(aw)
+    assert steps > 3500
+
+
 def walk_reference(q, depth, lib=None):
     """Step the reference and the library from reference state q along
     every valid continuation of up to depth symbols, requiring equal
