@@ -41,12 +41,15 @@ one node per variable (the block on that variable that began most
 recently), and edges that stand for whole paths of the offline graph
 through nodes that are no longer active.  Reachability into the arriving
 event is read off the saturation monitor's after sets, consulted through
-per-variable witness registers: for each active block, the write symbol
-that starts it, the symbols of its members, and the symbols of unblocked
-events and dead blocks its summarized paths run through.  When a fresh
-block replaces the active block on its variable, the dropped node's
-incident edges are composed pairwise and its witness symbols are folded
-into every predecessor, so the paths it stood for survive the removal.
+two per-variable registers: for each active block, the symbols of its
+members, whose one write symbol starts the block, and the symbols of
+unblocked events and dead blocks its summarized paths run through.  One
+pass over the active nodes finds those that reach the arriving event:
+a marked event gains an edge from each, an unmarked one is recorded as
+a witness of each.  When a fresh block replaces the active block on its
+variable, the dropped node's incident edges are composed pairwise and
+its witness symbols are folded into every predecessor, so the paths it
+stood for survive the removal.
 """
 
 from __future__ import annotations
@@ -147,22 +150,21 @@ class LibAtState:
     summarized conflict graph: bit x of ``edges[y]`` asserts a path from
     the active block on variable y to the active block on variable x
     whose inner nodes are all inactive.
-    Per variable, ``start`` holds the symbol index of the write that
-    began the active block (-1 before any block), ``members`` the symbol
-    mask of its members so far, and ``reach`` the witness mask: symbols
-    whose events sit on paths out of the node through unblocked events
-    and superseded blocks.  The registers outlive the running-block set
-    of the saturation component, which forgets a block as soon as an
-    unmarked write intervenes even though the block stays the node for
-    its variable.  ``rejected`` is absorbing: once a prefix's summarized
-    graph turns cyclic no extension is liberally atomic.  The saturation
-    component keeps stepping either way so stream validation and state
-    size stay uniform.
+    Per variable, ``members`` holds the symbol mask of the active block's
+    members so far, empty while the variable has no active block; its
+    one write symbol began the block.  ``reach`` holds the witness mask:
+    symbols whose events sit on paths out of the node through unblocked
+    events and superseded blocks.  The registers outlive the
+    running-block set of the saturation component, which forgets a block
+    as soon as an unmarked write intervenes even though the block stays
+    the node for its variable.  ``rejected`` is absorbing: once a
+    prefix's summarized graph turns cyclic no extension is liberally
+    atomic.  The saturation component keeps stepping either way so
+    stream validation and state size stay uniform.
     """
 
     sat: SatState
     edges: tuple[int, ...]
-    start: tuple[int, ...]
     members: tuple[int, ...]
     reach: tuple[int, ...]
     rejected: bool = False
@@ -173,7 +175,7 @@ class LibAtState:
 
 def libat_initial(universe: Universe) -> LibAtState:
     nx = len(universe.variables)
-    return LibAtState(sat_initial(universe), (0,) * nx, (-1,) * nx, (0,) * nx, (0,) * nx, False)
+    return LibAtState(sat_initial(universe), (0,) * nx, (0,) * nx, (0,) * nx, False)
 
 
 def _witnessed(sat: SatState, mask: int, abit: int) -> bool:
@@ -181,85 +183,66 @@ def _witnessed(sat: SatState, mask: int, abit: int) -> bool:
     Occurrences of one symbol share a thread, hence chain in program
     order, so a hit through a stale occurrence still stands for a real
     path into the arriving event."""
-    while mask:
-        low = mask & -mask
-        if sat.aft[low.bit_length() - 1] & abit:
-            return True
-        mask ^= low
-    return False
+    return any(sat.aft[b] & abit for b in bits(mask))
 
 
 def libat_step(state: LibAtState, sym: AnnLabel) -> LibAtState:
     sat = sat_step(state.sat, sym)
     if state.rejected:
-        return LibAtState(sat, state.edges, state.start, state.members, state.reach, True)
+        return LibAtState(sat, state.edges, state.members, state.reach, True)
     lab, marked = sym
     u = sat.universe
-    nx = len(u.variables)
     ai = u.index(sym)
     abit = 1 << ai
-
-    if not marked:
-        # an unblocked event never becomes a node of its own, but paths
-        # out of an active block may run through it; record it as a
-        # witness on every node that reaches it
-        reach = list(state.reach)
-        for yi in range(nx):
-            if state.start[yi] < 0:
-                continue
-            if sat.aft[state.start[yi]] & abit or _witnessed(sat, reach[yi], abit):
-                reach[yi] |= abit
-        return LibAtState(sat, state.edges, state.start, state.members, tuple(reach), False)
-
     xi = u.var_index[lab.variable]
-    edges = list(state.edges)
-    start = list(state.start)
-    members = list(state.members)
-    reach = list(state.reach)
+    # an unmarked arrival changes the witness registers only
+    edges, members, reach = state.edges, state.members, list(state.reach)
 
-    if lab.is_write():
-        old = start[xi]
-        if old >= 0:
-            # a new block replaces the active one on this variable: fold
-            # the dropped node's witness symbols into every predecessor
-            # and compose its incident edges pairwise, so the paths it
-            # stood for survive the removal
-            carry = (1 << old) | members[xi] | reach[xi]
-            xbit, outof = 1 << xi, edges[xi]
-            edges[xi] = 0
-            for p in range(nx):
-                if edges[p] & xbit:
-                    reach[p] |= carry
-                    assert not outof >> p & 1, "composition on an acyclic graph cannot close a loop"
-                    edges[p] = edges[p] & ~xbit | outof
-        start[xi] = ai
-        members[xi] = abit
-        reach[xi] = 0
-    else:
-        members[xi] |= abit
-
-    # the arriving event is a member of the active block on xi; add an
-    # edge from every node that reaches it: directly from another block's
-    # write, or through that block's recorded witnesses
+    if marked:
+        edges, members = list(edges), list(members)
+        if lab.is_write():
+            if members[xi]:
+                # a new block replaces the active one on this variable:
+                # fold the dropped node's witness symbols into every
+                # predecessor and compose its incident edges pairwise, so
+                # the paths it stood for survive the removal
+                carry = members[xi] | reach[xi]
+                xbit, outof = 1 << xi, edges[xi]
+                edges[xi] = 0
+                for p, e in enumerate(edges):
+                    if e & xbit:
+                        reach[p] |= carry
+                        assert not outof >> p & 1, "composition on an acyclic graph cannot close a loop"
+                        edges[p] = e & ~xbit | outof
+            members[xi] = abit
+            reach[xi] = 0
+        else:
+            members[xi] |= abit
     composed = tuple(edges)
-    for yi in range(nx):
-        if start[yi] < 0:
-            continue
-        if yi == xi:
-            # the block trivially reaches its own members, so a self loop
-            # needs a path that leaves the node and returns, which only
-            # its witnesses can certify
-            if _witnessed(sat, reach[xi], abit):
-                edges[xi] |= 1 << xi
-        elif sat.aft[start[yi]] & abit or _witnessed(sat, reach[yi], abit):
-            edges[yi] |= 1 << xi
+
+    # every active node that reaches the arriving event, directly from its
+    # block's write or through its recorded witnesses: a marked event is a
+    # member of the active block on xi and gets an edge from the node; an
+    # unblocked event never becomes a node of its own, but paths out of the
+    # node may run through it, so it is recorded as a witness.  A block
+    # trivially reaches its own members, so a self loop needs a path that
+    # leaves the node and returns, which only its witnesses can certify.
+    own = xi if marked else -1
+    aft, wm = sat.aft, u.write_mask
+    for y, m in enumerate(members):
+        if m and (y != own and aft[(m & wm).bit_length() - 1] & abit
+                  or reach[y] and _witnessed(sat, reach[y], abit)):
+            if marked:
+                edges[y] |= 1 << xi
+            else:
+                reach[y] |= abit
 
     # the graph was acyclic before this step, and composing a dropped
     # node's edges keeps it so (a cycle afterwards would map back to one
     # through that node), so only an edge added just now can close one
     out = tuple(edges)
     rejected = out != composed and topological_order([list(bits(m)) for m in out]) is None
-    return LibAtState(sat, out, tuple(start), tuple(members), tuple(reach), rejected)
+    return LibAtState(sat, out, tuple(members), tuple(reach), rejected)
 
 
 def libat_run(aw: Run) -> bool:
@@ -274,15 +257,16 @@ def libat_run(aw: Run) -> bool:
 
 def canonical_text(state: LibAtState) -> str:
     """Fixed-width rendering: reject flag, the edge set as one bitmask
-    over variable pairs, the per-variable registers, then the saturation
-    state.  Byte length depends only on the universe."""
+    over variable pairs, per variable the index of the active block's
+    write (-1 before any block) and the two registers, then the
+    saturation state.  Byte length depends only on the universe."""
     u = state.sat.universe
     nx = len(u.variables)
     nsym = len(u.symbols)
     mask = sum(out << y * nx for y, out in enumerate(state.edges))
     ewidth = max(1, (nx * nx + 3) // 4)
     swidth = max(1, (nsym + 3) // 4)
-    dwidth = len(str(nsym))  # start indices are -1 .. nsym-1
+    dwidth = len(str(nsym))  # write indices are -1 .. nsym-1
     lines = ["rej %d" % (1 if state.rejected else 0), "edges %0*x" % (ewidth, mask)]
     for v in range(nx):
         lines.append(
@@ -290,7 +274,7 @@ def canonical_text(state: LibAtState) -> str:
             % (
                 u.variables[v],
                 dwidth + 1,
-                state.start[v],
+                (state.members[v] & u.write_mask).bit_length() - 1,
                 swidth,
                 state.members[v],
                 swidth,

@@ -93,6 +93,11 @@ def _label_text(run: Run, pos: int) -> str:
     return text
 
 
+def _dot_label(text: str) -> str:
+    """``text`` as a quoted DOT string: backslashes and quotes escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 # ---- validate --------------------------------------------------------------
 
 def cmd_validate(args) -> int:
@@ -118,7 +123,7 @@ def cmd_validate(args) -> int:
 def _dot_order(name: str, run: Run, pairs) -> str:
     lines = ["digraph %s {" % name]
     for i in range(len(run)):
-        lines.append('  e%d [label="%s"];' % (i + 1, _label_text(run, i)))
+        lines.append("  e%d [label=%s];" % (i + 1, _dot_label(_label_text(run, i))))
     for i, j in pairs:
         lines.append("  e%d -> e%d;" % (i + 1, j + 1))
     lines.append("}")
@@ -156,7 +161,7 @@ def _write_dot_block_graph(run: Run, blocks: BlockSet) -> None:
     out("digraph blocks {\n")
     for i, node in enumerate(g.nodes):
         text = "; ".join(_label_text(run, run.position(e)) for e in node)
-        out('  n%d [label="%s"];\n' % (i, text))
+        out("  n%d [label=%s];\n" % (i, _dot_label(text)))
     for i, m in enumerate(g.succ):
         out("".join(["  n%d -> n%d;\n" % (i, j) for j in bits(m)]))
     out("}\n")

@@ -20,9 +20,10 @@ State components (all keyed by the fixed alphabet):
   of the first block on v, with writer thread t, holding an event
   at-or-after the symbol's last occurrence; the field's top bit, its
   guard, is always clear;
-* ``open_``— per symbol, a mask whose bit k is up while the first block
-  at offset k is the only one seen so far (it drops once a second such
-  block appears).
+* ``open_``— per symbol, a mask of flags in the layout of ``fba``: the
+  guard bit of the field at offset k is up while that field's first
+  block is the only one seen so far (it drops once a second such block
+  appears).
 
 *Rows are packed per symbol.*  The guard bit lets one addition test
 every field of a symbol at once: with each field masked to a set S,
@@ -34,7 +35,10 @@ bits down to its bit; rule 4 finds a symbol's fields on a variable that
 meet the running block the same way, and multiplying the hit fields'
 low bits by the block's after set writes it into all of them at once;
 and rule 5, which joins rows at the same offset, joins packed ints
-whole.
+whole.  A row's open flag sits on its guard bit, so flags and rows
+share one layout: the flags pass reads which fields of a symbol are
+non-empty off the same addition and masks them against the flags
+directly.
 
 The transition is a least-fixpoint computation per input symbol: passes
 of the mask rules 1-5, in a fixed order, until one logs nothing, then
@@ -191,7 +195,7 @@ class SatState:
     rf: tuple[int, ...]       # per variable: symbol index of last write, -1 if none
     aft: tuple[int, ...]      # per symbol: after-set mask
     fba: tuple[int, ...]      # per symbol: its first-block rows, one field per pair
-    open_: tuple[int, ...]    # per symbol: bit k up while row k's first block is unique
+    open_: tuple[int, ...]    # per symbol: row k's guard bit up while its first block is unique
 
 
 def sat_initial(universe: Universe) -> SatState:
@@ -203,7 +207,7 @@ def sat_initial(universe: Universe) -> SatState:
         rf=(-1,) * nv,
         aft=(0,) * ns,
         fba=(0,) * ns,
-        open_=((1 << universe.stride) - 1,) * ns,
+        open_=(universe.field_low << ns,) * ns,
     )
 
 
@@ -227,8 +231,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     u = state.universe
     ai = u.index(sym)
     marked = sym[1]
-    nX = len(u.variables)
-    ns, tx = len(u.symbols), u.stride
+    nX, ns = len(u.variables), len(u.symbols)
     xi, ti = u.var_index[sym[0].variable], u.sym_thread[ai]
     is_write = u.write_mask >> ai & 1
     abit = 1 << ai
@@ -248,10 +251,10 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     if is_write:
         rf[xi] = ai
 
-    # per-variable writer thread of the running block (its one write)
-    btheta = [u.sym_thread[(m & u.write_mask).bit_length() - 1] if m & u.write_mask else -1
-              for m in blk]
-    if marked and not is_write and btheta[xi] < 0:
+    # per-variable writer thread of the running block: its one write is
+    # the last write on the variable
+    btheta = [u.sym_thread[w] if m else -1 for m, w in zip(blk, rf)]
+    if marked and not is_write and not state.blk[xi]:
         raise ValueError(
             "marked read %s %s observes an unmarked write" % (sym[0].thread, sym[0].variable)
         )
@@ -275,6 +278,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # applies to every such pair.  Hence the tracked first block is the
     # *last* block of its kind exactly when the row's open flag is up, and
     # the flag goes down precisely when a later same-kind block exists.
+    # A row's flag sits on its field's guard bit.
     old_F = state.fba
     O = list(state.open_)
 
@@ -344,7 +348,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             # block iff its flag is up and the block is not the arriving
             # symbol's new one; an empty one iff rule 2 started it
             opens = new_block and v == xi
-            kept = 0 if opens else 1 << k
+            kept = 0 if opens else gbit
             tv = started[v]
             if opens and full:
                 # The new block's after set is {a}.  Rule 4 writes nothing
@@ -476,9 +480,12 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # arrival of a new block lowers every row already tracking an older
     # first block, and a symbol whose A row grew this step inherits a
     # lowered flag from any symbol in its after set whose row at the same
-    # offset is lowered and non-empty (module docstring).
+    # offset is lowered and non-empty (module docstring).  Flags sit on
+    # guard bits, and adding DATA to d's rows raises the guard bits of
+    # exactly d's non-empty fields.
     if new_block:
-        field, kb = FULL << kx * (ns + 1), 1 << kx
+        sh = kx * (ns + 1)
+        field, kb = FULL << sh, 1 << sh + ns  # the pair's field and flag
         rows = [c for c, P in enumerate(F) if P & field and c != ai]
         older = sum(1 << c for c in rows if not A[c] & abit)
         for c in rows:
@@ -487,23 +494,14 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     syms = changes(since["flags"])[0] & notai
     if syms:
         up = tuple(O)
-        lowered: dict[int, int] = {}  # per symbol, offsets of its lowered non-empty rows
         for c in bits(syms):
-            m = A[c] & notai
-            while m:
-                low = m & -m
-                m ^= low
-                d = low.bit_length() - 1
-                drop = lowered.get(d)
-                if drop is None:
-                    g = (F[d] + DATA) & GUARD
-                    drop = lowered[d] = sum(
-                        1 << k for k in range(tx) if g >> k * (ns + 1) + ns & 1) & ~up[d]
-                O[c] &= ~drop
+            for d in bits(A[c] & notai):
+                # keep the flags that are up at d or whose field of d is empty
+                O[c] &= up[d] | ~(F[d] + DATA)
 
     # ---- input-letter overrides ----------------------------------------
     A[ai] = abit
-    O[ai] = (1 << tx) - 1
+    O[ai] = GUARD
     F[ai] = 0
     if marked:
         k = (ti if new_block else btheta[xi]) * nX + xi
@@ -530,15 +528,16 @@ def canonical_text(state: SatState) -> str:
         lines.append("rf %s %*d" % (var, sw, state.rf[v]))
     for c in range(len(u.symbols)):
         lines.append("aft %0*d %0*x" % (sw, c, width, state.aft[c]))
-    full, span = (1 << len(u.symbols)) - 1, len(u.symbols) + 1
-    for c in range(len(u.symbols)):
+    ns = len(u.symbols)
+    full, span = (1 << ns) - 1, ns + 1
+    for c in range(ns):
         for t in range(len(u.threads)):
             for v in range(len(u.variables)):
                 k = t * len(u.variables) + v
                 lines.append(
                     "fba %0*d %d %d %0*x %d"
                     % (sw, c, t, v, width, state.fba[c] >> k * span & full,
-                       0 if state.open_[c] >> k & 1 else 1)
+                       0 if state.open_[c] >> k * span + ns & 1 else 1)
                 )
     return "\n".join(lines) + "\n"
 

@@ -8,8 +8,8 @@ five public fields, ``fba`` and ``open_`` one entry per (symbol, thread,
 variable) row, plus the private ``tir`` bit per row ("the tracked first
 block is the variable's running block"), which the reference stores and
 the library derives per step.  The library packs a symbol's rows into
-one int and its flags into one mask; ``library_state`` and
-``row_fields`` convert between the two layouts.
+one int and its flags into one mask, each flag on its row's guard bit;
+``library_state`` and ``row_fields`` convert between the two layouts.
 
 ``test_monitor.py`` walks the reference's states.  From each one it
 builds a library ``SatState`` of the five public fields, steps both, and
@@ -381,23 +381,28 @@ def library_state(q: RefState) -> SatState:
     """The library state holding a reference state's five public fields.
     The library packs a symbol's first-block rows into one int, the row
     at offset k in the field of |symbols| + 1 bits at k * (|symbols| +
-    1), and its open flags into one mask, bit k for offset k."""
+    1), and its open flags into one mask, the flag at offset k on that
+    field's guard bit, k * (|symbols| + 1) + |symbols|."""
     u = q.universe
     ns, tx = len(u.symbols), u.stride
     shifts = range(0, tx * (ns + 1), ns + 1)
+    guards = range(ns, tx * (ns + 1), ns + 1)
     fba = tuple(sum(map(lshift, q.fba[i:i + tx], shifts)) for i in range(0, ns * tx, tx))
-    open_ = tuple(sum(map(lshift, q.open_[i:i + tx], range(tx))) for i in range(0, ns * tx, tx))
+    open_ = tuple(sum(map(lshift, q.open_[i:i + tx], guards)) for i in range(0, ns * tx, tx))
     return SatState(u, q.blk, q.rf, q.aft, fba, open_)
 
 
 def row_fields(q: SatState) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     """A library state's first-block rows and open flags, one per
-    (symbol, thread, variable) row, as the reference stores them."""
+    (symbol, thread, variable) row, as the reference stores them: the
+    row at offset k is the field at k * (|symbols| + 1), and its flag
+    that field's guard bit."""
     u = q.universe
-    full, width = (1 << len(u.symbols)) - 1, len(u.symbols) + 1
+    ns = len(u.symbols)
+    full, width = (1 << ns) - 1, ns + 1
     offsets = range(u.stride)
     return (tuple(p >> k * width & full for p in q.fba for k in offsets),
-            tuple(bool(m >> k & 1) for m in q.open_ for k in offsets))
+            tuple(bool(m >> k * width + ns & 1) for m in q.open_ for k in offsets))
 
 
 def step_mismatch(q: RefState, sym: AnnLabel,

@@ -32,6 +32,7 @@ from blockeq.trace import Run, Universe, parse_run
 
 import gen
 from oracles import is_proper_linearization, proper_linearizations
+from test_golden import _monitor_streams
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -400,6 +401,40 @@ def test_canonical_text_constant_size():
             q = libat_step(q, s)
         sizes.add(len(canonical_text(q).encode()))
     assert len(sizes) == 1
+
+
+def test_libat_registers_follow_the_stream():
+    # while the check accepts, each variable's node holds the marked
+    # symbols on the variable since its last marked write, and its line
+    # of canonical_text shows that write's index, -1 before there is one
+    streams = list(_monitor_streams().values())
+    rng = random.Random(4124)
+    for n_threads in range(1, 5):
+        for n_vars in range(1, 5):
+            for p in (0.2, 0.4, 0.6, 0.8):
+                aw = gen.random_annotated_run(rng, rng.randint(40, 160), n_threads, n_vars, p=p)
+                streams.append((Universe(*gen.alphabet(n_threads, n_vars)), aw))
+    steps = 0
+    for u, aw in streams:
+        q = libat_initial(u)
+        members, write = [0] * len(u.variables), [-1] * len(u.variables)
+        for s in symbols_of(aw):
+            q = libat_step(q, s)
+            if not q.accepting():
+                break
+            lab, marked = s
+            if marked:
+                v, i = u.var_index[lab.variable], u.index(s)
+                if lab.is_write():
+                    members[v], write[v] = 1 << i, i
+                else:
+                    members[v] |= 1 << i
+            assert q.members == tuple(members)
+            nodes = [line.split() for line in canonical_text(q).splitlines()
+                     if line.startswith("node ")]
+            assert [(n[1], int(n[2])) for n in nodes] == list(zip(u.variables, write))
+            steps += 1
+    assert steps > 5000
 
 
 # ---- dev loop --------------------------------------------------------------

@@ -154,6 +154,21 @@ def test_atomicity_dot_block_graph(capsys):
     )
 
 
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path, capsys):
+    # thread and variable names may hold characters that end or escape
+    # a DOT string; both writers quote them
+    path = tmp_path / "quoted.trace"
+    path.write_text('T"1 w x\\y @\nT"1 r x\\y @\n')
+    label = '"T\\"1 w x\\\\y @"'
+    for command in ("hb", "bhb"):
+        code, out, _ = run_cli(capsys, command, str(path), "--format", "dot")
+        assert code == 0
+        assert "  e1 [label=%s];\n" % label in out
+    code, out, _ = run_cli(capsys, "atomicity", str(path), "--format", "dot")
+    assert code == 0
+    assert '  n0 [label="T\\"1 w x\\\\y @; T\\"1 r x\\\\y @"];\n' in out
+
+
 def test_concurrent_events_ordered_pair(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -260,8 +260,11 @@ def test_step_matches_full_sweep_wide(shape):
 def closure_violation(q):
     """The first (c, b) such that b lies in c's after row or in one of
     c's first-block rows but aft[b] is not inside that row; None if
-    there is none."""
+    there is none.  Also asserts that every open-flag mask lies on the
+    fields' guard bits."""
     aft, LOW = q.aft, q.universe.field_low
+    GUARD = LOW << len(q.universe.symbols)
+    assert all(m & ~GUARD == 0 for m in q.open_), "an open flag lies off the guard bits"
     fba = row_fields(q)[0]
     tx = q.universe.stride
     for c, (a, P) in enumerate(zip(aft, q.fba)):
