@@ -37,9 +37,11 @@ that see the run one symbol at a time.  It carries the block monitor,
 the after set of the most recent c-occurrence and a monotone witness
 bit, set when a d-occurrence arrives outside that after set.  With no
 marked events the pair's order is settled when the d-occurrence
-arrives, so the bit is exact.  With blocks a later read can order two
-whole blocks retroactively, so the arrival-time bit over-approximates
-concurrency; a regression test pins the gap, and the ``stream``
+arrives, so the bit is exact.  With blocks a later marked read can
+order two whole blocks retroactively, so the arrival-time bit
+over-approximates concurrency; no other arrival orders events already
+seen (``monitor.py``'s docstring), so a bit set with no marked read
+after it is exact.  A regression test pins the gap, and the ``stream``
 strategy of ``conc_symbols_general`` inherits it.  That strategy
 searches the automaton's mark guesses with ``oracle._completes``, the
 memoised path search that also decides reads-from order.
@@ -72,8 +74,9 @@ class ConcState:
     ``found`` latches when a d-occurrence arrives outside the monitor's
     after row of the c symbol (the after set of its most recent
     occurrence, empty while none has occurred); it is monotone along the
-    stream.  It is exact on streams with no marked events and
-    over-approximates concurrency otherwise (see the module docstring).
+    stream.  It is exact when no marked read follows the arrival that
+    set it, and over-approximates concurrency otherwise: a later marked
+    read can order the pair after the fact (see the module docstring).
     """
 
     libat: LibAtState

@@ -36,13 +36,12 @@ meet the running block the same way, and multiplying the hit fields'
 low bits by the block's after set writes it into all of them at once;
 and rule 5, which joins rows at the same offset, joins packed ints
 whole.  A row's open flag sits on its guard bit, so flags and rows
-share one layout: the flags pass reads which fields of a symbol are
-non-empty off the same addition and masks them against the flags
-directly.
+share one layout, and one mask lowers or passes on a symbol's flags.
 
 The transition is a least-fixpoint computation per input symbol: passes
 of the mask rules 1-5, in a fixed order, until one logs nothing, then
-one pass of the flags, which no mask rule reads.  Each rule reads the
+the flags, which no mask rule reads: a marked write lowers its pair's
+flags, and a marked read passes lowered flags on.  Each rule reads the
 changes logged since it last ran and re-examines only the instances
 whose inputs they touch; only instances that cannot fire are skipped.
 The log opens empty.  A rule's changes are logged and read in the next
@@ -87,8 +86,8 @@ Such a row is not logged, as no reader needs it:
   c's, which precedes a), so d's row at (t, x) holds a: rule 2 opened it
   like c's, or it already tracked an older block of the pair, whose
   write is a's previous occurrence;
-* the flags' new-block flip reads the rows at (t, x) directly, and
-  inheritance reads A rows only.
+* the flags' new-block flip reads the rows as they stood at the
+  step's start, and inheritance does not run on a write.
 
 *The previous fixpoint carries over.*  A step starts from a state that
 was closed under every rule, with the previous arrival p masked out,
@@ -155,26 +154,44 @@ block of the kind, which lies wholly after c; rules 1, 4 and 5 keep it
 there.  The flag went down by inheritance from a symbol d in A[c], whose
 A row lies inside A[c] and holds them by the same argument, or by the
 flip, when a later block B' of the kind opened with write w'.  In that
-step B''s after set is {w'}, and A[c] holds w': rule 2 started the row
-tracking B', which needs w' in A[c], or the row, which holds an earlier
-write of w''s thread and so w' (rule 1), made rule 4 fire.  While B'
-runs, the row, its flag down, does not track B', so rule 4 joins B''s
-growing after set into A[c]; the same holds for every later block of
-the kind.  A[w] grows after that by rule 1, which joins A[c] too, as
-A[c] holds A[w], or by rule 4 through a row of w, which rule 5 joined
-into c's row at that offset, so rule 4 fires for c as well.
+step B''s after set is {w'}, and A[c] holds w': the row, non-empty at
+the step's start, holds an earlier write of w''s thread and so w' (rule
+1), which makes rule 4 fire.  While B' runs, the row, its flag down,
+does not track B', so rule 4 joins B''s growing after set into A[c];
+the same holds for every later block of the kind.  A[w] grows after
+that by rule 1, which joins A[c] too, as A[c] holds A[w], or by rule 4
+through a row of w, which rule 5 joined into c's row at that offset, so
+rule 4 fires for c as well.
 
-*The flags pass no drop on.*  A drop at a non-empty row (d, k), lowered
-or grown this step, would reach each open row (c, k) with d in A[c], and
-on from there; each such row is lowered without that.  If A[c] grew
-this step, c inherits from d's row directly, or, when d inherited this
-step, from the row d inherited from, whose symbol A[c] holds too.  If
-A[c] did not grow, d was in A[c] at the step's start, so c's row held
-d's (rule 5) and A[c] held A[d].  If the flip lowered (d, k), its
-reason, a row that was non-empty or a symbol of ``older`` in A[d], holds
-for c as well, so the flip lowers (c, k).  A drop that d had before the
-step, or inherited from a row lowered before it, c had already, as the
-state the step starts from is exact.
+*(L) Only a marked read orders events already seen.*  A step whose
+arrival a is not a marked read grows every A row but a's, and every
+first-block field, by at most a's bit.  By induction over the firings
+from the carried-over fixpoint: rule 1 adds a alone.  Rules 4b and 5
+join A rows and rows of symbols other than a, grown by a at most, into
+rows that held their old values.  Off a's variable each running block
+and its after set are those of the previous fixpoint, grown by a at
+most, and a is a member of none, so rules 2-4 fire where they fired
+then and add a at most.  On a's variable an unmarked arrival ends the
+running block, and a marked write opens one whose after set is {a}.  So
+a row that a block opener makes non-empty is a rule-2 start {a} that
+tracks the new block, and the flip skips it.  Inheritance has nothing
+to pass on: each symbol d that A[c] holds but a was in A[c] at the
+step's start, so c's row held d's (rule 5) and, the state being exact,
+c's flag was down wherever d's was; and when the flip lowers d's row,
+that row was non-empty at the start, so c's was too and the flip lowers
+it as well.  On a marked read the flip does not run, so every flag that
+inheritance passes on was down at the start.  A symbol whose A row
+holds d holds A[d] (the order is transitive), so c inherits directly
+from every symbol d could inherit from, and one pass over the A rows
+that grew, reading the flags as they stood, reaches the fixpoint.
+
+*(I) A lowered flag sits on a non-empty row.*  The flip lowers only
+rows that are non-empty.  Inheritance lowers c's flag at offset k only
+where the flag of a symbol d in A[c] is down, so d's row at k is
+non-empty, and c's row holds d's (rule 5).  No row shrinks but the
+arrival's, and the override raises that symbol's flags.  So inheritance
+reads d's flags alone: where d's row is empty, d's flag is up and
+passes nothing on.
 """
 
 from __future__ import annotations
@@ -291,7 +308,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # entries logged since its previous run began.  The log opens empty;
     # rule 1's sweep and rule 5's joins are not logged (module docstring).
     log: list[tuple[int, int]] = []
-    since = dict.fromkeys(("24", "4b", "5", "flags"), 0)
+    since = dict.fromkeys(("24", "4b", "5"), 0)
     closures: list[Optional[int]] = [None] * nX  # rules 2-4: each block's last after set
 
     # 1. the arriving symbol joins every row it depends into: a field
@@ -476,28 +493,23 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         pass
 
     # Flags, once, at the fixpoint of the mask rules, none of which reads
-    # them: lower open flags on evidence of a second same-kind block.  The
-    # arrival of a new block lowers every row already tracking an older
-    # first block, and a symbol whose A row grew this step inherits a
-    # lowered flag from any symbol in its after set whose row at the same
-    # offset is lowered and non-empty (module docstring).  Flags sit on
-    # guard bits, and adding DATA to d's rows raises the guard bits of
-    # exactly d's non-empty fields.
+    # them: lower open flags on evidence of a second same-kind block.  A
+    # new block lowers its pair's flag on every row that tracked an older
+    # first block at the step's start.  Only a marked read orders events
+    # already seen, so only then does a symbol whose A row grew inherit
+    # the lowered flags of the symbols in its after set; a lowered flag
+    # sits on a non-empty row (module docstring).
     if new_block:
         sh = kx * (ns + 1)
         field, kb = FULL << sh, 1 << sh + ns  # the pair's field and flag
-        rows = [c for c, P in enumerate(F) if P & field and c != ai]
-        older = sum(1 << c for c in rows if not A[c] & abit)
-        for c in rows:
-            if O[c] & kb and (old_F[c] & field or A[c] & older):
-                O[c] ^= kb
-    syms = changes(since["flags"])[0] & notai
-    if syms:
+        for c, P in enumerate(old_F):
+            if P & field:
+                O[c] &= ~kb
+    elif marked:
         up = tuple(O)
-        for c in bits(syms):
+        for c in bits(changes(0)[0] & notai):
             for d in bits(A[c] & notai):
-                # keep the flags that are up at d or whose field of d is empty
-                O[c] &= up[d] | ~(F[d] + DATA)
+                O[c] &= up[d]
 
     # ---- input-letter overrides ----------------------------------------
     A[ai] = abit

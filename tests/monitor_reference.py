@@ -15,7 +15,10 @@ one int and its flags into one mask, each flag on its row's guard bit;
 builds a library ``SatState`` of the five public fields, steps both, and
 requires the five public fields of the successors to be equal.  Two
 reference states may share their public fields and differ in ``tir``;
-both are stepped.
+both are stepped.  Each library step must also keep two invariants of
+``monitor.py``'s docstring: (I) every lowered flag sits on a non-empty
+first-block row, and (L) an arrival other than a marked read grows no
+other symbol's after row or first-block field beyond its own bit.
 
 Run as a script, it runs the same comparison on random streams, or on a
 breadth-first walk of every reachable reference state::
@@ -29,8 +32,8 @@ the whole alphabet of its threads and variables.  ``--walk THREADS VARS
 DEPTH`` steps every state within DEPTH - 1 symbols of the initial state
 with every valid symbol: a write with either mark, a read with the mark
 of the write it observes.  ``--cap N`` steps from at most N states.  The
-script prints the step count, or the first mismatch with the symbols
-that reach it, and exits 1.
+script prints the step count, or the first mismatch or broken invariant
+with the symbols that reach it, and exits 1.
 """
 
 import argparse
@@ -405,21 +408,53 @@ def row_fields(q: SatState) -> tuple[tuple[int, ...], tuple[bool, ...]]:
             tuple(bool(m >> k * width + ns & 1) for m in q.open_ for k in offsets))
 
 
+def lowered_on_empty(q: SatState) -> "int | None":
+    """The first symbol with a lowered flag on an empty first-block row
+    (invariant I fails), or None."""
+    u = q.universe
+    GUARD = u.field_low << len(u.symbols)
+    DATA = GUARD - u.field_low
+    # adding DATA raises the guard bits of exactly the non-empty fields
+    return next((c for c, (P, m) in enumerate(zip(q.fba, q.open_))
+                 if ~m & GUARD & ~(P + DATA)), None)
+
+
+def grown_past_arrival(prev: SatState, q: SatState, sym: AnnLabel) -> "int | None":
+    """For an arrival sym that is not a marked read, the first symbol
+    other than the arrival whose after row or first-block fields grew
+    from prev to q by more than the arrival's bit (invariant L fails),
+    or None."""
+    if sym[1] and sym[0].is_read():
+        return None
+    u = q.universe
+    ai = u.index(sym)
+    own = u.field_low << ai  # the arrival's bit in every field
+    return next((c for c in range(len(u.symbols)) if c != ai and (
+        q.aft[c] & ~prev.aft[c] & ~(1 << ai) or q.fba[c] & ~prev.fba[c] & ~own)), None)
+
+
 def step_mismatch(q: RefState, sym: AnnLabel,
                   lib: SatState) -> tuple[RefState, SatState, "str | None"]:
     """Step the reference from q and the library from lib, the library
     state of q's public fields; the reference's successor, its library
-    state, and the first public field whose values differ, or None."""
+    state, and the first failure, or None: a public field whose values
+    differ ("field aft"), else an invariant that the library's step
+    breaks ("invariant I" or "invariant L")."""
     succ = sat_step(q, sym)
     got, want = library_step(lib, sym), library_state(succ)
-    return succ, want, next((name for name in PUBLIC_FIELDS
-                             if getattr(got, name) != getattr(want, name)), None)
+    name = next(("field " + name for name in PUBLIC_FIELDS
+                 if getattr(got, name) != getattr(want, name)), None)
+    if name is None and lowered_on_empty(got) is not None:
+        name = "invariant I"
+    if name is None and grown_past_arrival(lib, got, sym) is not None:
+        name = "invariant L"
+    return succ, want, name
 
 
 def reference_mismatch(universe, syms):
     """Fold the reference's ``sat_step`` over the symbols, and from every
     state reached step it and the library (module docstring); the first
-    (step, field) whose values differ, or None."""
+    (step, failure) that ``step_mismatch`` reports, or None."""
     q = ref_initial(universe)
     lib = library_state(q)
     for k, s in enumerate(syms):
@@ -480,7 +515,7 @@ def walk(n_threads: int, n_vars: int, depth: int, cap: int) -> int:
                 succ, _, name = step_mismatch(q, sym, lib)
                 steps += 1
                 if name:
-                    print("mismatch in field %s after %s" % (name, " / ".join(
+                    print("mismatch in %s after %s" % (name, " / ".join(
                         "%s%s" % (lab, " @" if bit else "") for lab, bit in paths[key] + (sym,))))
                     return 1
                 k = _pack(succ)
@@ -490,7 +525,8 @@ def walk(n_threads: int, n_vars: int, depth: int, cap: int) -> int:
                     nxt.append(k)
             del paths[key]
         level = nxt
-    print("%dx%d to depth %d: %d states, %d steps, %s; public fields equal after every step"
+    print("%dx%d to depth %d: %d states, %d steps, %s; public fields equal, "
+          "invariants I and L hold, after every step"
           % (n_threads, n_vars, depth, states, steps,
              "capped at %d" % cap if len(seen) >= cap else "not capped"))
     return 0
@@ -505,11 +541,12 @@ def campaign(streams: int, seed: int) -> int:
                                       p=rng.uniform(0.3, 0.9))
         mism = reference_mismatch(Universe(*gen.alphabet(n_threads, n_vars)), symbols_of(aw))
         if mism:
-            print("mismatch: seed %d, stream %d, step %d, field %s" % ((seed, i) + mism))
+            print("mismatch: seed %d, stream %d, step %d, %s" % ((seed, i) + mism))
             print(aw.to_text(), end="")
             return 1
         steps += len(aw.labels)
-    print("%d streams, %d steps: public fields equal after every step" % (streams, steps))
+    print("%d streams, %d steps: public fields equal, invariants I and L hold, "
+          "after every step" % (streams, steps))
     return 0
 
 

@@ -279,6 +279,42 @@ def test_arrival_bit_flip_after_second_occurrence():
     assert conc_symbols_blocks(pre, c, d)
 
 
+def test_latch_exact_without_a_later_marked_read():
+    # only a marked read orders events already seen (invariant L of
+    # monitor.py's docstring), so a latch set at arrival t with no marked
+    # read after t is exact: the last c-occurrence before t and the
+    # d-occurrence at t stay unordered in the saturated order of the
+    # whole run
+    rng = random.Random(2027)
+    runs, checked = 0, 0
+    while runs < 250:
+        aw = gen.random_annotated_run(rng, rng.randint(6, 16), rng.randint(2, 3),
+                                      rng.randint(1, 3), p=rng.choice((0.3, 0.6)))
+        bs = blocks_from_annotation(aw)
+        if not is_liberally_atomic(aw, bs):
+            continue
+        runs += 1
+        succ = saturate(aw, bs).order.succ
+        syms = symbols_of(aw)
+        last_marked_read = max((k for k, (lab, on) in enumerate(syms) if on and lab.is_read()),
+                               default=-1)
+        u = Universe.from_run(aw)
+        for c_hat, d_hat in itertools.permutations(sorted(set(syms), key=str), 2):
+            if c_hat[0].thread == d_hat[0].thread or not inner_pair_positions(aw, c_hat, d_hat):
+                continue  # the latch cannot be set
+            q = conc_initial(u, c_hat, d_hat)
+            for t, s in enumerate(syms):
+                q = conc_step(q, s)
+                if q.found:
+                    break
+            if not q.found or t < last_marked_read:
+                continue
+            i = max(k for k in range(t) if syms[k] == c_hat)
+            assert not succ[i] >> t & 1, (aw.to_text(), c_hat, d_hat)
+            checked += 1
+    assert checked > 700, checked
+
+
 # ---- existential queries -------------------------------------------------------
 
 def certifying_block_sets(run, c, d):

@@ -19,8 +19,8 @@ from blockeq.orders import bits, saturate
 from blockeq.trace import Label, READ, WRITE, Run, Universe, parse_run
 
 import gen
-from monitor_reference import (library_state, ref_initial, reference_mismatch, row_fields,
-                               step_mismatch, valid_symbols)
+from monitor_reference import (grown_past_arrival, library_state, lowered_on_empty, ref_initial,
+                               reference_mismatch, row_fields, step_mismatch, valid_symbols)
 from oracles import after_set
 from test_golden import _monitor_streams
 
@@ -261,10 +261,13 @@ def closure_violation(q):
     """The first (c, b) such that b lies in c's after row or in one of
     c's first-block rows but aft[b] is not inside that row; None if
     there is none.  Also asserts that every open-flag mask lies on the
-    fields' guard bits."""
+    fields' guard bits, and that every lowered flag sits on a non-empty
+    first-block row (invariant I of monitor.py's docstring)."""
     aft, LOW = q.aft, q.universe.field_low
     GUARD = LOW << len(q.universe.symbols)
     assert all(m & ~GUARD == 0 for m in q.open_), "an open flag lies off the guard bits"
+    c = lowered_on_empty(q)
+    assert c is None, "symbol %d has a lowered flag on an empty row" % c
     fba = row_fields(q)[0]
     tx = q.universe.stride
     for c, (a, P) in enumerate(zip(aft, q.fba)):
@@ -281,9 +284,12 @@ def closure_violation(q):
 
 
 def test_rows_closed_under_after_rows():
-    # the invariant rule 4b's argument rests on (monitor.py's module
-    # docstring): after every step, each after row and each first-block
-    # row holds the after row of every symbol in it
+    # the invariants that rule 4b's argument and the flags rest on
+    # (monitor.py's module docstring): after every step, each after row
+    # and each first-block row holds the after row of every symbol in
+    # it, and every lowered flag sits on a non-empty row (I); a step
+    # whose arrival is not a marked read grows no other symbol's rows
+    # beyond the arrival's bit (L)
     streams = list(_monitor_streams().values())
     rng = random.Random(4115)
     for n_threads in range(1, 5):
@@ -294,15 +300,18 @@ def test_rows_closed_under_after_rows():
     for shape in ((6, 6), (2, 20)):
         streams.append((universe_of(*gen.alphabet(*shape)),
                         gen.random_annotated_run(rng, 80, *shape, p=0.7)))
-    steps = 0
+    steps = quiet = 0
     for universe, aw in streams:
         q = sat_initial(universe)
         for k, s in enumerate(symbols_of(aw)):
-            q = sat_step(q, s)
+            prev, q = q, sat_step(q, s)
             bad = closure_violation(q)
             assert bad is None, "step %d: %s\n(c, b) = %r" % (k, describe(aw), bad)
+            c = grown_past_arrival(prev, q, s)
+            assert c is None, "step %d: %s\nsymbol %d grew" % (k, describe(aw), c)
+            quiet += not (s[1] and s[0].is_read())
         steps += len(aw)
-    assert steps > 3500
+    assert steps > 3500 and quiet > 3000
 
 
 def walk_reference(q, depth, lib=None):

@@ -19,7 +19,8 @@ import gen
 from blockeq import orders
 from blockeq.blocks import BlockSet, all_block_sets, annotate, blocks_from_annotation
 from blockeq.orders import PartialOrder, bits, block_hb, mazurkiewicz_hb, saturate
-from blockeq.trace import Run, TraceError, conflicting, parse_run
+from blockeq.atomicity import is_liberally_atomic
+from blockeq.trace import READ, WRITE, Label, Run, TraceError, conflicting, parse_run
 from oracles import (
     after_set,
     interleave_threads,
@@ -250,6 +251,55 @@ def test_saturate_closes_once_per_round(monkeypatch):
         calls.clear()
         saturate(run, blocks_from_annotation(run))
         assert len(calls) == 2, name
+
+
+def extensions(run, threads, variables):
+    """Every valid one-event extension of an annotated run over the
+    alphabet, with whether the new event is a marked read: a write with
+    either mark, a read with the mark of the write it observes."""
+    last = {lab.variable: on for lab, on in zip(run.labels, run.annotations) if lab.is_write()}
+    for t in threads:
+        for v in variables:
+            for lab, marks in ((Label(t, WRITE, v), (False, True)),
+                               (Label(t, READ, v), (last[v],) if v in last else ())):
+                for on in marks:
+                    ext = Run(run.labels + (lab,), run.annotations + (on,))
+                    yield ext, on and lab.is_read()
+
+
+def reorders_past(run):
+    """Whether the last event of an annotated run changes the saturated
+    order among the events before it."""
+    pre = Run(run.labels[:-1], run.annotations[:-1])
+    before = saturate(pre, blocks_from_annotation(pre)).order.succ
+    after = saturate(run, blocks_from_annotation(run)).order.succ
+    earlier = (1 << len(pre)) - 1
+    return any(a & earlier != b for a, b in zip(after, before))
+
+
+def test_only_a_marked_read_reorders_the_past():
+    # invariant L of monitor.py's docstring, offline: appending an event
+    # that is not a marked read leaves the saturated order among the
+    # earlier events as it was, whether or not the blocks are liberally
+    # atomic; a marked read may order two blocks after the fact
+    rng = random.Random(29)
+    atomic, quiet, reordered = set(), 0, 0
+    for _ in range(500):
+        threads, variables = gen.alphabet(rng.randint(1, 3), rng.randint(1, 3))
+        aw = gen.random_annotated_run(rng, rng.randint(1, 14), len(threads), len(variables),
+                                      p=rng.choice((0.5, 0.8)))
+        atomic.add(is_liberally_atomic(aw, blocks_from_annotation(aw)))
+        for ext, marked_read in extensions(aw, threads, variables):
+            if marked_read:
+                reordered += reorders_past(ext)
+            else:
+                assert not reorders_past(ext), ext.to_text()
+                quiet += 1
+    assert atomic == {False, True} and quiet > 4000 and reordered > 50, (quiet, reordered)
+    # the corpus regression: T4's last r(y) joins T3's y-block and only
+    # then chains T1's w(x) before T2's first w(u)
+    run = corpus("retroactive_pair.trace")
+    assert run.labels[-1].is_read() and run.annotations[-1] and reorders_past(run)
 
 
 def test_saturation_chain_corpus():
