@@ -240,6 +240,8 @@ def cmd_enumerate(args) -> int:
     if args.limit < 0:
         return _fail("--limit needs a non-negative count")
     run = _load(args.trace)
+    if args.blocks is not None and args.relation != "blocks":
+        _warn("--blocks is ignored outside --relation blocks")
     if args.relation == "maz":
         cls = enum_maz_class(run, bound=args.swap_bound)
     elif args.relation == "blocks":

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .atomicity import LibAtState, is_liberally_atomic, libat_initial, libat_step
 from .blocks import _position_of, all_block_sets, blocks_from_annotation
@@ -164,21 +164,9 @@ def _orders(run: Run, mode: str) -> Iterator[PartialOrder]:
 
 def _symbols_unordered(run: Run, mode: str, c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> bool:
     """True iff some order of the mode leaves some inner (c, d)-pair, in
-    either orientation, unordered.  The pairs are listed once, at the
-    first order, one combination at a time: a mode with one order stops
-    listing at the first unordered pair."""
-    pairs: Optional[list[tuple[int, int]]] = None
-    for order in _orders(run, mode):
-        if pairs is None:
-            pairs = []
-            for c_hat, d_hat in _query_combos(c, d):
-                found = inner_pair_positions(run, c_hat, d_hat)
-                if any(not order.succ[i] >> j & 1 for i, j in found):
-                    return True
-                pairs += found
-        elif any(not order.succ[i] >> j & 1 for i, j in pairs):
-            return True
-    return False
+    either orientation, unordered."""
+    pairs = [p for c_hat, d_hat in _query_combos(c, d) for p in inner_pair_positions(run, c_hat, d_hat)]
+    return any(not order.succ[i] >> j & 1 for order in _orders(run, mode) for i, j in pairs)
 
 
 def conc_symbols_maz(run: Run, c: Label, d: Label) -> bool:

@@ -133,35 +133,31 @@ than its after set, which rule 3 or 4 puts into c's row as well.
 
 *Which rows track the running block is derived, not stored.*  Rules 2-4
 treat a row r = (c, t, v) as tracking v's running block B when rule 2
-started it this step, or when at the step's start r is non-empty, its
-flag is up, B's writer is t, and the arriving symbol does not replace B.
-At a step's start this is exact: a non-empty row tracks the first block
-of its kind after c, that block is the last of its kind iff the flag is
-up, and B is the last block of its kind.  The reference step in
-``tests/monitor_reference.py`` stores the bit, and keeps it up on some
-rows whose flag is down.  There rule 4 fires where the reference applies
-rule 3, and adds to A[c] only what the fixpoint puts there anyway: the
-flag says a later block of the row's kind follows all of c, and B is
-the last block of that kind.  The flag test stays although no check
-has seen it change a state: the next argument, which lets a lowered
-flag go without a rule of its own, needs rule 4 to fire on a
-flag-down row while a later block of its kind runs, and a row that
-tracked that block would be skipped by rule 4.
+started it this step, or when at the step's start r is non-empty, B's
+writer is t, and the arriving symbol does not replace B; no flag is
+read.  Where r's flag is up this is exact: r tracks the first block of
+its kind after c, which is then the last of its kind, as B is.  A
+flag-down row tracks an older block, yet is taken to track B, so rule 3
+syncs it and rule 4 skips its field; the reference step in
+``tests/monitor_reference.py`` stores the bit, and on some such rows
+applies rule 4 instead.  At the fixpoint neither adds anything there,
+as A[c] and r already hold B's after set:
 
-*A lowered flag needs no rule of its own.*  For a row (c, t, v) whose
-flag is down, A[c] holds A[w] and w, w being the write of the latest
-block of the kind, which lies wholly after c; rules 1, 4 and 5 keep it
-there.  The flag went down by inheritance from a symbol d in A[c], whose
-A row lies inside A[c] and holds them by the same argument, or by the
-flip, when a later block B' of the kind opened with write w'.  In that
-step B''s after set is {w'}, and A[c] holds w': the row, non-empty at
-the step's start, holds an earlier write of w''s thread and so w' (rule
-1), which makes rule 4 fire.  While B' runs, the row, its flag down,
-does not track B', so rule 4 joins B''s growing after set into A[c];
-the same holds for every later block of the kind.  A[w] grows after
-that by rule 1, which joins A[c] too, as A[c] holds A[w], or by rule 4
-through a row of w, which rule 5 joined into c's row at that offset, so
-rule 4 fires for c as well.
+* the flag is down, so a later block of r's kind opened after r's
+  first block.  Same-kind blocks are ordered blockwise, so that block,
+  and B, follow all of c;
+* if the flip lowered the flag, it did so in the step that opened the
+  later block with write w.  The row did not track that block, as the
+  arrival replaced the old one, and it held an earlier write of w's
+  thread on w's variable, so rule 1 joined w into the row, and rule 4
+  into A[c].  From then on, rule 1 brings every member of each later
+  block of the kind, B's among them, into both: each depends on its
+  block's write, and that write on the write of the block before.
+  Closedness under A rows (rule 4b's paragraph) brings their after
+  sets in too;
+* if inheritance lowered it, from a symbol d in A[c], then A[d] and d's
+  row hold B's after set, by induction on the step that lowered the
+  flag, and A[c] holds A[d] and c's row holds d's (rule 5).
 
 *(L) Only a marked read orders events already seen.*  A step whose
 arrival a is not a marked read grows every A row but a's, and every
@@ -292,12 +288,8 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # ---- least fixpoint over after rows and first-block rows ----------
     # Blocks on one (writer thread, variable) pair are always ordered
     # blockwise: their writes are program-ordered, so the block-level step
-    # applies to every such pair.  Hence the tracked first block is the
-    # *last* block of its kind exactly when the row's open flag is up, and
-    # the flag goes down precisely when a later same-kind block exists.
-    # A row's flag sits on its field's guard bit.
+    # applies to every such pair.
     old_F = state.fba
-    O = list(state.open_)
 
     # per variable, the symbols whose row at the running block's pair
     # rule 2 started tracking that block this step
@@ -362,10 +354,9 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             ngbit = ~gbit
             col = u.column_low << v * (ns + 1)
             # a row that was non-empty at the step's start tracks the
-            # block iff its flag is up and the block is not the arriving
-            # symbol's new one; an empty one iff rule 2 started it
+            # block iff the block is not the arriving symbol's new one;
+            # an empty one iff rule 2 started it
             opens = new_block and v == xi
-            kept = 0 if opens else gbit
             tv = started[v]
             if opens and full:
                 # The new block's after set is {a}.  Rule 4 writes nothing
@@ -398,7 +389,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                     continue
                 P = F[c]
                 if old_F[c] & field:
-                    tracked = O[c] & kept
+                    tracked = not opens
                 elif tv >> c & 1:
                     tracked = True
                 elif A[c] & bv and (full or syms24 >> c & 1):
@@ -499,6 +490,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # already seen, so only then does a symbol whose A row grew inherit
     # the lowered flags of the symbols in its after set; a lowered flag
     # sits on a non-empty row (module docstring).
+    O = list(state.open_)
     if new_block:
         sh = kx * (ns + 1)
         field, kb = FULL << sh, 1 << sh + ns  # the pair's field and flag
@@ -506,10 +498,9 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             if P & field:
                 O[c] &= ~kb
     elif marked:
-        up = tuple(O)
         for c in bits(changes(0)[0] & notai):
             for d in bits(A[c] & notai):
-                O[c] &= up[d]
+                O[c] &= state.open_[d]
 
     # ---- input-letter overrides ----------------------------------------
     A[ai] = abit

@@ -36,6 +36,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
+from .atomicity import is_liberally_atomic
 from .blocks import BlockSet
 from .orders import bits, rows_union, saturate
 from .trace import Event, Label, Run, conflicting
@@ -349,9 +350,13 @@ def proper_topological_sort(
     """Emit events one at a time: always a saturation-minimal pending
     event that is a read or whose variable has no partially emitted
     block.  For liberally atomic blocks this never gets stuck and the
-    output is a proper linearization whatever the tie-break; a stuck
-    state is reported because it witnesses a non-atomic input (or a
-    bug)."""
+    output is a proper linearization whatever the tie-break.  Blocks
+    that are not liberally atomic raise ValueError up front: the sort
+    seldom gets stuck on them, but what it emits may lie outside the
+    block class.  A stuck state is reported as well, as it would
+    witness a bug."""
+    if not is_liberally_atomic(run, blocks):
+        raise ValueError("blocks are not liberally atomic; no proper topological sort exists")
     succ = saturate(run, blocks).order.succ
     key = None if tie_break is None else (lambda i: tie_break(run.event_at(i)))
     pending = (1 << len(run)) - 1
@@ -363,10 +368,7 @@ def proper_topological_sort(
             if not run.is_write[i] or not busy >> run.vid[i] & 1
         ]
         if not eligible:
-            raise ValueError(
-                "proper topological sort is stuck after %d events; "
-                "the blocks are not liberally atomic" % len(picked)
-            )
+            raise ValueError("proper topological sort is stuck after %d events" % len(picked))
         i = min(eligible, key=key)
         pending &= ~(1 << i)
         picked.append(i)

@@ -18,7 +18,10 @@ reference states may share their public fields and differ in ``tir``;
 both are stepped.  Each library step must also keep two invariants of
 ``monitor.py``'s docstring: (I) every lowered flag sits on a non-empty
 first-block row, and (L) an arrival other than a marked read grows no
-other symbol's after row or first-block field beyond its own bit.
+other symbol's after row or first-block field beyond its own bit.  And
+the open flags must not steer the order: stepped again with its flags
+replaced by random guard-bit masks, the library state must reach the
+same ``blk``, ``rf``, ``aft`` and ``fba``.
 
 Run as a script, it runs the same comparison on random streams, or on a
 breadth-first walk of every reachable reference state::
@@ -32,14 +35,15 @@ the whole alphabet of its threads and variables.  ``--walk THREADS VARS
 DEPTH`` steps every state within DEPTH - 1 symbols of the initial state
 with every valid symbol: a write with either mark, a read with the mark
 of the write it observes.  ``--cap N`` steps from at most N states.  The
-script prints the step count, or the first mismatch or broken invariant
-with the symbols that reach it, and exits 1.
+script prints the step count, or the first mismatch, broken invariant
+or order field that random flags change, with the symbols that reach
+it, and exits 1.
 """
 
 import argparse
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import lshift
 
 from blockeq.monitor import SatState, _dep_in, symbols_of
@@ -378,6 +382,7 @@ def sat_step(state: RefState, sym: AnnLabel) -> RefState:
 
 
 PUBLIC_FIELDS = ("blk", "rf", "aft", "fba", "open_")
+ORDER_FIELDS = PUBLIC_FIELDS[:4]
 
 
 def library_state(q: RefState) -> SatState:
@@ -433,13 +438,27 @@ def grown_past_arrival(prev: SatState, q: SatState, sym: AnnLabel) -> "int | Non
         q.aft[c] & ~prev.aft[c] & ~(1 << ai) or q.fba[c] & ~prev.fba[c] & ~own)), None)
 
 
+def flags_steer_order(prev: SatState, q: SatState, sym: AnnLabel) -> "str | None":
+    """Step prev again with its open flags replaced by random guard-bit
+    masks, drawn from a generator seeded by prev's rows and the symbol;
+    the first order field (blk, rf, aft or fba) whose value differs from
+    that of q, prev's own successor, or None."""
+    u = prev.universe
+    guard = u.field_low << len(u.symbols)
+    rng = random.Random(hash((prev.aft, prev.fba, u.index(sym))))
+    flags = tuple(rng.getrandbits(guard.bit_length()) & guard for _ in prev.open_)
+    blind = library_step(replace(prev, open_=flags), sym)
+    return next((name for name in ORDER_FIELDS if getattr(blind, name) != getattr(q, name)), None)
+
+
 def step_mismatch(q: RefState, sym: AnnLabel,
                   lib: SatState) -> tuple[RefState, SatState, "str | None"]:
     """Step the reference from q and the library from lib, the library
     state of q's public fields; the reference's successor, its library
     state, and the first failure, or None: a public field whose values
     differ ("field aft"), else an invariant that the library's step
-    breaks ("invariant I" or "invariant L")."""
+    breaks ("invariant I" or "invariant L"), else an order field that
+    random flags change ("flags change aft")."""
     succ = sat_step(q, sym)
     got, want = library_step(lib, sym), library_state(succ)
     name = next(("field " + name for name in PUBLIC_FIELDS
@@ -448,6 +467,8 @@ def step_mismatch(q: RefState, sym: AnnLabel,
         name = "invariant I"
     if name is None and grown_past_arrival(lib, got, sym) is not None:
         name = "invariant L"
+    if name is None and (field := flags_steer_order(lib, got, sym)) is not None:
+        name = "flags change " + field
     return succ, want, name
 
 
@@ -526,7 +547,7 @@ def walk(n_threads: int, n_vars: int, depth: int, cap: int) -> int:
             del paths[key]
         level = nxt
     print("%dx%d to depth %d: %d states, %d steps, %s; public fields equal, "
-          "invariants I and L hold, after every step"
+          "invariants I and L hold, the flags left the order unchanged, after every step"
           % (n_threads, n_vars, depth, states, steps,
              "capped at %d" % cap if len(seen) >= cap else "not capped"))
     return 0
@@ -546,7 +567,7 @@ def campaign(streams: int, seed: int) -> int:
             return 1
         steps += len(aw.labels)
     print("%d streams, %d steps: public fields equal, invariants I and L hold, "
-          "after every step" % (streams, steps))
+          "the flags left the order unchanged, after every step" % (streams, steps))
     return 0
 
 

@@ -263,6 +263,9 @@ def test_concurrent_stream_strategy_warns(capsys):
     (("--strategy", "stream"), ("concurrent", "--mode", "blocks", "--events", "1", "3")),
     # the dot block graph has no room for a witness
     (("--witness",), ("atomicity", "--format", "dot")),
+    # --blocks selects the block class only
+    (("--blocks", "none"), ("enumerate", "--relation", "maz", "--limit", "3")),
+    (("--blocks", "all"), ("enumerate", "--relation", "rf", "--limit", "3")),
 ])
 def test_concurrent_warns_about_ignored_options(capsys, ignored, query):
     # the answer is the one given without the option, and one warning

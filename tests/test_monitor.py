@@ -19,8 +19,9 @@ from blockeq.orders import bits, saturate
 from blockeq.trace import Label, READ, WRITE, Run, Universe, parse_run
 
 import gen
-from monitor_reference import (grown_past_arrival, library_state, lowered_on_empty, ref_initial,
-                               reference_mismatch, row_fields, step_mismatch, valid_symbols)
+from monitor_reference import (flags_steer_order, grown_past_arrival, library_state,
+                               lowered_on_empty, ref_initial, reference_mismatch, row_fields,
+                               step_mismatch, valid_symbols)
 from oracles import after_set
 from test_golden import _monitor_streams
 
@@ -312,6 +313,29 @@ def test_rows_closed_under_after_rows():
             quiet += not (s[1] and s[0].is_read())
         steps += len(aw)
     assert steps > 3500 and quiet > 3000
+
+
+def test_order_fields_ignore_the_flags():
+    # rules 1-5 read no open flag (monitor.py's docstring): from every
+    # state that the golden streams and seeded random streams reach, the
+    # step with random guard-bit flags in place of the state's own gives
+    # the same blk, rf, aft and fba
+    streams = list(_monitor_streams().values())
+    rng = random.Random(4126)
+    for n_threads in range(1, 5):
+        for n_vars in range(1, 5):
+            for p in (0.5, 0.8):
+                aw = gen.random_annotated_run(rng, rng.randint(40, 120), n_threads, n_vars, p=p)
+                streams.append((universe_of(*gen.alphabet(n_threads, n_vars)), aw))
+    steps = 0
+    for universe, aw in streams:
+        q = sat_initial(universe)
+        for k, s in enumerate(symbols_of(aw)):
+            prev, q = q, sat_step(q, s)
+            field = flags_steer_order(prev, q, s)
+            assert field is None, "step %d: %s\nrandom flags change %s" % (k, describe(aw), field)
+        steps += len(aw)
+    assert steps > 5000
 
 
 def walk_reference(q, depth, lib=None):

@@ -230,6 +230,18 @@ def test_proper_topological_sort():
         assert tuple(srt.labels) in {tuple(r.labels) for r in lins}
 
 
+def test_proper_topological_sort_refuses_non_atomic_blocks():
+    # the block on x read by T1 and T2's block on x intertwine, yet the
+    # sort would not get stuck: with the thread tie-break it would emit
+    # T1's events before T2's write, a run outside the one-member class
+    aw = parse_run("T2 w x @\nT1 w x @\nT1 w y @\nT1 r x @")
+    bs = blocks_from_annotation(aw)
+    assert not is_liberally_atomic(aw, bs)
+    assert len(enum_block_class(aw, bs)) == 1
+    with pytest.raises(ValueError, match="not liberally atomic"):
+        proper_topological_sort(aw, bs, tie_break=lambda e: e.label.thread)
+
+
 def test_check_scope():
     rng = random.Random(48)
     good = 0
