@@ -135,8 +135,7 @@ def _emit_order(name: str, run: Run, order, fmt: str) -> int:
     if fmt == "dot":
         sys.stdout.write(_dot_order(name, run, pairs))
     else:
-        for i, j in pairs:
-            print("e%d -> e%d" % (i + 1, j + 1))
+        sys.stdout.write("".join(["e%d -> e%d\n" % (i + 1, j + 1) for i, j in pairs]))
     return EXIT_OK
 
 
@@ -257,8 +256,8 @@ def cmd_enumerate(args) -> int:
                 words = [words[i] for i in sorted(picked)]
             else:
                 words = words[: args.limit]
-        for w in words:
-            print("member: " + "; ".join(str(run.labels[p]) for p in w))
+        lines = ["member: %s\n" % "; ".join([str(run.labels[p]) for p in w]) for w in words]
+        sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

@@ -120,13 +120,24 @@ set may be written while the A row of a symbol b in it lags behind
 that of a symbol d in A[b]; A rows are closed at the fixpoint (the
 order is transitive), so A[b] grows, logged, to hold A[d] later.
 
-*Rule 5's joins are not logged.*  Rule 5 joins the rows of the symbols
-b in A[c] into c's, for a logged growth of F[b] or of A[c].  Rule 4b
-and the flags read only A rows' growth.  Rule 5 needs no entry: a
-symbol d with c in A[d] has b in A[d] by the fixpoint, so d takes F[b]
-itself, for the same logged growth or for that of A[d] that brings b
-in.  Rules 2-4 need none: a running block's member that F[b] brings
-into c's row was in b's row at that pair already.  Either rule 4 joined
+*Rule 5 runs only for after rows that grew.*  Rule 5 joins the rows of
+the symbols b in A[c] into c's, for a logged growth of A[c]; a b that
+enters A[c] during the step is such a growth.  A growth of b's rows
+needs no run of its own when b was in A[c] at the step's start: c's
+row held b's row then (the fixpoint carries over), and each rule that
+grows a field of b makes the same firing test on c's field at that
+pair, a test monotone in the field's contents.  Rule 1 joins a into
+every field that meets D; rule 3, or rule 2 then rule 3, syncs a
+tracked row; rule 4 fires on a field that meets the running block; and
+rule 4b joins A[d] into every field that holds d.  So c's field grows
+at least as much as b's.
+
+*Rule 5's joins are not logged.*  Rule 4b and the flags read only A
+rows' growth.  Rule 5 needs no entry: a symbol d with c in A[d] has b
+in A[d] by the fixpoint, so d takes F[b] itself, for the growth of A[d]
+that brings b in, or, if b was in A[d] at the step's start, as b's row
+grows (above).  Rules 2-4 need none: a running block's member that
+F[b] brings into c's row was in b's row at that pair already.  Either rule 4 joined
 the block's after set into that row, which c's row now holds, and into
 A[b], which A[c] holds; or b's row tracks the block and holds no more
 than its after set, which rule 3 or 4 puts into c's row as well.
@@ -193,8 +204,6 @@ passes nothing on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import and_
 from typing import Optional
 
 from .orders import bits
@@ -456,21 +465,16 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
         # first blocks per (thread, variable) chain nest downward — so a
         # row absorbs the same-kind rows of every symbol in its after set.
         # Same-kind rows sit at the same offset, so a symbol's packed rows
-        # absorb a packed int whole.  A pair (rho, c) can add something
-        # only if rho's rows grew or A[c] changed since the last run; a
-        # row that grows here is not logged (module docstring).
-        syms, fields = changes(since["5"])
+        # absorb a packed int whole.  Only a symbol whose A row grew since
+        # the last run can gain here: the rule that grew a row of a symbol
+        # in A[c] grew c's row at least as much.  A row that grows here is
+        # not logged (module docstring).
+        todo = changes(since["5"])[0] & notai
         since["5"] = len(log)
-        syms &= notai
-        own = sum(1 << c for c in fields)
-        holders = sum(compress(u.single, map(and_, A, repeat(own)))) if own else 0
-        todo = (syms | holders) & notai
         while todo:
             c = (todo & -todo).bit_length() - 1
             todo &= todo - 1
             m = A[c] & notai
-            if not syms >> c & 1:
-                m &= own
             add = 0
             while m:
                 low = m & -m

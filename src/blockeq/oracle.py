@@ -6,20 +6,25 @@ they certify the incremental algorithms by an independent route.
 ``proper_topological_sort`` is not order-free: it emits one proper
 linearization along ``saturate``, with no bound.
 
-Every class is listed by one frontier routine, ``_frontier_words``: a
-search whose state summarizes a placed prefix, memoised on that state
-and meeting in the middle, so that words through one state share its
-completions.  The commutation class's state is the set of placed
+A commutation or reads-from class is the set of paths through one
+frontier search: a state summarizes a placed prefix, and a move places
+one more event.  The commutation class's state is the set of placed
 positions, a union of thread prefixes; an event is ready once every
 earlier conflicting event is placed.  The reads-from class's state adds
 each variable's last placed write, the frontier of Mathur, Pavlogiannis
-and Viswanathan (LICS 2020).  The block class is a union of commutation
-classes, since both of its swaps keep each thread's order: only the
-block-swap scan runs per word, and a swapped word not yet seen brings
-in its whole commutation class.  ``rf_unordered`` decides one pair's
-order under reads-from equivalence by the same states, with no length
-cap, through ``_completes``: a depth-first path search that remembers
-the failing states.  The general-mode ``stream`` strategy of
+and Viswanathan (LICS 2020).  A word fixes the state that each of its
+prefixes reaches, so each word is exactly one path of ``len(run)``
+moves, and the class's size is a path count, ``_frontier_count``, that
+lists no word.  Its words are listed only on demand, by
+``_frontier_words``: a search memoised on the state and meeting in the
+middle, so that words through one state share its completions.  The
+block class is a union of commutation classes, since both of its swaps
+keep each thread's order: only the block-swap scan runs per word, and a
+swapped word not yet seen brings in its whole commutation class, so the
+block class alone is listed when built.  ``rf_unordered`` decides one
+pair's order under reads-from equivalence by the same states, with no
+length cap, through ``_completes``: a depth-first path search that
+remembers the failing states.  The general-mode ``stream`` strategy of
 ``concurrency`` runs the same search over the mark-guessing automaton.
 
 Class members are *position words*: ``bytes`` whose k-th byte is the
@@ -59,13 +64,16 @@ def _check_bound(run: Run, bound: Optional[int], default: int, what: str) -> Non
 
 
 class EquivClass:
-    """An explicitly enumerated equivalence class.
+    """An equivalence class of a representative run.
 
     ``words`` holds the members as position words over the
     representative.  Same-label events never reorder under any relation
     considered here (they share a thread), so each member is equally
     determined by its label sequence; ``members``, the set of those
-    label sequences, is built on first access.
+    label sequences, is built on first access.  A block class is listed
+    when built; a commutation or reads-from class is a frontier search
+    (``_SearchedClass``), whose size is a path count and whose words are
+    listed on first use.
     """
 
     def __init__(self, relation: str, representative: Run, words: Iterable[bytes]):
@@ -101,7 +109,29 @@ class EquivClass:
         return sorted(self.words, key=lambda w: w.translate(table))
 
     def __repr__(self):
-        return "EquivClass(%s, %d members)" % (self.relation, len(self.words))
+        return "EquivClass(%s, %d members)" % (self.relation, len(self))
+
+
+class _SearchedClass(EquivClass):
+    """A class that is the set of paths of ``len(representative)`` moves
+    from ``start``: they are counted when the class is built, and
+    ``words`` lists them on first use."""
+
+    def __init__(self, relation: str, representative: Run, start: Hashable, moves: Moves):
+        assert relation in ("maz", "rf")
+        self.relation = relation
+        self.representative = representative
+        self._search = (len(representative), start, moves)
+        assert _admits(start, moves, range(len(representative))), \
+            "representative must belong to its class"
+        self._count = _frontier_count(*self._search)
+
+    @cached_property
+    def words(self) -> frozenset[bytes]:
+        return frozenset(_frontier_words(*self._search))
+
+    def __len__(self):
+        return self._count
 
 
 # ---- frontier enumeration -------------------------------------------------
@@ -156,20 +186,45 @@ def _frontier_words(n: int, start: Hashable, moves: Moves) -> Iterator[bytes]:
     return chain.from_iterable(joined())
 
 
-def _commutation(run: Run) -> Callable[[bytes], Iterator[bytes]]:
-    """The words of the commutation class of a word, for permutations of
-    the run's positions that keep each thread's order.  A state is the
-    mask of the placed positions, a union of thread prefixes, so it
-    stands for each thread's count of placed events.  An event may come
-    next once every event before it in the word that conflicts with it
-    is placed."""
+def _frontier_count(n: int, start: Hashable, moves: Moves) -> int:
+    """The number of words of n positions that ``moves`` admits from
+    ``start``, listing none: forward layers map each state to the number
+    of prefixes that reach it.  A word fixes the state each of its
+    prefixes reaches, so each word is one path, counted once."""
+    layer = {start: 1}
+    for _ in range(n):
+        nxt: dict[Hashable, int] = {}
+        for s, k in layer.items():
+            for _, t in moves(s):
+                nxt[t] = nxt.get(t, 0) + k
+        layer = nxt
+    return sum(layer.values())
+
+
+def _admits(start: Hashable, moves: Moves, word: Iterable[int]) -> bool:
+    """Is ``word`` a path of moves from ``start``?"""
+    s = start
+    for p in word:
+        s = dict(moves(s)).get(p)
+        if s is None:
+            return False
+    return True
+
+
+def _commutation(run: Run) -> Callable[[bytes], Moves]:
+    """The moves, from the empty state 0, of the commutation class of a
+    word, for permutations of the run's positions that keep each
+    thread's order.  A state is the mask of the placed positions, a
+    union of thread prefixes, so it stands for each thread's count of
+    placed events.  An event may come next once every event before it
+    in the word that conflicts with it is placed."""
     code = run.code
     reps = dict(zip(code, run.labels))
     dep = {k: sum(1 << k2 for k2, l2 in reps.items() if conflicting(lab, l2))
            for k, lab in reps.items()}  # bit k2 of dep[k]: codes k and k2 conflict
     threads = [sum(1 << p for p in seq) for seq in run.by_thread]  # each thread's positions
 
-    def words(word: bytes) -> Iterator[bytes]:
+    def moves_of(word: bytes) -> Moves:
         need = [0] * len(word)  # the positions that must be placed before each one
         for a, p in enumerate(word):
             row = dep[code[p]]
@@ -186,9 +241,9 @@ def _commutation(run: Run) -> Callable[[bytes], Iterator[bytes]]:
                         out.append((p, s | low))
             return out
 
-        return _frontier_words(len(word), 0, moves)
+        return moves
 
-    return words
+    return moves_of
 
 
 def enum_maz_class(run: Run, bound: Optional[int] = None) -> EquivClass:
@@ -196,7 +251,7 @@ def enum_maz_class(run: Run, bound: Optional[int] = None) -> EquivClass:
     interleavings of the threads that keep every conflicting pair in
     run order."""
     _check_bound(run, bound, SWAP_BOUND, "swap-class")
-    return EquivClass("maz", run, _commutation(run)(bytes(range(len(run)))))
+    return _SearchedClass("maz", run, 0, _commutation(run)(bytes(range(len(run)))))
 
 
 def _block_swaps(run: Run, blocks: BlockSet) -> Optional[Callable[[bytes], list[bytes]]]:
@@ -232,8 +287,8 @@ def enum_block_class(run: Run, blocks: BlockSet, bound: Optional[int] = None) ->
     word is scanned for block swaps, and a swapped word not yet seen
     brings in its whole commutation class."""
     _check_bound(run, bound, SWAP_BOUND, "swap-class")
-    maz = _commutation(run)
-    seen = set(maz(bytes(range(len(run)))))
+    n, moves_of = len(run), _commutation(run)
+    seen = set(_frontier_words(n, 0, moves_of(bytes(range(n)))))
     swaps = _block_swaps(run, blocks)
     if swaps is not None:
         todo = [list(seen)]
@@ -241,7 +296,7 @@ def enum_block_class(run: Run, blocks: BlockSet, bound: Optional[int] = None) ->
             for w in todo.pop():
                 for v in swaps(w):
                     if v not in seen:
-                        cls = list(maz(v))
+                        cls = list(_frontier_words(n, 0, moves_of(v)))
                         seen.update(cls)
                         todo.append(cls)
     return EquivClass("blocks", run, seen)
@@ -283,8 +338,10 @@ def rf_class_words(run: Run, bound: Optional[int] = None) -> Iterator[bytes]:
 
 
 def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
-    """The reads-from class: every word of ``rf_class_words``."""
-    return EquivClass("rf", run, rf_class_words(run, bound))
+    """The reads-from class: the words of ``rf_class_words``, counted
+    by ``len()`` and listed on first use."""
+    _check_bound(run, bound, RF_BOUND, "reads-from class")
+    return _SearchedClass("rf", run, *_rf_moves(run))
 
 
 # ---- reads-from order decision ---------------------------------------------

@@ -149,15 +149,11 @@ class Universe:
     # |symbols| + 1 bits at k * (|symbols| + 1), whose top (guard) bit
     # stays clear.  field_low has the low bit of every field, column_low
     # those of the fields on variable 0 (shifted left by v * (|symbols| + 1)
-    # it has those on variable v), single each symbol's own bit.
+    # it has those on variable v).
 
     @cached_property
     def sym_thread(self) -> tuple[int, ...]:
         return tuple(self.thread_index[lab.thread] for lab, _ in self.symbols)
-
-    @cached_property
-    def single(self) -> tuple[int, ...]:
-        return tuple(1 << i for i in range(len(self.symbols)))
 
     @cached_property
     def write_mask(self) -> int:

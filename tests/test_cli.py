@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from blockeq import oracle
 from blockeq.blocks import BlockSet, blocks_from_annotation
 from blockeq.cli import main
 from blockeq.concurrency import MODES
-from blockeq.oracle import EquivClass
+from blockeq.oracle import EquivClass, enum_maz_class, enum_rf_class
 from blockeq.trace import parse_run
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -379,6 +380,27 @@ def test_enumerate_reads_no_label_tuples(monkeypatch, capsys):
             code, out, _ = run_cli(capsys, "enumerate", trace("two_wr_pairs.trace"),
                                    "--relation", relation, *extra)
             assert code == 0 and out.startswith("members: ")
+
+
+def test_class_sizes_list_no_word(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("words listed")
+
+    gap = trace("block_vs_rf_gap.trace")
+    run = parse_run(Path(gap).read_text())
+    monkeypatch.setattr(oracle, "_frontier_words", refuse)
+    assert (len(enum_maz_class(run)), len(enum_rf_class(run))) == (35640, 95040)
+    for relation, size in (("maz", 35640), ("rf", 95040)):
+        assert run_cli(capsys, "enumerate", gap, "--relation", relation) == \
+            (0, "members: %d\n" % size, "")
+        # --limit reads the words, and only there are they listed
+        with pytest.raises(AssertionError, match="words listed"):
+            main(["enumerate", gap, "--relation", relation, "--limit", "3"])
+        capsys.readouterr()
+    monkeypatch.undo()
+    for relation in ("maz", "rf"):
+        code, out, _ = run_cli(capsys, "enumerate", gap, "--relation", relation, "--limit", "3")
+        assert code == 0 and out.count("\nmember: ") == 3
 
 
 def test_parser_reuse_keeps_calls_independent(capsys):

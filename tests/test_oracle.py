@@ -18,6 +18,7 @@ import gen
 from blockeq.atomicity import is_liberally_atomic
 from blockeq.blocks import BlockSet, all_block_sets, blocks_from_annotation
 from blockeq.oracle import (
+    SWAP_BOUND,
     BoundExceeded,
     _completes,
     enum_block_class,
@@ -281,6 +282,20 @@ def test_bounds():
     # override check on a single-thread run, whose class is a singleton
     single = Run([Label("T1", "w", "x") for _ in range(23)])
     assert len(enum_rf_class(single, bound=23).members) == 1
+
+
+def test_class_size_is_the_number_of_listed_words():
+    # len() counts paths through the frontier states; words lists them
+    runs = [parse_run(path.read_text()) for path in sorted(CORPUS.glob("*.trace"))]
+    runs.append(Run([]))
+    rng = random.Random(27)
+    shape = lambda: (rng.randint(1, 4), rng.randint(1, 3))  # threads, variables
+    runs += [gen.random_run(rng, SWAP_BOUND, *shape()) for _ in range(20)]
+    runs += [gen.random_run(rng, rng.randint(0, 12), *shape()) for _ in range(500)]
+    for run in runs:
+        for enum in (enum_maz_class, enum_rf_class):
+            assert len(enum(run)) == len(enum(run).words), (enum.__name__, run.labels)
+    assert len(enum_rf_class(Run([]))) == 1
 
 
 def test_class_excludes_runs_with_foreign_labels():
