@@ -17,15 +17,33 @@ prefixes reaches, so each word is exactly one path of ``len(run)``
 moves, and the class's size is a path count, ``_frontier_count``, that
 lists no word.  Its words are listed only on demand, by
 ``_frontier_words``: a search memoised on the state and meeting in the
-middle, so that words through one state share its completions.  The
-block class is a union of commutation classes, since both of its swaps
-keep each thread's order: only the block-swap scan runs per word, and a
-swapped word not yet seen brings in its whole commutation class, so the
-block class alone is listed when built.  ``rf_unordered`` decides one
-pair's order under reads-from equivalence by the same states, with no
-length cap, through ``_completes``: a depth-first path search that
-remembers the failing states.  The general-mode ``stream`` strategy of
-``concurrency`` runs the same search over the mark-guessing automaton.
+middle, so that words through one state share its completions.
+``rf_unordered`` decides one pair's order under reads-from equivalence
+by the same states, with no length cap, through ``_completes``: a
+depth-first path search that remembers the failing states.  The
+general-mode ``stream`` strategy of ``concurrency`` runs the same
+search over the mark-guessing automaton.
+
+The block class is a union of commutation classes, since both of its
+swaps keep each thread's order: one search per class it joins.  A
+commutation class is named by its ``need`` table, per position the
+conflicting positions placed before it.  No independent swap reorders a
+conflicting pair, so every word of the class has this table, and its
+closure is the class's order (events of one thread conflict).  Some
+word of the class places block A, contiguous, right before a
+thread-disjoint block B, contiguous, iff no member of B precedes a
+member of A and no event outside A ∪ B lies between two of their
+members.  Only if: that word has A before B, and an event between two
+members would lie inside the pair.  If: the events D outside A ∪ B that
+precede a member are closed downward, since a predecessor of one of
+them precedes that member too and is not in A ∪ B, or the D event would
+lie between two members; D ∪ A is closed too, as no member of B precedes
+one of A.  So D, A, B and the rest, each in the order of one word of
+the class, is a word of it, and each pair is decided once per class.
+Swapping the pair places B before A and keeps every other pair in
+order, so the swapped word's table is the class's with exactly its
+conflicting A × B pairs flipped: the swapped class is the same whichever
+word of the class witnessed the pair.
 
 Class members are *position words*: ``bytes`` whose k-th byte is the
 run position of the k-th event, so extending a word is a byte splice
@@ -36,10 +54,9 @@ enumeration at 255 events.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Hashable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .atomicity import is_liberally_atomic
 from .blocks import BlockSet
@@ -64,25 +81,30 @@ def _check_bound(run: Run, bound: Optional[int], default: int, what: str) -> Non
 
 
 class EquivClass:
-    """An equivalence class of a representative run.
+    """An equivalence class of a representative run, held as disjoint
+    frontier searches ``(start, moves)``: a member is a path of
+    ``len(representative)`` moves from one search's start.  A commutation
+    or reads-from class is one search, a block class one per commutation
+    class it joins.  ``len()`` is the path count, made when the class is
+    built; ``words``, the members as position words, lists the paths on
+    first read; ``in`` walks one word through the moves.  Same-label
+    events never reorder (they share a thread), so each member is equally
+    determined by its label sequence; ``members``, the set of those label
+    sequences, is built on first access."""
 
-    ``words`` holds the members as position words over the
-    representative.  Same-label events never reorder under any relation
-    considered here (they share a thread), so each member is equally
-    determined by its label sequence; ``members``, the set of those
-    label sequences, is built on first access.  A block class is listed
-    when built; a commutation or reads-from class is a frontier search
-    (``_SearchedClass``), whose size is a path count and whose words are
-    listed on first use.
-    """
-
-    def __init__(self, relation: str, representative: Run, words: Iterable[bytes]):
+    def __init__(self, relation: str, representative: Run, searches: Iterable[tuple[Hashable, Moves]]):
         assert relation in ("maz", "blocks", "rf")
         self.relation = relation
         self.representative = representative
-        self.words: frozenset[bytes] = frozenset(words)
-        assert bytes(range(len(representative))) in self.words, \
-            "representative must belong to its class"
+        self._searches = list(searches)
+        n = len(representative)
+        assert _admits(*self._searches[0], range(n)), "the first search must hold the representative"
+        self._count = sum(_frontier_count(n, *s) for s in self._searches)
+
+    @cached_property
+    def words(self) -> frozenset[bytes]:
+        n = len(self.representative)
+        return frozenset(chain.from_iterable(_frontier_words(n, *s) for s in self._searches))
 
     @cached_property
     def members(self) -> frozenset[tuple[Label, ...]]:
@@ -90,16 +112,19 @@ class EquivClass:
         return frozenset(tuple(map(at, w)) for w in self.words)
 
     def __len__(self):
-        return len(self.words)
+        return self._count
 
     def __contains__(self, item) -> bool:
         labels = item.labels if isinstance(item, Run) else item
         rep = self.representative
+        if len(labels) != len(rep):
+            return False  # a path of moves may stop early
         slots = [list(reversed(s)) for s in rep.by_code]  # each code's positions, last first
         try:
-            return bytes(slots[rep.universe.code(lab)].pop() for lab in labels) in self.words
+            word = [slots[rep.universe.code(lab)].pop() for lab in labels]
         except IndexError:
             return False  # a label the representative lacks, or too many of one
+        return any(_admits(start, moves, word) for start, moves in self._searches)
 
     def sorted_words(self) -> list[bytes]:
         """The words in the order of their label sequences."""
@@ -110,28 +135,6 @@ class EquivClass:
 
     def __repr__(self):
         return "EquivClass(%s, %d members)" % (self.relation, len(self))
-
-
-class _SearchedClass(EquivClass):
-    """A class that is the set of paths of ``len(representative)`` moves
-    from ``start``: they are counted when the class is built, and
-    ``words`` lists them on first use."""
-
-    def __init__(self, relation: str, representative: Run, start: Hashable, moves: Moves):
-        assert relation in ("maz", "rf")
-        self.relation = relation
-        self.representative = representative
-        self._search = (len(representative), start, moves)
-        assert _admits(start, moves, range(len(representative))), \
-            "representative must belong to its class"
-        self._count = _frontier_count(*self._search)
-
-    @cached_property
-    def words(self) -> frozenset[bytes]:
-        return frozenset(_frontier_words(*self._search))
-
-    def __len__(self):
-        return self._count
 
 
 # ---- frontier enumeration -------------------------------------------------
@@ -211,25 +214,31 @@ def _admits(start: Hashable, moves: Moves, word: Iterable[int]) -> bool:
     return True
 
 
-def _commutation(run: Run) -> Callable[[bytes], Moves]:
-    """The moves, from the empty state 0, of the commutation class of a
-    word, for permutations of the run's positions that keep each
-    thread's order.  A state is the mask of the placed positions, a
-    union of thread prefixes, so it stands for each thread's count of
-    placed events.  An event may come next once every event before it
-    in the word that conflicts with it is placed."""
+def _commutation(run: Run) -> tuple[Callable[[bytes], tuple[int, ...]], Callable[[Sequence[int]], Moves]]:
+    """For permutations of the run's positions that keep each thread's
+    order: the ``need`` table of a word, each position's mask of the
+    conflicting positions before it, and the moves, from the empty state
+    0, of the commutation class with a given table.  A state is the mask
+    of the placed positions, a union of thread prefixes, so it stands for
+    each thread's count of placed events.  An event may come next once
+    its ``need`` is placed."""
     code = run.code
     reps = dict(zip(code, run.labels))
-    dep = {k: sum(1 << k2 for k2, l2 in reps.items() if conflicting(lab, l2))
-           for k, lab in reps.items()}  # bit k2 of dep[k]: codes k and k2 conflict
+    at = dict.fromkeys(reps, 0)  # each code's positions
+    for p, k in enumerate(code):
+        at[k] |= 1 << p
+    rows = {k: sum(m for k2, m in at.items() if conflicting(lab, reps[k2])) for k, lab in reps.items()}
+    conflicts = [rows[k] for k in code]  # the positions each one conflicts with
     threads = [sum(1 << p for p in seq) for seq in run.by_thread]  # each thread's positions
 
-    def moves_of(word: bytes) -> Moves:
-        need = [0] * len(word)  # the positions that must be placed before each one
-        for a, p in enumerate(word):
-            row = dep[code[p]]
-            need[p] = sum(1 << q for q in word[:a] if row >> code[q] & 1)
+    def need_of(word: bytes) -> tuple[int, ...]:
+        need, placed = [0] * len(word), 0
+        for p in word:
+            need[p] = conflicts[p] & placed
+            placed |= 1 << p
+        return tuple(need)
 
+    def moves_of(need: Sequence[int]) -> Moves:
         def moves(s: int) -> list[tuple[int, int]]:
             out = []
             for t in threads:
@@ -243,7 +252,7 @@ def _commutation(run: Run) -> Callable[[bytes], Moves]:
 
         return moves
 
-    return moves_of
+    return need_of, moves_of
 
 
 def enum_maz_class(run: Run, bound: Optional[int] = None) -> EquivClass:
@@ -251,55 +260,42 @@ def enum_maz_class(run: Run, bound: Optional[int] = None) -> EquivClass:
     interleavings of the threads that keep every conflicting pair in
     run order."""
     _check_bound(run, bound, SWAP_BOUND, "swap-class")
-    return _SearchedClass("maz", run, 0, _commutation(run)(bytes(range(len(run)))))
-
-
-def _block_swaps(run: Run, blocks: BlockSet) -> Optional[Callable[[bytes], list[bytes]]]:
-    """The words one swap of two adjacent, contiguous, thread-disjoint
-    blocks makes of a word; None when no two blocks are thread-disjoint.
-    A word's positions are translated to their block index + 1 (0
-    unblocked), in which a contiguous block is its index repeated as
-    often as it has members, so one search for every thread-disjoint
-    pair of such runs, overlaps included, finds each swap."""
-    table = bytes(b + 1 for b in blocks.owner).ljust(256, b"\0")
-    runs = [(bytes((k + 1,)) * m.bit_count(), sum({1 << run.tid[p] for p in bits(m)}))
-            for k, m in enumerate(blocks.masks)]  # each block's contiguous run, thread mask
-    split = {a + b: len(a) for a, ta in runs for b, tb in runs if not ta & tb}
-    if not split:
-        return None
-    pairs = re.compile(b"(?=(%s))" % b"|".join(map(re.escape, split)))
-
-    def swaps(w: bytes) -> list[bytes]:
-        out = []
-        for m in pairs.finditer(w.translate(table)):
-            f1, l2 = m.span(1)
-            l1 = f1 + split[m[1]]
-            out.append(w[:f1] + w[l1:l2] + w[f1:l1] + w[l2:])
-        return out
-
-    return swaps
+    need_of, moves_of = _commutation(run)
+    return EquivClass("maz", run, [(0, moves_of(need_of(bytes(range(len(run))))))])
 
 
 def enum_block_class(run: Run, blocks: BlockSet, bound: Optional[int] = None) -> EquivClass:
     """Closure under adjacent independent event swaps plus swaps of two
-    adjacent, contiguous, thread-disjoint blocks.  Both swaps keep each
-    thread's order, so the class is a union of commutation classes: each
-    word is scanned for block swaps, and a swapped word not yet seen
-    brings in its whole commutation class."""
+    adjacent, contiguous, thread-disjoint blocks: the commutation classes
+    that block swaps reach from the run's, each reached by one word and
+    named by its ``need`` table.  Per class, each thread-disjoint pair
+    (A, B) that some word places contiguously as A then B brings in the
+    class of the word placing A ∪ B's predecessors, B, A, then the rest
+    (module docstring)."""
     _check_bound(run, bound, SWAP_BOUND, "swap-class")
-    n, moves_of = len(run), _commutation(run)
-    seen = set(_frontier_words(n, 0, moves_of(bytes(range(n)))))
-    swaps = _block_swaps(run, blocks)
-    if swaps is not None:
-        todo = [list(seen)]
-        while todo:
-            for w in todo.pop():
-                for v in swaps(w):
-                    if v not in seen:
-                        cls = list(_frontier_words(n, 0, moves_of(v)))
-                        seen.update(cls)
-                        todo.append(cls)
-    return EquivClass("blocks", run, seen)
+    need_of, moves_of = _commutation(run)
+    tids = [sum({1 << run.tid[p] for p in bits(m)}) for m in blocks.masks]  # each block's threads
+    pairs = [(a, b) for a, ta in zip(blocks.masks, tids)
+             for b, tb in zip(blocks.masks, tids) if not ta & tb]
+    word = bytes(range(len(run)))
+    found = {need_of(word): word}  # each class's table and the word that reached it
+    todo = list(found.items()) if pairs else []
+    while todo:
+        need, word = todo.pop()
+        down = [0] * len(word)  # each position's predecessors in the class's order
+        for p in word:
+            down[p] = need[p] | rows_union(down, need[p])
+        for a, b in pairs:
+            u = a | b
+            pre = rows_union(down, u) & ~u
+            if rows_union(down, a) & b or rows_union(down, pre) & u:
+                continue  # B precedes A somewhere, or an event lies between two members
+            swapped = bytes(p for part in (pre, b, a, ~(pre | u)) for p in word if part >> p & 1)
+            key = need_of(swapped)
+            if key not in found:
+                found[key] = swapped
+                todo.append((key, swapped))
+    return EquivClass("blocks", run, [(0, moves_of(need)) for need in found])
 
 
 def _rf_moves(run: Run) -> tuple[tuple, Moves]:
@@ -341,7 +337,7 @@ def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
     """The reads-from class: the words of ``rf_class_words``, counted
     by ``len()`` and listed on first use."""
     _check_bound(run, bound, RF_BOUND, "reads-from class")
-    return _SearchedClass("rf", run, *_rf_moves(run))
+    return EquivClass("rf", run, [_rf_moves(run)])
 
 
 # ---- reads-from order decision ---------------------------------------------

@@ -14,7 +14,7 @@ from blockeq import oracle
 from blockeq.blocks import BlockSet, blocks_from_annotation
 from blockeq.cli import main
 from blockeq.concurrency import MODES
-from blockeq.oracle import EquivClass, enum_maz_class, enum_rf_class
+from blockeq.oracle import EquivClass, enum_block_class, enum_maz_class, enum_rf_class
 from blockeq.trace import parse_run
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -389,8 +389,10 @@ def test_class_sizes_list_no_word(monkeypatch, capsys):
     gap = trace("block_vs_rf_gap.trace")
     run = parse_run(Path(gap).read_text())
     monkeypatch.setattr(oracle, "_frontier_words", refuse)
-    assert (len(enum_maz_class(run)), len(enum_rf_class(run))) == (35640, 95040)
-    for relation, size in (("maz", 35640), ("rf", 95040)):
+    classes = (enum_maz_class(run), enum_block_class(run, blocks_from_annotation(run)), enum_rf_class(run))
+    assert tuple(map(len, classes)) == (35640, 35640, 95040)
+    assert all(run in cls for cls in classes)  # membership walks the one word
+    for relation, size in (("maz", 35640), ("blocks", 35640), ("rf", 95040)):
         assert run_cli(capsys, "enumerate", gap, "--relation", relation) == \
             (0, "members: %d\n" % size, "")
         # --limit reads the words, and only there are they listed
@@ -398,7 +400,7 @@ def test_class_sizes_list_no_word(monkeypatch, capsys):
             main(["enumerate", gap, "--relation", relation, "--limit", "3"])
         capsys.readouterr()
     monkeypatch.undo()
-    for relation in ("maz", "rf"):
+    for relation in ("maz", "blocks", "rf"):
         code, out, _ = run_cli(capsys, "enumerate", gap, "--relation", relation, "--limit", "3")
         assert code == 0 and out.count("\nmember: ") == 3
 

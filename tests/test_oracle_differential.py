@@ -107,6 +107,7 @@ def test_swap_classes_match_reference():
         ref = reference_swap_closure(aw, bs)
         assert set(blk.members) == ref, aw
         assert all(labels in blk for labels in ref)
+        assert aw.labels[:-1] not in maz and aw.labels[:-1] not in blk
         assert len(maz) == len(maz.members) and len(blk) == len(blk.members)
         sizes.add(len(blk))
     assert max(sizes) > 100
@@ -164,3 +165,18 @@ def test_frontier_classes_match_word_by_word_search_random():
         maz, blk = _matches_word_by_word_search(aw, blocks_from_annotation(aw), rf=n_threads <= 4)
         joined += maz < blk
     assert joined > 20
+
+
+def test_block_classes_match_swap_closure_exhaustive_small():
+    # Every annotated run of 1-4 events on 2 threads x 2 variables and of
+    # 1-3 events on 3 x 2, against the word-by-word closure.
+    runs = joined = 0
+    for n_events, n_threads in [(n, 2) for n in range(1, 5)] + [(n, 3) for n in range(1, 4)]:
+        for aw in gen.all_annotated_runs(n_events, n_threads=n_threads):
+            bs = blocks_from_annotation(aw)
+            blk = enum_block_class(aw, bs)
+            assert blk.words == swap_closure_words(aw, bs), aw
+            runs += 1
+            joined += len(blk) > len(enum_maz_class(aw))
+    assert runs == 13852
+    assert joined > 0
