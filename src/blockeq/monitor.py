@@ -38,24 +38,36 @@ and rule 5, which joins rows at the same offset, joins packed ints
 whole.  A row's open flag sits on its guard bit, so flags and rows
 share one layout, and one mask lowers or passes on a symbol's flags.
 
-The transition is a least-fixpoint computation per input symbol: passes
-of the mask rules 1-5, in a fixed order, until one logs nothing, then
-the flags, which no mask rule reads: a marked write lowers its pair's
-flags, and a marked read passes lowered flags on.  Each rule reads the
-changes logged since it last ran and re-examines only the instances
-whose inputs they touch; only instances that cannot fire are skipped.
-The log opens empty.  A rule's changes are logged and read in the next
-pass at the latest, but for three kinds that no reader needs, each
-argued below: rule 1's sweep, a block opener's own rows and rule 5's
-joins.  Every rule is monotone, so the step ends at the least fixpoint
-that repeated sweeps of every instance reach
-(``tests/monitor_reference.py`` keeps such a step and the tests compare
-the two from every state they reach).  Sets are bitmasks over the
+The transition is a least-fixpoint computation per input symbol: rule
+1's sweep, then passes of the mask rules 2-5, in a fixed order, until a
+pass grows no row, then the flags, which no mask rule reads: a marked
+write lowers its pair's flags, and a marked read passes lowered flags
+on.  A pass keeps two masks of symbols: those whose A row grew in it,
+and those whose first-block rows grew.  That one pair per pass carries
+all that each rule must read of the growth since it last ran.  Rules 2-4
+examine every row on a variable whose running block's after set changed
+(and on the arriving symbol's in the first pass), elsewhere the rows of
+the symbols in the previous pass's masks, of which the first pass has
+none.  Rules 4b and 5 read the A rows that grew in the current pass:
+after rule 1's sweep only rules 2-4 grow A rows, rule 4b writes only
+first-block rows, and rule 5's joins need no reader, so that mask is
+all the A growth either rule has not yet read.  The flags read the A
+rows that grew over the whole step.  Every rule is monotone, and an
+instance whose inputs have not grown since it last fired, or since the
+step's start, adds nothing when it fires again: its conclusion holds
+from then on, or from the previous fixpoint.  So rules 2-4 fire on every
+field of each row they examine, changed or not, and only instances that
+cannot fire are skipped.  A pass's growth is read in the next pass at
+the latest, but for three kinds that no reader needs, each argued below:
+rule 1's sweep, a block opener's own rows and rule 5's joins.  So the
+step ends at the least fixpoint that repeated sweeps of every instance
+reach (``tests/monitor_reference.py`` keeps such a step and the tests
+compare the two from every state they reach).  Sets are bitmasks over the
 symbol universe, so each step costs time polynomial in the alphabet
 size and constant in the stream length; two arguments let the first
 pass, too, do work in proportion to what the step changes.
 
-*Rule 1 runs once per step, outside the change log.*  Rule 1 joins the
+*Rule 1 runs once per step, before the passes.*  Rule 1 joins the
 arriving symbol a into every row that meets its dependence set D.  D is
 new every step, so the step opens with one sweep of every row for it.
 No later pass needs another: every other rule grows a row by joining in
@@ -67,15 +79,16 @@ they mask a out of the rows they read, and when rule 1 adds a to a row R
 that some row S has to contain, S contains R's other bits, so S met D as
 well and took a in the same sweep.  Only rules 2-4, whose running block
 on a's variable may hold a, read the sweep's joins, and the first pass
-sweeps that variable.  A join of a made by any other rule is logged like
-any change, as that row need not meet D; an A row whose one gain was a
-gives rule 5 and the flags nothing to fire on, as they mask a out.
+sweeps that variable.  A join of a made by any other rule enters the
+pass's masks like any growth, as that row need not meet D; an A row
+whose one gain was a gives rule 5 and the flags nothing to fire on, as
+they mask a out.
 
 *A block opener's own rows are settled without re-examination.*  A
 marked write a on variable x by thread t opens a block, and rule 2
 starts tracking it in the empty rows, at a's own pair (t, x), of the
 symbols c whose after row holds a: each such row becomes exactly {a}.
-Such a row is not logged, as no reader needs it:
+Such a row enters no pass mask, as no reader needs it:
 
 * rules 2-4 sweep x in full on the first pass; the running block's
   after set is {a} all step, so rule 3 has nothing to add, and rule 4
@@ -115,14 +128,15 @@ rule 1 adds a alone; rules 2-4 a running block's after set, its members
 and their A rows; rule 4b A rows; rule 5 rows of other symbols.  So a
 row stops being closed only when the A row of a symbol b in it grows.
 Rule 1's growth, a, reached the row in the same sweep (above); any
-other is logged, and rule 4b joins A[b] into every row holding b.  A
-set may be written while the A row of a symbol b in it lags behind
-that of a symbol d in A[b]; A rows are closed at the fixpoint (the
-order is transitive), so A[b] grows, logged, to hold A[d] later.
+other is made by rules 2-4 and marked in the pass's A mask, and rule 4b
+joins A[b] into every row holding b in that pass.  A set may be written
+while the A row of a symbol b in it lags behind that of a symbol d in
+A[b]; A rows are closed at the fixpoint (the
+order is transitive), so A[b] grows in a later pass to hold A[d].
 
 *Rule 5 runs only for after rows that grew.*  Rule 5 joins the rows of
-the symbols b in A[c] into c's, for a logged growth of A[c]; a b that
-enters A[c] during the step is such a growth.  A growth of b's rows
+the symbols b in A[c] into c's, for a growth of A[c] in the pass; a b
+that enters A[c] during the step is such a growth.  A growth of b's rows
 needs no run of its own when b was in A[c] at the step's start: c's
 row held b's row then (the fixpoint carries over), and each rule that
 grows a field of b makes the same firing test on c's field at that
@@ -132,9 +146,9 @@ tracked row; rule 4 fires on a field that meets the running block; and
 rule 4b joins A[d] into every field that holds d.  So c's field grows
 at least as much as b's.
 
-*Rule 5's joins are not logged.*  Rule 4b and the flags read only A
-rows' growth.  Rule 5 needs no entry: a symbol d with c in A[d] has b
-in A[d] by the fixpoint, so d takes F[b] itself, for the growth of A[d]
+*Rule 5's joins enter no pass mask.*  Rule 4b and the flags read only
+A rows' growth.  Rule 5 needs no mask bit: a symbol d with c in A[d] has
+b in A[d] by the fixpoint, so d takes F[b] itself, for the growth of A[d]
 that brings b in, or, if b was in A[d] at the step's start, as b's row
 grows (above).  Rules 2-4 need none: a running block's member that
 F[b] brings into c's row was in b's row at that pair already.  Either rule 4 joined
@@ -290,10 +304,6 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     GUARD = LOW << ns
     DATA = GUARD - LOW
 
-    def grown(old: int, new: int) -> int:
-        # guard bits of the fields in which new exceeds old
-        return ((new ^ old) + DATA) & GUARD
-
     # ---- least fixpoint over after rows and first-block rows ----------
     # Blocks on one (writer thread, variable) pair are always ordered
     # blockwise: their writes are program-ordered, so the block-level step
@@ -303,13 +313,6 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # per variable, the symbols whose row at the running block's pair
     # rule 2 started tracking that block this step
     started = [0] * nX
-
-    # Change log: (c, g) when symbol c's fields under guard bits g grew,
-    # (c, 0) when c's A row grew.  Each change-driven section reads the
-    # entries logged since its previous run began.  The log opens empty;
-    # rule 1's sweep and rule 5's joins are not logged (module docstring).
-    log: list[tuple[int, int]] = []
-    since = dict.fromkeys(("24", "4b", "5"), 0)
     closures: list[Optional[int]] = [None] * nX  # rules 2-4: each block's last after set
 
     # 1. the arriving symbol joins every row it depends into: a field
@@ -318,24 +321,13 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     spread, down = dep_in * LOW, ns - ai
     F = [P | g >> down if P and (g := ((P & spread) + DATA) & GUARD) else P for P in old_F]
 
-    def changes(pos: int) -> tuple[int, dict[int, int]]:
-        # since pos: mask of symbols whose A row grew, and per symbol the
-        # guard bits of its fields that grew
-        syms, fields = 0, {}
-        for c, g in log[pos:]:
-            if g:
-                fields[c] = fields.get(c, 0) | g
-            else:
-                syms |= 1 << c
-        return syms, fields
-
-    def mask_rules() -> bool:
-        start = len(log)
-
-        # changes since the last run began; what this run logs is read by
-        # the next pass
-        syms24, fields24 = changes(since["24"])
-        since["24"] = len(log)
+    # Passes of rules 2-5 until one grows nothing.  Per pass, grew_a and
+    # grew_f mask the symbols whose A row and whose first-block rows grew
+    # in it; changed is the previous pass's union, and grown_a the A rows
+    # that grew over the whole step (module docstring).
+    changed = grown_a = 0
+    while True:
+        grew_a = grew_f = 0
         for v in range(nX):
             bv = blk[v]
             if bv == 0:
@@ -352,9 +344,9 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 closure |= A[low.bit_length() - 1]
                 m ^= low
 
-            # every instance on v is examined when the block's after set
-            # changed, and on the arriving symbol's variable in the first
-            # run; otherwise those whose rows changed since the last run
+            # every row is examined when the block's after set changed,
+            # and on the arriving symbol's variable in the first pass;
+            # otherwise the rows of the symbols that grew in the last pass
             prev, closures[v] = closures[v], closure
             full = closure != prev if prev is not None else v == xi
             k = btheta[v] * nX + v  # the running block's pair
@@ -383,17 +375,13 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                             F[c] |= abit << sh
                     elif F[c] & hits:
                         A[c] |= abit
-                        log.append((c, 0))
+                        grew_a |= 1 << c
                 started[v] = tv
                 continue
-            if full:
-                # rules 2-4 for one symbol read and write its own rows and
-                # A row only, so each symbol takes them in turn
-                rows = range(ns)
-            else:
-                rows = sorted(set(bits(syms24)).union(fields24))
+            # rules 2-4 for one symbol read and write its own rows and A
+            # row only, so each symbol takes them in turn
             spread, data, guard = bv * col, (col << ns) - col, col << ns
-            for c in rows:
+            for c in range(ns) if full else bits(changed):
                 if c == ai:
                     continue
                 P = F[c]
@@ -401,14 +389,14 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                     tracked = not opens
                 elif tv >> c & 1:
                     tracked = True
-                elif A[c] & bv and (full or syms24 >> c & 1):
+                elif A[c] & bv:
                     # 2. start tracking: a running-block member inside an
                     # after row opens first-block tracking for that row
                     tv |= 1 << c
                     tracked = True
                     if opens and not P & field:
                         # the row becomes {a}, the closure; settled
-                        # unlogged (module docstring)
+                        # without re-examination (module docstring)
                         F[c] = P = P | closure << sh
                 else:
                     tracked = False
@@ -419,37 +407,34 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 # meet the block.
                 hit = P & spread
                 g = hit and (hit + data) & guard
-                if g and not full:
-                    g &= fields24.get(c, 0)
                 if tracked:
                     g &= ngbit  # the running block itself
                 if g and A[c] | closure != A[c]:
                     A[c] |= closure
-                    log.append((c, 0))
+                    grew_a |= 1 << c
                 # 3. a tracked running block keeps its row in sync with
                 # the block's growing after set.  Multiplying the low bits
                 # of that field and of rule 4's by the closure writes it
                 # into all of them at once.
-                if tracked and (full or syms24 >> c & 1):
+                if tracked:
                     g |= gbit
                 if g:
                     new = P | (g >> ns) * closure
                     if new != P:
                         F[c] = new
-                        log.append((c, grown(P, new)))
+                        grew_f |= 1 << c
             started[v] = tv
 
         # 4b. transitivity through after rows: a symbol inside a
         # first-block row pins everything after its own last occurrence
         # into that row as well (the arriving symbol's stored after row is
         # stale, but its fresh contribution is exactly the joins rule 1
-        # already makes).  Rows stay closed under A rows but for the A
-        # rows that grew since the last run (module docstring), each
-        # joined into every field holding its symbol by one product.
-        syms = changes(since["4b"])[0] & notai
-        since["4b"] = len(log)
-        if syms:
-            joins = [(b, A[b]) for b in bits(syms)]
+        # already makes, and no rule grows it).  Rows stay closed under A
+        # rows but for the A rows that rules 2-4 grew in this pass (module
+        # docstring), each joined into every field holding its symbol by
+        # one product.
+        if grew_a:
+            joins = [(b, A[b]) for b in bits(grew_a)]
             for c, P in enumerate(F):
                 add = 0
                 for b, row in joins:
@@ -458,19 +443,18 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                         add |= hit * row
                 if P | add != P:
                     F[c] = P | add
-                    log.append((c, grown(P, P | add)))
+                    grew_f |= 1 << c
 
         # 5. inheritance: anything after the row's label is after every
         # first block that is after that label's last occurrence, and the
         # first blocks per (thread, variable) chain nest downward — so a
         # row absorbs the same-kind rows of every symbol in its after set.
         # Same-kind rows sit at the same offset, so a symbol's packed rows
-        # absorb a packed int whole.  Only a symbol whose A row grew since
-        # the last run can gain here: the rule that grew a row of a symbol
-        # in A[c] grew c's row at least as much.  A row that grows here is
-        # not logged (module docstring).
-        todo = changes(since["5"])[0] & notai
-        since["5"] = len(log)
+        # absorb a packed int whole.  Only a symbol whose A row grew in
+        # this pass can gain here: the rule that grew a row of a symbol in
+        # A[c] grew c's row at least as much.  No later pass needs to
+        # re-read what it joins (module docstring).
+        todo = grew_a
         while todo:
             c = (todo & -todo).bit_length() - 1
             todo &= todo - 1
@@ -482,10 +466,10 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 m ^= low
             F[c] |= add
 
-        return len(log) != start
-
-    while mask_rules():
-        pass
+        grown_a |= grew_a
+        changed = grew_a | grew_f
+        if not changed:
+            break
 
     # Flags, once, at the fixpoint of the mask rules, none of which reads
     # them: lower open flags on evidence of a second same-kind block.  A
@@ -502,7 +486,7 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             if P & field:
                 O[c] &= ~kb
     elif marked:
-        for c in bits(changes(0)[0] & notai):
+        for c in bits(grown_a):
             for d in bits(A[c] & notai):
                 O[c] &= state.open_[d]
 

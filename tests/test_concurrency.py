@@ -7,7 +7,10 @@ order, the fixed-block decision against brute-force class enumeration
 existential decision against the mode hierarchy, and the ``stream``
 strategy's depth-first search against the layered pass of
 ``oracles.reference_general_stream``.  The known gap of the
-arrival-time witness bit is pinned by regressions.
+arrival-time witness bit is pinned by regressions.  A census of every
+event pair checks the modes' nesting against reads-from concurrency:
+maz within blocks (for liberally atomic blocks) within general within
+rf, with the corpus's strict gaps pinned.
 """
 
 import itertools
@@ -32,7 +35,7 @@ from blockeq.concurrency import (
     inner_pair_positions,
 )
 from blockeq.monitor import symbols_of
-from blockeq.oracle import enum_block_class
+from blockeq.oracle import enum_block_class, rf_unordered
 from blockeq.orders import mazurkiewicz_hb, saturate
 from blockeq.trace import Label, Run, TraceError, Universe, parse_run
 import oracles
@@ -355,6 +358,62 @@ def test_general_contains_maz_and_stream_contains_general():
             s = conc_symbols_general(run, c, d, strategy="stream")
             assert not (m and not g)
             assert not (g and not s)
+
+
+def pair_census(run):
+    """Per mode, the event pairs i < j that some order of the mode leaves
+    unordered (the test ``conc_events`` makes, with each mode's orders
+    built once per run), and under ``rf`` those ``rf_unordered`` finds
+    inverted in the reads-from class."""
+    pairs = list(itertools.combinations(range(len(run)), 2))
+    found = {}
+    for mode in MODES:
+        orders = list(concurrency._orders(run, mode))
+        found[mode] = {(i, j) for i, j in pairs if any(not o.succ[i] >> j & 1 for o in orders)}
+    found["rf"] = {(i, j) for i, j in pairs if rf_unordered(run, i, j)}
+    return found
+
+
+def check_hierarchy(run):
+    found = pair_census(run)
+    assert found["maz"] <= found["general"]
+    if is_liberally_atomic(run, blocks_from_annotation(run)):
+        assert found["maz"] <= found["blocks"]
+    else:
+        assert not found["blocks"]
+    assert found["blocks"] <= found["general"]
+    assert found["general"] <= found["rf"]
+    return found
+
+
+def test_census_hierarchy_random():
+    rng = random.Random(7)
+    counts = dict.fromkeys(("maz", "blocks", "general", "rf"), 0)
+    for k in range(60):
+        found = check_hierarchy(gen.random_annotated_run(rng, 5 + k % 4, 2 + k % 2, 2))
+        for mode in counts:
+            counts[mode] += len(found[mode])
+    assert counts == {"maz": 153, "blocks": 212, "general": 490, "rf": 490}
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.trace")), ids=lambda p: p.name)
+def test_census_hierarchy_corpus(path):
+    check_hierarchy(parse_run(path.read_text()))
+
+
+def test_census_strict_gaps():
+    # blocks recover part of reads-from concurrency, commutation less
+    run = corpus("block_vs_rf_gap.trace")
+    found = pair_census(run)
+    assert (len(found["general"]), len(found["rf"])) == (42, 56)
+    assert (5, 9) in found["rf"] - found["general"]
+    assert not conc_events(run, run.events[5], run.events[9], "general")
+    run = corpus("three_thread_zx_variant.trace")
+    found = pair_census(run)
+    assert (len(found["maz"]), len(found["general"])) == (5, 19)
+    i, j = min(found["general"] - found["maz"])
+    assert conc_events(run, run.events[i], run.events[j], "general")
+    assert not conc_events(run, run.events[i], run.events[j], "maz")
 
 
 def test_general_stream_strictly_looser():

@@ -19,9 +19,9 @@ from blockeq.orders import bits, saturate
 from blockeq.trace import Label, READ, WRITE, Run, Universe, parse_run
 
 import gen
-from monitor_reference import (flags_steer_order, grown_past_arrival, library_state,
-                               lowered_on_empty, ref_initial, reference_mismatch, row_fields,
-                               step_mismatch, valid_symbols)
+from monitor_reference import (campaign, flags_steer_order, grown_past_arrival,
+                               library_state, lowered_on_empty, ref_initial, reference_mismatch,
+                               row_fields, step_mismatch, valid_symbols, walk)
 from oracles import after_set
 from test_golden import _monitor_streams
 
@@ -383,6 +383,16 @@ def test_states_differing_only_in_tir():
     assert ends[0] == ends[1] == library_state(refs[0])
     for q in refs:
         walk_reference(q, 3)
+
+
+def test_reference_script_entry_points(capsys):
+    # the script's breadth-first walk (which stores states through
+    # _pack/_unpack) and its random-stream campaign, each at a small size
+    assert walk(2, 1, 4, 250000) == 0
+    assert campaign(20, 1) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("2x1 to depth 4: ") and "not capped" in out[0]
+    assert out[1].startswith("20 streams, ")
 
 
 def test_canonical_text_constant_size():
