@@ -85,20 +85,20 @@ whose one gain was a gives rule 5 and the flags nothing to fire on, as
 they mask a out.
 
 *A block opener's own rows are settled without re-examination.*  A
-marked write a on variable x by thread t opens a block, and rule 2
-starts tracking it in the empty rows, at a's own pair (t, x), of the
-symbols c whose after row holds a: each such row becomes exactly {a}.
-Such a row enters no pass mask, as no reader needs it:
+marked write a on variable x by thread t opens a block with after set
+{a} all step.  Each pass, rules 2-4 on x take their own path over the
+rows it examines, and the general rules never see the block.  Rule 4
+joins a into the A rows with a field on x that holds a.  Rules 2 and 3
+put a into the row at (t, x) of each c with a in A[c]; a row non-empty
+at the step's start held its block's write, an earlier event of t, so
+rule 1 added a.  Such a row enters no pass mask:
 
-* rules 2-4 sweep x in full on the first pass; the running block's
-  after set is {a} all step, so rule 3 has nothing to add, and rule 4
-  skips the row, the running block's own;
+* the path reads the row only against A[c], which holds a, and rules
+  2-4 on other variables read no field on x;
 * rule 4b joins only the A rows of other symbols (a's is stale);
 * rule 5 passes c's row only to a symbol d with c in A[d].  In the
   step's fixpoint a is in A[d] as well (d's last occurrence precedes
-  c's, which precedes a), so d's row at (t, x) holds a: rule 2 opened it
-  like c's, or it already tracked an older block of the pair, whose
-  write is a's previous occurrence;
+  c's, which precedes a), so the path puts a into d's row like c's;
 * the flags' new-block flip reads the rows as they stood at the
   step's start, and inheritance does not run on a write.
 
@@ -156,17 +156,17 @@ the block's after set into that row, which c's row now holds, and into
 A[b], which A[c] holds; or b's row tracks the block and holds no more
 than its after set, which rule 3 or 4 puts into c's row as well.
 
-*Which rows track the running block is derived, not stored.*  Rules 2-4
-treat a row r = (c, t, v) as tracking v's running block B when rule 2
-started it this step, or when at the step's start r is non-empty, B's
-writer is t, and the arriving symbol does not replace B; no flag is
-read.  Where r's flag is up this is exact: r tracks the first block of
-its kind after c, which is then the last of its kind, as B is.  A
-flag-down row tracks an older block, yet is taken to track B, so rule 3
-syncs it and rule 4 skips its field; the reference step in
-``tests/monitor_reference.py`` stores the bit, and on some such rows
-applies rule 4 instead.  At the fixpoint neither adds anything there,
-as A[c] and r already hold B's after set:
+*Which rows track the running block is derived, not stored.*  Off the
+opener path the arrival keeps v's running block B, and rules 2-4 take a
+row r = (c, t, v), t B's writer, to track B when r was non-empty at the
+step's start or A[c] meets B (rule 2), which then holds all step: B is
+fixed and A rows only grow.  No flag is read.  Where r's flag is up this
+is exact: r tracks the first block of its kind after c, which is then
+the last of its kind, as B is.  A flag-down row tracks an older block,
+yet is taken to track B, so rule 3 syncs it and rule 4 skips its field;
+the reference step in ``tests/monitor_reference.py`` stores the bit, and
+on some such rows applies rule 4 instead.  At the fixpoint neither adds
+anything there, as A[c] and r already hold B's after set:
 
 * the flag is down, so a later block of r's kind opened after r's
   first block.  Same-kind blocks are ordered blockwise, so that block,
@@ -287,9 +287,6 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     if is_write:
         rf[xi] = ai
 
-    # per-variable writer thread of the running block: its one write is
-    # the last write on the variable
-    btheta = [u.sym_thread[w] if m else -1 for m, w in zip(blk, rf)]
     if marked and not is_write and not state.blk[xi]:
         raise ValueError(
             "marked read %s %s observes an unmarked write" % (sym[0].thread, sym[0].variable)
@@ -309,10 +306,6 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     # blockwise: their writes are program-ordered, so the block-level step
     # applies to every such pair.
     old_F = state.fba
-
-    # per variable, the symbols whose row at the running block's pair
-    # rule 2 started tracking that block this step
-    started = [0] * nX
     closures: list[Optional[int]] = [None] * nX  # rules 2-4: each block's last after set
 
     # 1. the arriving symbol joins every row it depends into: a field
@@ -349,34 +342,26 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
             # otherwise the rows of the symbols that grew in the last pass
             prev, closures[v] = closures[v], closure
             full = closure != prev if prev is not None else v == xi
-            k = btheta[v] * nX + v  # the running block's pair
-            sh = k * (ns + 1)
+            # the running block's pair: its one write is the variable's last
+            sh = (u.sym_thread[rf[v]] * nX + v) * (ns + 1)
             field, gbit = FULL << sh, 1 << sh + ns  # its field and guard bit
             ngbit = ~gbit
             col = u.column_low << v * (ns + 1)
-            # a row that was non-empty at the step's start tracks the
-            # block iff the block is not the arriving symbol's new one;
-            # an empty one iff rule 2 started it
-            opens = new_block and v == xi
-            tv = started[v]
-            if opens and full:
+            if new_block and v == xi:
                 # The new block's after set is {a}.  Rule 4 writes nothing
                 # into first-block rows, which hold a wherever they meet
-                # the block, and joins a into the A rows that lack it; no
-                # row tracks the block but those rule 2 starts, in the
-                # empty rows of the symbols whose A row holds a.
+                # the block, and joins a into the A rows that lack it;
+                # rules 2 and 3 put a into the block's row of each symbol
+                # whose A row holds a (module docstring).
                 hits = col << ai
-                for c in range(ns):
+                for c in range(ns) if full else bits(changed):
                     if c == ai:
                         continue
                     if A[c] & abit:
-                        if not old_F[c] & field:
-                            tv |= 1 << c
-                            F[c] |= abit << sh
+                        F[c] |= abit << sh
                     elif F[c] & hits:
                         A[c] |= abit
                         grew_a |= 1 << c
-                started[v] = tv
                 continue
             # rules 2-4 for one symbol read and write its own rows and A
             # row only, so each symbol takes them in turn
@@ -385,21 +370,10 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                 if c == ai:
                     continue
                 P = F[c]
-                if old_F[c] & field:
-                    tracked = not opens
-                elif tv >> c & 1:
-                    tracked = True
-                elif A[c] & bv:
-                    # 2. start tracking: a running-block member inside an
-                    # after row opens first-block tracking for that row
-                    tv |= 1 << c
-                    tracked = True
-                    if opens and not P & field:
-                        # the row becomes {a}, the closure; settled
-                        # without re-examination (module docstring)
-                        F[c] = P = P | closure << sh
-                else:
-                    tracked = False
+                # 2. a row tracks the running block if it was non-empty at
+                # the step's start, or once its symbol's after row meets
+                # the block (module docstring)
+                tracked = old_F[c] & field or A[c] & bv
                 # 4. block-level step: a first-block row holding a member
                 # of a *different* running block on its variable orders the
                 # whole running block after the tracked block and the row's
@@ -423,7 +397,6 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
                     if new != P:
                         F[c] = new
                         grew_f |= 1 << c
-            started[v] = tv
 
         # 4b. transitivity through after rows: a symbol inside a
         # first-block row pins everything after its own last occurrence
@@ -495,8 +468,10 @@ def sat_step(state: SatState, sym: AnnLabel) -> SatState:
     O[ai] = GUARD
     F[ai] = 0
     if marked:
-        k = (ti if new_block else btheta[xi]) * nX + xi
-        F[ai] = (abit if new_block else A[state.rf[xi]] | abit) << k * (ns + 1)
+        # the running block's after set at its own pair; A[ai] is {a}, so a
+        # new block's is {a}
+        w = rf[xi]
+        F[ai] = (A[w] | abit) << (u.sym_thread[w] * nX + xi) * (ns + 1)
 
     return SatState(u, tuple(blk), tuple(rf), tuple(A), tuple(F), tuple(O))
 

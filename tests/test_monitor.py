@@ -338,6 +338,39 @@ def test_order_fields_ignore_the_flags():
     assert steps > 5000
 
 
+def test_opener_pair_rows_hold_the_new_write():
+    # what lets the block-opener path of sat_step join the new write a
+    # into its pair's rows without testing them (monitor.py's
+    # docstring): a row non-empty at the step's start at a's pair holds
+    # that pair's block write, an earlier event of a's thread, so a is in
+    # the row and in its symbol's after row once the step is done
+    streams = list(_monitor_streams().values())
+    rng = random.Random(4130)
+    for n_threads in range(1, 5):
+        for n_vars in range(1, 5):
+            for p in (0.3, 0.5, 0.7, 0.85, 1.0):
+                aw = gen.random_annotated_run(rng, rng.randint(40, 120), n_threads, n_vars, p=p)
+                streams.append((universe_of(*gen.alphabet(n_threads, n_vars)), aw))
+    cases = 0
+    for universe, aw in streams:
+        ns = len(universe.symbols)
+        q = sat_initial(universe)
+        for step, s in enumerate(symbols_of(aw)):
+            prev, q = q, sat_step(q, s)
+            if not (s[1] and s[0].is_write()):
+                continue
+            a = universe.index(s)
+            k = universe.sym_thread[a] * len(universe.variables) + universe.var_index[s[0].variable]
+            sh = k * (ns + 1)
+            for c in range(ns):
+                if c == a or not prev.fba[c] >> sh & (1 << ns) - 1:
+                    continue
+                cases += 1
+                assert q.fba[c] >> sh + a & 1 and q.aft[c] >> a & 1, (
+                    "step %d, symbol %d: %s" % (step, c, describe(aw)))
+    assert cases > 20000
+
+
 def walk_reference(q, depth, lib=None):
     """Step the reference and the library from reference state q along
     every valid continuation of up to depth symbols, requiring equal
