@@ -139,9 +139,6 @@ class BlockSet:
     def __hash__(self):
         return hash((self.run, self.writes))
 
-    def __str__(self):
-        return "[" + "; ".join(str(b) for b in self.blocks) + "]"
-
 
 def _nodes(blocks: BlockSet) -> tuple[list[int], list[list[int]]]:
     """Each position's node and each node's member positions, ascending,

@@ -200,8 +200,8 @@ def conc_symbols_general(run: Run, c: Label, d: Label, strategy: str = "enumerat
     """
     if strategy not in ("enumerate", "stream"):
         raise ValueError("strategy must be 'enumerate' or 'stream', got %r" % (strategy,))
-    if c not in run.labels or d not in run.labels:
-        return False  # no occurrence pair, whatever the block set
+    if c not in run.labels or d not in run.labels or c.thread == d.thread:
+        return False  # no occurrence pair, or program order orders each one
     if strategy == "enumerate":
         return _symbols_unordered(run, MOST_GENERAL, c, d)
     return _general_stream(run, c, d)
@@ -222,7 +222,8 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
     reaches the end and expands each node at most once.
     """
     universe = run.universe
-    labels, codes, n = run.labels, run.code, len(run)
+    labels, vid, rf_pos, n = run.labels, run.vid, run.rf_pos, len(run)
+    index = [universe.indexes(run.code, [bit] * n) for bit in (False, True)]  # per mark, per position
     pairs: dict[int, list[int]] = {}  # each tracked d's symbol index: the c's
     for ch, dh in _query_combos(c, d):
         pairs.setdefault(universe.index(dh), []).append(universe.index(ch))
@@ -233,13 +234,13 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
         lab = labels[k]
         if lab.is_write():
             bits: Iterable[bool] = (True, False)
-        else:  # the writer's symbol index carries its mark in the low bit
-            bits = (bool(q.sat.rf[universe.var_index[lab.variable]] & 1),)
+        else:  # the writer's mark: rf holds the writer's symbol, marked or not
+            bits = (q.sat.rf[vid[k]] == index[True][rf_pos[k]],)
         for bit in bits:
             q2 = libat_step(q, (lab, bit))
             if q2.rejected:
                 continue
-            ai = 2 * codes[k] + bit
+            ai = index[bit][k]
             hit = seen or any(_pair_witnessed(q2.sat.aft, ci, ai) for ci in pairs.get(ai, ()))
             if hit or k < last:
                 yield k + 1, q2, hit
@@ -259,4 +260,6 @@ def conc_events(run: Run, e: Event, f: Event, mode: str = GIVEN_BLOCKS) -> bool:
         raise ValueError("need two distinct events")
     if j < i:
         i, j = j, i
+    if mode == MOST_GENERAL and run.tid[i] == run.tid[j]:
+        return False  # program order orders the pair under every block set
     return any(not order.succ[i] >> j & 1 for order in _orders(run, mode))

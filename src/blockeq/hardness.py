@@ -51,10 +51,6 @@ class EqualityInstance:
                 raise ValueError("bit vectors are nonempty strings over 0/1, got %r" % (s,))
         return cls(tuple(map(int, a)), tuple(map(int, b)))
 
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
 
 def gen_equality_trace(inst: EqualityInstance) -> tuple[Run, Event, Event]:
     """The reduction word for the instance, with the two query events:

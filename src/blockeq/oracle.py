@@ -324,18 +324,12 @@ def _rf_moves(run: Run) -> tuple[tuple, Moves]:
     return (0,) * nt + (-1,) * len(run.variables), moves
 
 
-def rf_class_words(run: Run, bound: Optional[int] = None) -> Iterator[bytes]:
-    """Position words of all interleavings that preserve each thread's
-    order and give every read the same writer it has in the original
-    run, each once.  Reads are checked as they are placed, so every
-    completed word is a member outright."""
-    _check_bound(run, bound, RF_BOUND, "reads-from class")
-    return _frontier_words(len(run), *_rf_moves(run))
-
-
 def enum_rf_class(run: Run, bound: Optional[int] = None) -> EquivClass:
-    """The reads-from class: the words of ``rf_class_words``, counted
-    by ``len()`` and listed on first use."""
+    """The reads-from class: the position words of all interleavings
+    that preserve each thread's order and give every read the same
+    writer it has in the original run, counted by ``len()`` and listed,
+    each once, on first use.  Reads are checked as they are placed, so
+    every completed word is a member outright."""
     _check_bound(run, bound, RF_BOUND, "reads-from class")
     return EquivClass("rf", run, [_rf_moves(run)])
 
@@ -369,7 +363,7 @@ def rf_unordered(run: Run, i: int, j: int) -> bool:
     """Do positions i and j occur in both orders among the words of the
     run's reads-from class?  The run itself has them in run order, so
     this asks for a word that inverts them: a ``_completes`` search over
-    the states of ``rf_class_words`` whose moves never place the earlier
+    the states of ``enum_rf_class`` whose moves never place the earlier
     one while the later one is pending.  The states number at most the
     product of the threads' lengths plus one and of the variables'
     writes plus one, so the search is polynomial for a fixed alphabet,

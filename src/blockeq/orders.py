@@ -168,11 +168,10 @@ class SaturationResult:
     """Fixpoint of the saturation rules.
 
     ``order`` is the saturated event order, one successor mask per run
-    position; the run linearizes it.  ``block_pairs``, the block pairs
+    position; ``blocks.run`` linearizes it.  ``block_pairs``, the block pairs
     it orders as index pairs into ``blocks.blocks``, and ``overlay``, the
     same set as ``Block`` pairs, are read off the order on first use."""
 
-    run: Run
     blocks: BlockSet
     order: PartialOrder
 
@@ -180,7 +179,7 @@ class SaturationResult:
     def block_pairs(self) -> frozenset[tuple[int, int]]:
         """(a, b) iff a != b, the blocks share a variable and a's write
         is ordered before a member of b; one ``owner`` step per pair."""
-        bs, succ, vid = self.blocks, self.order.succ, self.run.vid
+        bs, succ, vid = self.blocks, self.order.succ, self.blocks.run.vid
         masks, owner = bs.masks, bs.owner
         pairs = []
         for a, (w, mask) in enumerate(zip(bs.writes, masks)):
@@ -250,5 +249,5 @@ def saturate(run: Run, blocks: BlockSet) -> SaturationResult:
             for i in readers[w]:
                 succ[i] |= targets
         if not grew:
-            return SaturationResult(run, blocks, order)
+            return SaturationResult(blocks, order)
         order = PartialOrder(run, unlisted, succ)

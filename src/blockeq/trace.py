@@ -276,9 +276,6 @@ class Run:
     def __len__(self):
         return len(self.labels)
 
-    def __iter__(self):
-        return iter(self.events)
-
     def __eq__(self, other):
         return isinstance(other, Run) and self.labels == other.labels and self.annotations == other.annotations
 

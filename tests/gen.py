@@ -1,4 +1,5 @@
-"""Random and exhaustive generators for runs and block sets.
+"""Random and exhaustive generators for runs and block sets, and the
+helpers the test modules share.
 
 Shared by the property-style tests: every generator takes an explicit
 random.Random so failures reproduce from the printed seed, except
@@ -6,11 +7,74 @@ random.Random so failures reproduce from the printed seed, except
 """
 
 import itertools
+from pathlib import Path
 
 from hypothesis import strategies as st
 
-from blockeq.blocks import BlockSet, annotate
-from blockeq.trace import Label, READ, WRITE, Run
+from blockeq.blocks import BlockSet, annotate, blocks_from_annotation
+from blockeq.trace import Label, READ, WRITE, Run, parse_run
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def corpus(name):
+    """The run of one ``corpus/`` trace."""
+    return parse_run((CORPUS / name).read_text())
+
+
+def describe(aw):
+    """An annotated run on one line, marks as in the trace format."""
+    return " | ".join("%s%s" % (lab, " @" if on else "") for lab, on in zip(aw.labels, aw.annotations))
+
+
+def all_blocks_contiguous(labels, blocks):
+    """Does the label word lay out each block's members contiguously?
+    Events are named by label and occurrence, as in ``Event``."""
+    where, seen = {}, {}
+    for i, lab in enumerate(labels):
+        seen[lab] = seen.get(lab, 0) + 1
+        where[lab, seen[lab]] = i
+    for b in blocks:
+        ps = [where[e.label, e.occurrence] for e in b.members()]
+        if max(ps) - min(ps) + 1 != len(ps):
+            return False
+    return True
+
+
+def minimize(aw, fails):
+    """Greedy shrink of an annotated run on which ``fails`` holds: drop
+    events, then clear marks, as long as the candidate is validly
+    annotated and ``fails`` still holds of it (raising counts as not)."""
+    labels = list(aw.labels)
+    marks = list(aw.annotations)
+
+    def still_fails(ls, bs):
+        try:
+            cand = Run(ls, bs)
+            blocks_from_annotation(cand)
+        except Exception:
+            return False
+        try:
+            return bool(fails(cand))
+        except Exception:
+            return False
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(labels) - 1, -1, -1):
+            ls = labels[:i] + labels[i + 1:]
+            bs = marks[:i] + marks[i + 1:]
+            if ls and still_fails(ls, bs):
+                labels, marks = ls, bs
+                changed = True
+        for i in range(len(labels)):
+            if marks[i]:
+                bs = marks[:i] + [False] + marks[i + 1:]
+                if still_fails(labels, bs):
+                    marks = bs
+                    changed = True
+    return Run(labels, marks)
 
 
 def alphabet(n_threads, n_vars):

@@ -13,9 +13,9 @@ import math
 import random
 import time
 from functools import lru_cache
-from pathlib import Path
 
 import gen
+from gen import all_blocks_contiguous, corpus
 from blockeq.atomicity import (
     is_conflict_serializable,
     is_liberally_atomic,
@@ -36,8 +36,8 @@ from blockeq.hardness import EqualityInstance, check_reduction
 from blockeq.monitor import canonical_text as sat_text
 from blockeq.monitor import sat_initial, sat_step, symbols_of
 from blockeq.oracle import enum_block_class, enum_maz_class, enum_rf_class
-from blockeq.orders import block_hb, saturate
-from blockeq.trace import Label, Run, Universe, parse_run
+from blockeq.orders import saturate
+from blockeq.trace import Label, Run, Universe
 from oracles import (
     count_linear_extensions,
     intersection_order,
@@ -46,12 +46,6 @@ from oracles import (
     same_equiv_rf,
 )
 from test_monitor import compare_prefixes
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def corpus(name):
-    return parse_run((CORPUS / name).read_text())
 
 
 def verdict(num, name, ok):
@@ -140,21 +134,6 @@ def test_criterion_4_saturation_monitor():
     verdict(4, "saturation monitor", mismatches == 0)
 
 
-def _all_blocks_contiguous(labels, blocks):
-    occ = {}
-    where = {}
-    for i, lab in enumerate(labels):
-        occ[lab] = occ.get(lab, 0) + 1
-        for b in blocks:
-            if any(e.label == lab and e.occurrence == occ[lab] for e in b.members()):
-                where.setdefault(b.write, []).append(i)
-    for pos in where.values():
-        pos.sort()
-        if pos != list(range(pos[0], pos[0] + len(pos))):
-            return False
-    return True
-
-
 def test_criterion_5_atomicity_triple_agreement():
     rng = random.Random(0xA70)
     disagreements = 0
@@ -164,7 +143,7 @@ def test_criterion_5_atomicity_triple_agreement():
         offline = is_liberally_atomic(aw, bs)
         streaming = libat_run(aw)
         serial = any(
-            _all_blocks_contiguous(labels, bs)
+            all_blocks_contiguous(labels, bs)
             for labels in enum_block_class(aw, bs).members
         )
         if not (offline == streaming == serial):

@@ -7,7 +7,6 @@ class in which every block is contiguous.
 """
 
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,39 +30,17 @@ from blockeq.orders import bits, block_hb, mazurkiewicz_hb
 from blockeq.trace import Run, Universe, parse_run
 
 import gen
+from gen import CORPUS, all_blocks_contiguous, describe, minimize
 from oracles import is_proper_linearization, proper_linearizations
 from test_golden import _monitor_streams
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
 # ---- oracle answer ---------------------------------------------------------
-
-def _occurrences(labels):
-    seen = {}
-    out = []
-    for lab in labels:
-        n = seen.get(lab, 0) + 1
-        seen[lab] = n
-        out.append((lab, n))
-    return out
-
-
-def _all_blocks_contiguous(labels, blocks):
-    where = {}
-    for i, (lab, occ) in enumerate(_occurrences(labels)):
-        where[(lab, occ)] = i
-    for b in blocks:
-        ps = [where[(e.label, e.occurrence)] for e in b.members()]
-        if max(ps) - min(ps) + 1 != len(ps):
-            return False
-    return True
-
 
 def serial_member_exists(aw, blocks):
     """Ground truth: some member of the block equivalence class lays
     every block out contiguously."""
     cls = enum_block_class(aw, blocks)
-    return any(_all_blocks_contiguous(labels, blocks) for labels in cls.members)
+    return any(all_blocks_contiguous(labels, blocks) for labels in cls.members)
 
 
 def three_answers(aw):
@@ -80,13 +57,6 @@ def disagreement(aw):
     if offline == stream == serial:
         return None
     return {"offline": offline, "stream": stream, "serial": serial}
-
-
-def describe(aw):
-    return " | ".join(
-        "%s%s" % (lab, "@" if on else "")
-        for lab, on in zip(aw.labels, aw.annotations)
-    )
 
 
 # ---- fixed instances -------------------------------------------------------
@@ -343,7 +313,7 @@ def test_witness_and_completeness():
         atomic_seen += 1
         w = serial_witness(aw, blocks)
         assert is_proper_linearization(w, aw, blocks)
-        assert _all_blocks_contiguous(w.labels, blocks)
+        assert all_blocks_contiguous(w.labels, blocks)
         cls = enum_block_class(aw, blocks)
         assert w.labels in cls.members
         lins = proper_linearizations(aw, blocks)
@@ -437,41 +407,6 @@ def test_libat_registers_follow_the_stream():
     assert steps > 5000
 
 
-# ---- dev loop --------------------------------------------------------------
-
-def minimize(aw):
-    labels = list(aw.labels)
-    bits = list(aw.annotations)
-
-    def still_fails(ls, bs):
-        try:
-            cand = Run(ls, bs)
-            blocks_from_annotation(cand)
-        except Exception:
-            return False
-        try:
-            return disagreement(cand) is not None
-        except Exception:
-            return False
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(labels) - 1, -1, -1):
-            ls = labels[:i] + labels[i + 1:]
-            bs = bits[:i] + bits[i + 1:]
-            if ls and still_fails(ls, bs):
-                labels, bits = ls, bs
-                changed = True
-        for i in range(len(labels)):
-            if bits[i]:
-                bs = bits[:i] + [False] + bits[i + 1:]
-                if still_fails(labels, bs):
-                    bits = bs
-                    changed = True
-    return Run(labels, bits)
-
-
 if __name__ == "__main__":
     import sys
 
@@ -484,7 +419,7 @@ if __name__ == "__main__":
         d = disagreement(aw)
         if d:
             bad += 1
-            small = minimize(aw)
+            small = minimize(aw, disagreement)
             print("FAIL seed=%d case=%d %s" % (seed, i, d))
             print("  full : %s" % describe(aw))
             print("  small: %s -> %s" % (describe(small), disagreement(small)))

@@ -7,11 +7,11 @@ of such a choice.
 
 import random
 import re
-from pathlib import Path
 
 import pytest
 
 import gen
+from gen import CORPUS
 from blockeq.blocks import (
     BlockSet,
     all_block_sets,
@@ -22,8 +22,6 @@ from blockeq.blocks import (
 )
 from blockeq.trace import TraceError, parse_run
 from oracles import blocks_in_run_order_disjoint
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_candidate_blocks_cover_reads():

@@ -16,8 +16,7 @@ from blockeq.cli import main
 from blockeq.concurrency import MODES
 from blockeq.oracle import EquivClass, enum_block_class, enum_maz_class, enum_rf_class
 from blockeq.trace import parse_run
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+from gen import CORPUS
 
 
 def trace(name):

@@ -15,12 +15,12 @@ rf, with the corpus's strict gaps pinned.
 
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import gen
+from gen import CORPUS, corpus
 from blockeq import atomicity, concurrency
 from blockeq.atomicity import is_liberally_atomic
 from blockeq.blocks import all_block_sets, annotate, blocks_from_annotation
@@ -40,12 +40,6 @@ from blockeq.orders import mazurkiewicz_hb, saturate
 from blockeq.trace import Label, Run, TraceError, Universe, parse_run
 import oracles
 from oracles import reference_general_stream, same_equiv_rf
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def corpus(name):
-    return parse_run((CORPUS / name).read_text())
 
 
 def distinct_label_pairs(run):
@@ -578,6 +572,23 @@ def test_general_absent_symbol_answers_without_enumerating(monkeypatch):
     absent, present = Label("T9", "w", "q"), run.labels[0]
     assert not conc_symbols_general(run, absent, present)
     assert not conc_symbols_general(run, present, absent)
+
+
+def test_general_same_thread_pair_answers_without_searching(monkeypatch):
+    # program order orders two events of one thread under every block set;
+    # the 30 writes would have 2^30 block sets
+    def refuse(*args):
+        raise AssertionError("searched block sets for a pair on one thread")
+
+    monkeypatch.setattr(concurrency, "all_block_sets", refuse)
+    monkeypatch.setattr(concurrency, "_general_stream", refuse)
+    run = parse_run("T1 w x\nT1 w y\n" * 15)
+    wx, wy = run.labels[0], run.labels[1]
+    for strategy in ("enumerate", "stream"):
+        for c, d in ((wx, wx), (wx, wy), (wy, wx)):
+            assert not conc_symbols_general(run, c, d, strategy=strategy)
+    for i, j in ((0, 1), (0, 29), (28, 3)):
+        assert not conc_events(run, run.events[i], run.events[j], "general")
 
 
 def test_general_builds_no_run(monkeypatch):

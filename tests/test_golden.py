@@ -34,9 +34,9 @@ from blockeq.monitor import canonical_text, symbols_of
 from blockeq.trace import Universe, parse_run
 
 import gen
+from gen import CORPUS
 
 HERE = Path(__file__).resolve().parent
-CORPUS = HERE.parent / "corpus"
 GOLDEN = HERE / "golden_corpus.json"
 GOLDEN_CONCURRENT = HERE / "golden_concurrent.json"
 GOLDEN_MONITOR = HERE / "golden_monitor.json"

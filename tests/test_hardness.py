@@ -38,7 +38,7 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         EqualityInstance.from_strings("", "")
     inst = EqualityInstance.from_strings("1101", "0110")
-    assert inst.n == 4 and inst.a == (1, 1, 0, 1) and inst.b == (0, 1, 1, 0)
+    assert len(inst.a) == 4 and inst.a == (1, 1, 0, 1) and inst.b == (0, 1, 1, 0)
 
 
 def test_trace_shape():

@@ -19,6 +19,7 @@ from blockeq.orders import bits, saturate
 from blockeq.trace import Label, READ, WRITE, Run, Universe, parse_run
 
 import gen
+from gen import describe, minimize
 from monitor_reference import (campaign, flags_steer_order, grown_past_arrival,
                                library_state, lowered_on_empty, ref_initial, reference_mismatch,
                                row_fields, step_mismatch, valid_symbols, walk)
@@ -140,13 +141,6 @@ def sat_fold(aw, universe):
     for s in symbols_of(aw):
         q = sat_step(q, s)
     return q
-
-
-def describe(aw):
-    return " | ".join(
-        "%s%s" % (lab, " @" if bit else "")
-        for lab, bit in zip(aw.labels, aw.annotations)
-    )
 
 
 # ---- tests ---------------------------------------------------------------
@@ -468,43 +462,6 @@ def test_rejects_symbol_outside_universe():
             sat_step(q, sym)
 
 
-# ---- deliberate dev loop: shrink a failing case ---------------------------
-
-def minimize(aw):
-    """Greedy shrink of a disagreeing annotated run: drop events, then
-    clear annotation bits, as long as the disagreement survives."""
-    labels = list(aw.labels)
-    marks = list(aw.annotations)
-
-    def still_fails(ls, bs):
-        try:
-            cand = Run(ls, bs)
-            blocks_from_annotation(cand)
-        except Exception:
-            return False
-        try:
-            return bool(compare_prefixes(cand))
-        except Exception:
-            return False
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(labels) - 1, -1, -1):
-            ls = labels[:i] + labels[i + 1:]
-            bs = marks[:i] + marks[i + 1:]
-            if ls and still_fails(ls, bs):
-                labels, marks = ls, bs
-                changed = True
-        for i in range(len(labels)):
-            if marks[i]:
-                bs = marks[:i] + [False] + marks[i + 1:]
-                if still_fails(labels, bs):
-                    marks = bs
-                    changed = True
-    return Run(labels, marks)
-
-
 if __name__ == "__main__":
     import sys
 
@@ -517,7 +474,7 @@ if __name__ == "__main__":
         mism = compare_prefixes(aw)
         if mism:
             bad += 1
-            small = minimize(aw)
+            small = minimize(aw, compare_prefixes)
             print("FAIL seed=%d case=%d" % (seed, i))
             print("  full : %s" % describe(aw))
             print("  small: %s" % describe(small))

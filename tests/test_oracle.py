@@ -10,11 +10,11 @@ the most independent scrutiny.
 import itertools
 import math
 import random
-from pathlib import Path
 
 import pytest
 
 import gen
+from gen import CORPUS, corpus
 from blockeq.atomicity import is_liberally_atomic
 from blockeq.blocks import BlockSet, all_block_sets, blocks_from_annotation
 from blockeq.oracle import (
@@ -38,12 +38,6 @@ from oracles import (
     proper_linearizations,
     same_equiv_rf,
 )
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def corpus(name):
-    return parse_run((CORPUS / name).read_text())
 
 
 def label_sets(cls):

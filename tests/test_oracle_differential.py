@@ -12,16 +12,15 @@ with the searches they replaced, kept in ``oracles.py``.
 
 import itertools
 import random
-from pathlib import Path
 
+from blockeq import oracle
 from blockeq.blocks import blocks_from_annotation
-from blockeq.oracle import SWAP_BOUND, enum_block_class, enum_maz_class, enum_rf_class, rf_class_words
+from blockeq.oracle import SWAP_BOUND, enum_block_class, enum_maz_class, enum_rf_class
 from blockeq.trace import Run, TraceError, conflicting, parse_run
 
 import gen
+from gen import CORPUS
 from oracles import rf_words_dfs, same_equiv_rf, swap_closure_words
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _contiguous_spans(word, block_of):
@@ -138,7 +137,7 @@ def _matches_word_by_word_search(run, blocks, rf=True):
     assert maz == swap_closure_words(run, None), run
     assert blk == swap_closure_words(run, blocks), run
     if rf:
-        words = list(rf_class_words(run))
+        words = list(oracle._frontier_words(len(run), *oracle._rf_moves(run)))
         assert len(words) == len(set(words)), run
         assert set(words) == set(rf_words_dfs(run)), run
     return len(maz), len(blk)

@@ -8,16 +8,15 @@ the enumeration lemma that its proper linearizations match the plain
 block order's.
 """
 
-import itertools
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import gen
+from gen import CORPUS, corpus
 from blockeq import orders
-from blockeq.blocks import BlockSet, all_block_sets, annotate, blocks_from_annotation
+from blockeq.blocks import BlockSet, blocks_from_annotation
 from blockeq.orders import PartialOrder, bits, block_hb, mazurkiewicz_hb, saturate
 from blockeq.atomicity import is_liberally_atomic
 from blockeq.trace import READ, WRITE, Label, Run, TraceError, conflicting, parse_run
@@ -31,12 +30,6 @@ from oracles import (
     proper_linearizations,
     transitive_reduction,
 )
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def corpus(name):
-    return parse_run((CORPUS / name).read_text())
 
 
 def pairs(order):

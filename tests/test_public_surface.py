@@ -1,8 +1,9 @@
-"""Every public name of ``blockeq`` has a user outside the tests.
+"""Every public name of ``blockeq``, and every top-level ``def`` and
+``class`` of its modules, has a user outside the tests.
 
-A name in ``blockeq.__all__`` must be referenced, outside its own
-definition, by a module of the package other than ``__init__``, by a
-file of the benchmark under ``perfbench/``, or by ``README.md``.  Python
+Such a name must be referenced, outside its own definition, by a
+module of the package other than ``__init__``, by a file of the
+benchmark under ``perfbench/``, or by ``README.md``.  Python
 files count the names they read (names, attributes, imports and string
 constants that name something, such as the benchmark's traced function
 names); the README counts every whole-word mention.  Reference code
@@ -55,6 +56,18 @@ def test_every_public_name_has_a_user_outside_the_tests():
     used = outside_uses()
     unused = sorted(name for name in blockeq.__all__ if name not in used)
     assert not unused, "public names that only tests use: %s" % ", ".join(unused)
+
+
+def test_every_definition_has_a_reader_outside_the_tests():
+    """Private names too: a top-level ``def`` or ``class`` of the package
+    that nothing outside the tests reads is dead code."""
+    used = outside_uses()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used:
+                unused.append("%s.%s" % (path.stem, node.name))
+    assert not unused, "definitions that only tests read: %s" % ", ".join(unused)
 
 
 def test_a_definition_alone_is_not_a_use(tmp_path):

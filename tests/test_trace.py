@@ -2,11 +2,11 @@
 
 import math
 import random
-from pathlib import Path
 
 import pytest
 
 import gen
+from gen import CORPUS
 from blockeq.atomicity import is_liberally_atomic
 from blockeq.blocks import blocks_from_annotation
 from blockeq.trace import (
@@ -21,8 +21,6 @@ from blockeq.trace import (
     parse_symbol,
 )
 from oracles import interleave_threads, same_equiv_rf
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_parse_round_trip():
@@ -301,10 +299,11 @@ def analyses(text):
     """Answers of the library's core paths on one trace, as plain data."""
     from itertools import islice
 
+    from blockeq import oracle
     from blockeq.atomicity import is_conflict_serializable, is_liberally_atomic, serial_witness
     from blockeq.blocks import all_block_sets, annotate, blocks_from_annotation
     from blockeq.concurrency import conc_symbols_blocks, conc_symbols_general, conc_symbols_maz
-    from blockeq.oracle import BoundExceeded, enum_block_class, enum_maz_class, rf_class_words
+    from blockeq.oracle import BoundExceeded, enum_block_class, enum_maz_class
     from blockeq.orders import block_hb, mazurkiewicz_hb, saturate
 
     def attempt(fn, *args):
@@ -331,7 +330,7 @@ def analyses(text):
         [(conc_symbols_maz(run, c, d), conc_symbols_blocks(run, c, d)) for c, d in pairs],
         [conc_symbols_general(run, c, d) for c, d in pairs[:3]],
         sorted(enum_maz_class(run).words), sorted(enum_block_class(run, bs).words),
-        list(islice(rf_class_words(run), 500)),
+        list(islice(oracle._frontier_words(len(run), *oracle._rf_moves(run)), 500)),
     ]
 
 
