@@ -8,6 +8,8 @@ monitors whose state size is independent of the run length, brute-force
 enumeration oracles that certify them at desk scale, and a CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .atomicity import (
     BlockGraph,
     LibAtState,
@@ -70,4 +72,5 @@ from .trace import (
     parse_symbol,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules that importing them binds here
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -32,12 +32,6 @@ class Block:
     write: Event
     reads: tuple[Event, ...]  # in run order
 
-    def members(self) -> tuple[Event, ...]:
-        return (self.write,) + self.reads
-
-    def __str__(self):
-        return "{" + ", ".join(str(e) for e in self.members()) + "}"
-
 
 class BlockSet:
     """A pairwise-disjoint set of blocks over one run, given by the

@@ -21,16 +21,15 @@ over the input run.  Every edge points forward in run order, so
 positions i < j are unordered exactly when bit j of ``succ[i]`` is
 clear.
 
-Symbol queries examine occurrence pairs in both relative orders, and
-within one orientation only *inner* pairs: a c-occurrence with the
-first d-occurrence after it.  Occurrences of one symbol share a thread,
-so they chain in program order; if any (c, d)-occurrence pair is
-unordered, the inner pair obtained by moving the c-occurrence forward to
-the last one before that d-occurrence — and the d-occurrence backward to
-the first one after it — is unordered too.  A label query takes both
-marks of each side, so on a marked run each unordered occurrence pair
-still has an unordered inner pair among those listed, and the answer is
-that of the unmarked run.
+A symbol query names occurrences, a bare label those of either mark and
+an annotated symbol those with its mark, and examines their pairs in
+both relative orders; within one orientation only *inner* pairs: a
+c-occurrence with the first d-occurrence after it.  The occurrences one
+side names share a thread, so they chain in program order: if some
+(c, d)-occurrence pair is unordered, moving the c-occurrence forward to
+the last one before that d-occurrence, and the d-occurrence back to the
+first one after it, gives an inner pair that every order containing
+program order leaves unordered too.
 
 The streaming automaton (``ConcState``/``conc_step``) serves callers
 that see the run one symbol at a time.  It carries the block monitor,
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .atomicity import LibAtState, is_liberally_atomic, libat_initial, libat_step
 from .blocks import _position_of, all_block_sets, blocks_from_annotation
@@ -116,38 +115,30 @@ def conc_step(state: ConcState, sym: AnnLabel) -> ConcState:
 
 # ---- inner occurrence pairs -----------------------------------------------
 
-def inner_pair_positions(run: Run, c_hat: AnnLabel, d_hat: AnnLabel) -> list[tuple[int, int]]:
+def _occurrences(run: Run, s: Union[Label, AnnLabel]) -> Sequence[int]:
+    """The positions a query side names: every occurrence of a label,
+    or the occurrences of a symbol's label that carry its mark."""
+    if isinstance(s, Label):
+        return run.by_code[run.universe.code(s)]
+    lab, on = s
+    return [i for i in run.by_code[run.universe.code(lab)] if run.annotations[i] == on]
+
+
+def inner_pair_positions(run: Run, c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> list[tuple[int, int]]:
     """Positions (i, j) pairing each c-occurrence with the first
     d-occurrence after it; occurrences with no later d drop out."""
-    (c, c_on), (d, d_on) = c_hat, d_hat
-    d_pos = [j for j in run.by_code[run.universe.code(d)] if run.annotations[j] == d_on]
-    out = []
-    for i in run.by_code[run.universe.code(c)]:
-        k = bisect_right(d_pos, i)
-        if run.annotations[i] == c_on and k < len(d_pos):
-            out.append((i, d_pos[k]))
-    return out
-
-
-def _query_combos(c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> list[tuple[AnnLabel, AnnLabel]]:
-    """Label-level queries range over both membership bits of each side;
-    annotated symbols are taken as given.  Both orientations are
-    produced, since a pair can be witnessed in either relative order."""
-    cs = [(c, False), (c, True)] if isinstance(c, Label) else [c]
-    ds = [(d, False), (d, True)] if isinstance(d, Label) else [d]
-    both = [(ch, dh) for ch in cs for dh in ds]
-    both += [(dh, ch) for ch, dh in both]
-    return both
+    d_pos = _occurrences(run, d)
+    after = ((i, bisect_right(d_pos, i)) for i in _occurrences(run, c))
+    return [(i, d_pos[k]) for i, k in after if k < len(d_pos)]
 
 
 # ---- run-level decisions ---------------------------------------------------
 
 def _orders(run: Run, mode: str) -> Iterator[PartialOrder]:
     """The orders a mode ranges over, all over the input run.  Maz and
-    general queries are labels, so by the module docstring's inner-pair
-    argument the run's marks do not change their answer; the maz order
-    reads no marks.  Raises TraceError in blocks mode when the marking
-    is not a valid block set."""
+    general queries name labels, whose occurrences the run's marks do not
+    change, and the maz order reads no marks.  Raises TraceError in
+    blocks mode when the marking is not a valid block set."""
     if mode == MAZURKIEWICZ:
         yield mazurkiewicz_hb(run)
     elif mode == GIVEN_BLOCKS:
@@ -162,11 +153,17 @@ def _orders(run: Run, mode: str) -> Iterator[PartialOrder]:
         raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), mode))
 
 
+def _unordered(run: Run, mode: str, pairs: list[tuple[int, int]]) -> bool:
+    """True iff some order of the mode leaves some position pair (i < j)
+    unordered.  The orders are asked for even when there is no pair, so
+    blocks mode validates the marking on every query."""
+    return any(not order.succ[i] >> j & 1 for order in _orders(run, mode) for i, j in pairs)
+
+
 def _symbols_unordered(run: Run, mode: str, c: Union[Label, AnnLabel], d: Union[Label, AnnLabel]) -> bool:
     """True iff some order of the mode leaves some inner (c, d)-pair, in
     either orientation, unordered."""
-    pairs = [p for c_hat, d_hat in _query_combos(c, d) for p in inner_pair_positions(run, c_hat, d_hat)]
-    return any(not order.succ[i] >> j & 1 for order in _orders(run, mode) for i, j in pairs)
+    return _unordered(run, mode, inner_pair_positions(run, c, d) + inner_pair_positions(run, d, c))
 
 
 def conc_symbols_maz(run: Run, c: Label, d: Label) -> bool:
@@ -180,9 +177,9 @@ def conc_symbols_blocks(aw: Run, c: Union[Label, AnnLabel], d: Union[Label, AnnL
     """True iff the annotated run's blocks are liberally atomic and some
     inner occurrence pair is unordered by the saturated block order —
     equivalently, some equivalent run executes the pair in the other
-    order.  Label-level queries disjoin over the four annotated-symbol
-    combinations.  Raises TraceError when the marking is not a valid
-    block set."""
+    order.  A label names its occurrences of either mark, an annotated
+    symbol those with its mark.  Raises TraceError when the marking is
+    not a valid block set."""
     return _symbols_unordered(aw, GIVEN_BLOCKS, c, d)
 
 
@@ -216,17 +213,17 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
     valid marking).  Branches that reject atomicity are dropped, since
     rejection is absorbing, and so are branches still unwitnessed after
     the last occurrence of c or d, since only the arrival of one of them
-    can witness.  The bit latches when some combination of
-    ``_query_combos`` is witnessed on arrival and is never cleared.  The
-    search is ``oracle._completes``: it accepts at the first branch that
-    reaches the end and expands each node at most once.
+    can witness.  The bit latches when an arrival of c or d, of either
+    mark, is witnessed against either mark of the other label, and is
+    never cleared.  The search is ``oracle._completes``: it accepts at
+    the first branch that reaches the end and expands each node at most
+    once.
     """
     universe = run.universe
     labels, vid, rf_pos, n = run.labels, run.vid, run.rf_pos, len(run)
     index = [universe.indexes(run.code, [bit] * n) for bit in (False, True)]  # per mark, per position
-    pairs: dict[int, list[int]] = {}  # each tracked d's symbol index: the c's
-    for ch, dh in _query_combos(c, d):
-        pairs.setdefault(universe.index(dh), []).append(universe.index(ch))
+    cs, ds = (universe.indexes((k, k), (False, True)) for k in universe.codes((c, d)))
+    other = {**dict.fromkeys(cs, ds), **dict.fromkeys(ds, cs)}  # each arriving symbol: the other side's
     last = max(run.by_code[universe.code(c)][-1], run.by_code[universe.code(d)][-1])
 
     def moves(node: tuple[int, LibAtState, bool]) -> Iterator[tuple[int, LibAtState, bool]]:
@@ -241,7 +238,7 @@ def _general_stream(run: Run, c: Label, d: Label) -> bool:
             if q2.rejected:
                 continue
             ai = index[bit][k]
-            hit = seen or any(_pair_witnessed(q2.sat.aft, ci, ai) for ci in pairs.get(ai, ()))
+            hit = seen or any(_pair_witnessed(q2.sat.aft, ci, ai) for ci in other.get(ai, ()))
             if hit or k < last:
                 yield k + 1, q2, hit
 
@@ -262,4 +259,4 @@ def conc_events(run: Run, e: Event, f: Event, mode: str = GIVEN_BLOCKS) -> bool:
         i, j = j, i
     if mode == MOST_GENERAL and run.tid[i] == run.tid[j]:
         return False  # program order orders the pair under every block set
-    return any(not order.succ[i] >> j & 1 for order in _orders(run, mode))
+    return _unordered(run, mode, [(i, j)])

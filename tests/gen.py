@@ -35,10 +35,25 @@ def all_blocks_contiguous(labels, blocks):
         seen[lab] = seen.get(lab, 0) + 1
         where[lab, seen[lab]] = i
     for b in blocks:
-        ps = [where[e.label, e.occurrence] for e in b.members()]
+        ps = [where[e.label, e.occurrence] for e in (b.write,) + b.reads]
         if max(ps) - min(ps) + 1 != len(ps):
             return False
     return True
+
+
+def class_inverts_pair(run, cls, c, d):
+    """Whether some member of the class executes an occurrence pair of
+    c and d in the other order than the run does.  A member is a
+    position word: its k-th byte is the run position of its k-th event."""
+    ce = [i for i, lab in enumerate(run.labels) if lab == c]
+    de = [i for i, lab in enumerate(run.labels) if lab == d]
+    for w in cls.words:
+        at = [0] * len(w)
+        for k, p in enumerate(w):
+            at[p] = k
+        if any((i < j) != (at[i] < at[j]) for i in ce for j in de):
+            return True
+    return False
 
 
 def minimize(aw, fails):

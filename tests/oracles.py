@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from blockeq.atomicity import LibAtState, libat_initial, libat_step
 from blockeq.blocks import BlockSet, _position_of
-from blockeq.concurrency import _pair_witnessed, _query_combos
 from blockeq.oracle import SWAP_BOUND, EquivClass, _busy, _check_bound
 from blockeq.orders import PartialOrder, SaturationResult, bits, block_hb, rows_union, saturate
 from blockeq.trace import AnnLabel, Event, Label, Run, conflicting, extended_dep
@@ -403,12 +402,17 @@ def reference_general_stream(run: Run, c: Label, d: Label) -> bool:
 
     Writes branch on their membership bit; a read's bit is forced to
     its writer's.  Branches that reject atomicity are dropped.  Each
-    branch carries one witness bit per combination of ``_query_combos``,
-    and the pass accepts when some branch ends with some bit set."""
+    branch carries one witness bit per (c-symbol, d-symbol) combination,
+    either mark on each side, in both orientations.  A combination is
+    witnessed when its d-symbol arrives after some occurrence of its
+    c-symbol and outside the after set of the last one.  The pass
+    accepts when some branch ends with some bit set."""
     if c not in run.labels or d not in run.labels:
         return False
     universe = run.universe
-    pair_idx = [(universe.index(ch), universe.index(dh)) for ch, dh in _query_combos(c, d)]
+    combos = [((c, cm), (d, dm)) for cm in (False, True) for dm in (False, True)]
+    combos += [(dh, ch) for ch, dh in combos]
+    pair_idx = [(universe.index(ch), universe.index(dh)) for ch, dh in combos]
     branches: set[tuple[LibAtState, int]] = {(libat_initial(universe), 0)}
     for lab in run.labels:
         nxt: set[tuple[LibAtState, int]] = set()
@@ -425,7 +429,8 @@ def reference_general_stream(run: Run, c: Label, d: Label) -> bool:
                 ai = universe.index((lab, bit))
                 f2 = fnd
                 for k, (ci, di) in enumerate(pair_idx):
-                    if not f2 >> k & 1 and ai == di and _pair_witnessed(q2.sat.aft, ci, di):
+                    row = q2.sat.aft[ci]
+                    if ai == di != ci and row and not row >> di & 1:
                         f2 |= 1 << k
                 nxt.add((q2, f2))
         branches = nxt

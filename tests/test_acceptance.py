@@ -186,19 +186,6 @@ def test_criterion_6_exact_counts():
     verdict(6, "exact counts", counts_ok)
 
 
-def _class_inverts_pair(aw, cls, c, d):
-    rep = {e: i for i, e in enumerate(aw.events)}
-    ce = [e for e in aw.events if e.label == c]
-    de = [e for e in aw.events if e.label == d]
-    for member in member_runs(cls):
-        pos = {e: i for i, e in enumerate(member.events)}
-        for e in ce:
-            for f in de:
-                if (rep[e] < rep[f]) != (pos[e] < pos[f]):
-                    return True
-    return False
-
-
 def test_criterion_7_concurrency_decisions():
     rng = random.Random(0xC07)
     queries = 0
@@ -210,7 +197,7 @@ def test_criterion_7_concurrency_decisions():
             continue
         cls = enum_block_class(aw, bs)
         for c, d in itertools.combinations(sorted(set(aw.labels)), 2):
-            if conc_symbols_blocks(aw, c, d) != _class_inverts_pair(aw, cls, c, d):
+            if conc_symbols_blocks(aw, c, d) != gen.class_inverts_pair(aw, cls, c, d):
                 wrong += 1
             queries += 1
 

@@ -20,7 +20,7 @@ from blockeq.blocks import (
     is_well_annotated,
     parse_block_selector,
 )
-from blockeq.trace import TraceError, parse_run
+from blockeq.trace import Event, Label, TraceError, parse_run
 from oracles import blocks_in_run_order_disjoint
 
 
@@ -97,12 +97,22 @@ def test_block_set_takes_candidate_blocks_only():
     run = parse_run("T1 w x\nT2 r x\nT1 w x\nT1 r x")
     assert BlockSet(run, [2, 0]) == parse_block_selector(run, "all")
     # each write brings all its readers, so the blocks are candidate blocks
-    assert [str(b) for b in BlockSet(run, [0, 2])] == ["{T1 w x #1, T2 r x #1}",
-                                                       "{T1 w x #2, T1 r x #1}"]
+    wx, rx = Label("T1", "w", "x"), Label("T2", "r", "x")
+    assert [(b.write, b.reads) for b in BlockSet(run, [0, 2])] == [
+        (Event(wx, 1), (Event(rx, 1),)),
+        (Event(wx, 2), (Event(Label("T1", "r", "x"), 1),)),
+    ]
     with pytest.raises(ValueError):
         BlockSet(run, [1])  # a read
     with pytest.raises(ValueError):
         BlockSet(run, [0, 0])
+
+
+def test_equal_block_sets_hash_alike():
+    text = "T1 w x\nT2 r x\nT1 w x\nT1 r x"
+    a, b = BlockSet(parse_run(text), [0, 2]), BlockSet(parse_run(text), [2, 0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert len({a, BlockSet(parse_run(text), [0])}) == 2
 
 
 def test_annotate_marks_events_of_a_permuted_run():

@@ -126,7 +126,7 @@ def test_atomicity_yes_no_lines_and_witness(capsys):
     witness = parse_run("\n".join(lines[3:]) + "\n")
     # every block of the witness is contiguous
     for block in blocks_from_annotation(witness):
-        pos = sorted(witness.position(e) for e in block.members())
+        pos = sorted(witness.position(e) for e in (block.write,) + block.reads)
         assert pos == list(range(pos[0], pos[0] + len(pos)))
 
 

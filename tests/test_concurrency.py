@@ -56,6 +56,35 @@ def test_inner_pairs_by_hand():
     assert inner_pair_positions(run, c, missing) == []
 
 
+def test_inner_pairs_of_a_bare_label_take_either_mark():
+    run = Run(parse_run("T1 w x\nT2 w y\nT1 w x\nT2 w y").labels, [True, False, False, True])
+    c, d = Label("T1", "w", "x"), Label("T2", "w", "y")
+    assert inner_pair_positions(run, c, d) == [(0, 1), (2, 3)]
+    assert inner_pair_positions(run, (c, True), d) == [(0, 1)]
+    assert inner_pair_positions(run, c, (d, True)) == [(0, 3), (2, 3)]
+    assert inner_pair_positions(run, (c, False), (d, False)) == []
+
+
+def test_label_query_is_the_or_of_its_annotated_symbol_queries():
+    # a bare label names its occurrences of either mark, an annotated
+    # symbol those with its mark, so a label query answers the OR of its
+    # four annotated-symbol queries in every mode; each combination is
+    # the only witness of some query, so dropping a mark shows
+    rng = random.Random(0x0CC)
+    sole = set()
+    combos = list(itertools.product((False, True), repeat=2))
+    for _ in range(100):
+        aw = gen.random_annotated_run(rng, rng.randint(2, 9))
+        modes = ("maz", "blocks") + (("general",) if len(aw) <= 7 else ())
+        for c, d in distinct_label_pairs(aw):
+            for mode in modes:
+                hits = [cm for cm in combos if concurrency._symbols_unordered(aw, mode, (c, cm[0]), (d, cm[1]))]
+                assert concurrency._symbols_unordered(aw, mode, c, d) == bool(hits), (gen.describe(aw), mode, c, d)
+                if len(hits) == 1:
+                    sole.add((mode, hits[0]))
+    assert sole == set(itertools.product(MODES, combos))
+
+
 # ---- commutation-order queries ----------------------------------------------
 
 def offline_unordered_pair(run, c, d):
@@ -149,21 +178,6 @@ def test_corpus_three_thread_zx():
 
 # ---- fixed-block queries ------------------------------------------------------
 
-def class_inverts_pair(run, cls, c, d):
-    """Whether some member of the class executes an occurrence pair of
-    c and d in the other order than the run does.  A member is a
-    position word: its k-th byte is the run position of its k-th event."""
-    ce = [i for i, lab in enumerate(run.labels) if lab == c]
-    de = [i for i, lab in enumerate(run.labels) if lab == d]
-    for w in cls.words:
-        at = [0] * len(w)
-        for k, p in enumerate(w):
-            at[p] = k
-        if any((i < j) != (at[i] < at[j]) for i in ce for j in de):
-            return True
-    return False
-
-
 def check_blocks_against_class(aw):
     """conc_symbols_blocks on every distinct label pair against class
     inversion; returns the number of pairs checked against the class."""
@@ -175,7 +189,7 @@ def check_blocks_against_class(aw):
     cls = enum_block_class(aw, bs)
     checked = 0
     for c, d in distinct_label_pairs(aw):
-        assert conc_symbols_blocks(aw, c, d) == class_inverts_pair(aw, cls, c, d), (aw, c, d)
+        assert conc_symbols_blocks(aw, c, d) == gen.class_inverts_pair(aw, cls, c, d), (aw, c, d)
         checked += 1
     return checked
 
@@ -218,7 +232,7 @@ def test_corpus_five_thread_blocks():
     assert conc_symbols_blocks(run, Label("T1", "w", "z"), Label("T5", "w", "z"))
     # ... and the class oracle agrees
     cls = enum_block_class(run, blocks_from_annotation(run))
-    assert class_inverts_pair(run, cls, Label("T1", "w", "z"), Label("T5", "w", "z"))
+    assert gen.class_inverts_pair(run, cls, Label("T1", "w", "z"), Label("T5", "w", "z"))
     # same-thread pair: never
     assert not conc_symbols_blocks(run, Label("T3", "w", "y"), Label("T3", "r", "y"))
     # the z-chain through T2 pins T1's w(z) before T2's w(x)

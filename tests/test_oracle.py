@@ -149,6 +149,13 @@ def test_label_tuples_are_built_on_demand():
     assert [tuple(r.labels) for r in member_runs(cls)] == sorted(cls.members)
 
 
+def test_class_repr_names_relation_and_size():
+    run = corpus("two_wr_pairs.trace")
+    assert repr(enum_maz_class(run)) == "EquivClass(maz, 1 members)"
+    assert repr(enum_block_class(run, blocks_from_annotation(run))) == "EquivClass(blocks, 2 members)"
+    assert repr(enum_rf_class(run)) == "EquivClass(rf, 2 members)"
+
+
 def test_conciseness_corpus():
     n2 = corpus("conciseness_n2.trace")
     assert len(enum_maz_class(n2).members) == 1

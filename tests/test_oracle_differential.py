@@ -33,13 +33,13 @@ def _contiguous_spans(word, block_of):
             continue
         lo.setdefault(b, i)
         hi[b] = i
-    spans = [(first, hi[b], b) for b, first in lo.items() if hi[b] - first + 1 == len(b.members())]
+    spans = [(first, hi[b], b) for b, first in lo.items() if hi[b] - first == len(b.reads)]
     spans.sort(key=lambda s: s[0])
     return spans
 
 
 def _block_threads(b):
-    return frozenset(e.label.thread for e in b.members())
+    return frozenset(e.label.thread for e in (b.write,) + b.reads)
 
 
 def _neighbors(word, block_of):

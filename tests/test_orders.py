@@ -141,6 +141,12 @@ def check_closure(aw):
     assert mazurkiewicz_hb(aw).succ == tuple(mask_closure(mask_edges(aw, empty))), aw
 
 
+def test_order_length_is_the_run_length():
+    run = parse_run("T1 w x @\nT2 r x @\nT2 w y")
+    bs = blocks_from_annotation(run)
+    assert len(mazurkiewicz_hb(run)) == len(block_hb(run, bs)) == len(saturate(run, bs).order) == 3
+
+
 def test_closure_matches_mask_tables_small():
     for aw in seeded_runs():
         check_closure(aw)

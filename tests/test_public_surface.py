@@ -13,6 +13,7 @@ that only the tests call belongs in ``tests/oracles.py``.
 import ast
 import re
 from pathlib import Path
+from types import ModuleType
 
 import blockeq
 
@@ -56,6 +57,12 @@ def test_every_public_name_has_a_user_outside_the_tests():
     used = outside_uses()
     unused = sorted(name for name in blockeq.__all__ if name not in used)
     assert not unused, "public names that only tests use: %s" % ", ".join(unused)
+
+
+def test_star_import_binds_no_module():
+    modules = [name for name in blockeq.__all__ if isinstance(getattr(blockeq, name), ModuleType)]
+    assert not modules, "modules listed in blockeq.__all__: %s" % ", ".join(modules)
+    assert "parse_run" in blockeq.__all__
 
 
 def test_every_definition_has_a_reader_outside_the_tests():

@@ -243,6 +243,11 @@ def test_run_accessors():
     assert core.labels == run.labels
 
 
+def test_run_repr_lists_symbols_with_marks():
+    assert repr(parse_run("T1 w x @\nT2 r x @\nT2 w y")) == "Run(T1 w x@; T2 r x@; T2 w y)"
+    assert repr(Run([])) == "Run()"
+
+
 def test_program_order_and_reads_from():
     rng = random.Random(5)
     for _ in range(100):
